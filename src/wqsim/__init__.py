@@ -18,7 +18,7 @@ from .errors import (InvalidCoupling, InvalidFrequency, InvalidGeometry,
                      StepTooLarge, UnknownPreset, WqsimError)
 from .model import (AtomParams, KGrid, NetworkConfig, coupling_g,
                     default_kgrid, validate_config)
-from .dde import DelaySystem, HistoryBuffer, Trajectory, integrate, sample
+from .dde import DelaySystem, Trajectory, integrate
 from .frequency import (OracleResult, SpectralPairResult, SteadyStateClass,
                         SteadyStateLabel, TwoExcitationState,
                         analytic_cee_markov, classify_steady_state,

@@ -1,14 +1,20 @@
 """Fixed-step method-of-steps integrator for complex delay systems.
 
-Classical RK4 stepping; every delayed evaluation c(t - tau) is answered by a
-cubic-Hermite interpolant through the stored (state, derivative) nodes, and
-queries before the initial instant return the constant pre-history (zero by
-default: the field does not exist before t = 0).  The explicit scheme is kept
-honest by requiring dt <= min(positive delay)/8, so no stage ever needs
-extrapolation into the current step.
+Classical RK4 on a uniform grid with constant delays, so every delayed read
+c(t_n + c dt - tau) of a stage at offset c (1/2 for k2 and k3, 1 for k4 and
+the next node's derivative) lands at the same node offset and the same
+cubic-Hermite fraction at every step.  `integrate` resolves these taps once
+into a table and keeps the history in a ring buffer: one row per node state
+plus, for each distinct off-node fraction, one Hermite row per node interval,
+filled once when the interval closes.  Every delayed read is then a row
+gather.  Reads before the initial instant return the constant pre-history
+(zero by default: the field does not exist before t = 0).  The explicit
+scheme is kept honest by requiring dt <= min(positive delay)/8, and setup
+checks that no tap reads a node the current step has not produced yet.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -16,7 +22,11 @@ import numpy as np
 
 from .errors import NonFiniteState, OutOfRange, StepTooLarge
 
-RhsFunc = Callable[[float, np.ndarray, list[np.ndarray]], np.ndarray]
+RhsFunc = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+
+# stage offsets (in units of dt past the current node) that read the history
+_STAGE_OFFSETS = (0.5, 1.0)
+_SNAP = 1e-9
 
 
 def dedupe_delays(delays: Sequence[float]) -> tuple[tuple[float, ...], list[int]]:
@@ -33,8 +43,9 @@ def dedupe_delays(delays: Sequence[float]) -> tuple[tuple[float, ...], list[int]
 class DelaySystem:
     """A pure delay system: dim, sorted distinct delays, and the rhs map.
 
-    rhs(t, y, ydelayed) receives one delayed state per entry of `delays`
-    (in the same order) and must return dy/dt without side effects.
+    rhs(t, y, ydel) receives a read-only (len(delays), dim) array whose row
+    i is the state at t - delays[i], and must return dy/dt without side
+    effects.
     """
 
     dim: int
@@ -54,67 +65,44 @@ class DelaySystem:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
 
 
-class HistoryBuffer:
-    """Dense history on a uniform grid: states + derivatives, Hermite queries.
+def _hermite_weights(s):
+    """Cubic Hermite basis (h00, h10, h01, h11) at fraction s (scalar or
+    array); exactly (1, 0, 0, 0) at s = 0 and (0, 0, 1, 0) at s = 1."""
+    return ((1.0 + 2.0 * s) * (1.0 - s) ** 2, s * (1.0 - s) ** 2,
+            s * s * (3.0 - 2.0 * s), s * s * (s - 1.0))
 
-    Queries at t < t0 return the designated pre-history value; node hits are
-    returned bit-exactly.  May be windowed (rolling) when used as the
-    integrator's working history; `offset` tracks discarded leading nodes.
+
+def _snap(x: float) -> float:
+    nearest = round(x)
+    return float(nearest) if abs(x - nearest) < _SNAP else x
+
+
+def resolve_taps(delays: Sequence[float], dt: float
+                 ) -> list[list[tuple[int, float]]]:
+    """Tap table: for each stage offset c and each delay tau, the (m, s)
+    with t_n + c dt - tau = t_{n+m} + s dt, 0 <= s < 1, snapped to the node
+    within 1e-9.  A zero delay reads the stage state itself and gets (0, 0).
+
+    Raises StepTooLarge if a tap would read node n + 1 or later, which the
+    step has not produced when the stage runs.
     """
-
-    def __init__(self, dim: int, t0: float, dt: float, prehistory: np.ndarray,
-                 capacity: int):
-        self.t0 = float(t0)
-        self.dt = float(dt)
-        self.dim = dim
-        self.prehistory = np.asarray(prehistory, dtype=complex).copy()
-        self.states = np.empty((capacity, dim), dtype=complex)
-        self.derivatives = np.empty((capacity, dim), dtype=complex)
-        self.offset = 0      # index of the first retained node
-        self.count = 0       # number of nodes ever pushed
-
-    def push(self, y: np.ndarray, dy: np.ndarray) -> None:
-        i = self.count - self.offset
-        if i >= self.states.shape[0]:
-            # rolling window: drop the oldest half
-            keep = self.states.shape[0] // 2
-            drop = self.states.shape[0] - keep
-            self.states[:keep] = self.states[drop:]
-            self.derivatives[:keep] = self.derivatives[drop:]
-            self.offset += drop
-            i -= drop
-        self.states[i] = y
-        self.derivatives[i] = dy
-        self.count += 1
-
-    @property
-    def t_last(self) -> float:
-        return self.t0 + (self.count - 1) * self.dt
-
-    def sample(self, t: float) -> np.ndarray:
-        if t < self.t0:
-            return self.prehistory.copy()
-        x = (t - self.t0) / self.dt
-        nearest = round(x)
-        if abs(x - nearest) < 1e-9 and 0 <= nearest <= self.count - 1:
-            x = float(nearest)
-        i = int(np.floor(x))
-        if i >= self.count - 1:
-            i = self.count - 1
-        s = x - i
-        j = i - self.offset
-        if j < 0:
-            raise OutOfRange(
-                f"history at t={t!r} was discarded by the rolling window"
-            )
-        if s == 0.0:
-            return self.states[j].copy()
-        h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-        h10 = s * (1.0 - s) ** 2
-        h01 = s * s * (3.0 - 2.0 * s)
-        h11 = s * s * (s - 1.0)
-        return (h00 * self.states[j] + h10 * self.dt * self.derivatives[j]
-                + h01 * self.states[j + 1] + h11 * self.dt * self.derivatives[j + 1])
+    table = []
+    for c in _STAGE_OFFSETS:
+        row = []
+        for tau in delays:
+            if tau == 0.0:
+                row.append((0, 0.0))
+                continue
+            x = _snap(c - _snap(tau / dt))
+            m = math.floor(x)
+            s = x - m
+            if m + (s > 0.0) > 0:
+                raise StepTooLarge(
+                    f"delay {tau!r} at stage offset {c} reads node "
+                    f"n+{m + (s > 0.0)}; dt={dt!r} is too large")
+            row.append((m, s))
+        table.append(row)
+    return table
 
 
 @dataclass
@@ -142,41 +130,14 @@ class Trajectory:
         return float(self.times[-1])
 
     def sample(self, t: float) -> np.ndarray:
-        """State at time t: prehistory for t < 0, node-exact at grid points,
-        cubic Hermite between nodes.  Raises OutOfRange beyond t_end."""
-        if t > self.t_end + 1e-12 * max(1.0, abs(self.t_end)):
-            raise OutOfRange(f"t={t!r} beyond trajectory end {self.t_end!r}")
-        if t < self.times[0]:
-            return self.prehistory.copy()
-        h = self.dt * self.stride
-        x = (t - self.times[0]) / h
-        nearest = round(x)
-        if abs(x - nearest) < 1e-9 and 0 <= nearest <= len(self.times) - 1:
-            x = float(nearest)
-        i = min(int(np.floor(x)), len(self.times) - 1)
-        s = x - i
-        if s == 0.0 or i == len(self.times) - 1:
-            return self.states[i].copy()
-        if self.derivatives is None:
-            raise OutOfRange(
-                "trajectory was recorded without derivatives; only node "
-                "values can be sampled"
-            )
-        h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-        h10 = s * (1.0 - s) ** 2
-        h01 = s * s * (3.0 - 2.0 * s)
-        h11 = s * s * (s - 1.0)
-        return (h00 * self.states[i] + h10 * h * self.derivatives[i]
-                + h01 * self.states[i + 1] + h11 * h * self.derivatives[i + 1])
-
-    def sample_many(self, ts: Sequence[float]) -> np.ndarray:
-        return np.stack([self.sample(t) for t in np.asarray(ts, dtype=float)])
+        """State at one time t; see `sample_grid`."""
+        return self.sample_grid(np.array([float(t)]))[0]
 
     def sample_grid(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized sample over an array of times -> (len(ts), dim).
-
-        Same semantics as `sample`: prehistory before 0, Hermite between
-        nodes, OutOfRange beyond t_end.
+        """States at an array of times -> (len(ts), dim): prehistory for
+        t < 0, node-exact at grid points, cubic Hermite between nodes.
+        Raises OutOfRange beyond t_end, and between nodes when no
+        derivatives were recorded.
         """
         ts = np.asarray(ts, dtype=float)
         tol = 1e-12 * max(1.0, abs(self.t_end))
@@ -186,7 +147,7 @@ class Trajectory:
         h = self.dt * self.stride
         x = (ts - self.times[0]) / h
         nearest = np.round(x)
-        snap = np.abs(x - nearest) < 1e-9
+        snap = np.abs(x - nearest) < _SNAP
         x = np.where(snap, nearest, x)
         pre_mask = ts < self.times[0]
         x = np.clip(x, 0.0, len(self.times) - 1)
@@ -202,22 +163,13 @@ class Trajectory:
                 )
             out = self.states[i + (s == 1.0)].astype(complex, copy=True)
         else:
-            # Hermite weights are exact (1/0) at s = 0 and s = 1, so node
-            # hits come out bit-exact without special-casing
-            s = s[:, None]
-            h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-            h10 = s * (1.0 - s) ** 2
-            h01 = s * s * (3.0 - 2.0 * s)
-            h11 = s * s * (s - 1.0)
+            # the weights are exact at s = 0 and s = 1, so node hits come
+            # out bit-exact without special-casing
+            h00, h10, h01, h11 = _hermite_weights(s[:, None])
             out = (h00 * self.states[i] + h10 * h * self.derivatives[i]
                    + h01 * self.states[i + 1] + h11 * h * self.derivatives[i + 1])
         out[pre_mask] = self.prehistory
         return out
-
-
-def sample(traj: Trajectory, t: float) -> np.ndarray:
-    """Functional alias for Trajectory.sample."""
-    return traj.sample(t)
 
 
 def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
@@ -251,40 +203,60 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
 
+    dim = system.dim
     pre = np.atleast_1d(np.asarray(prehistory, dtype=complex))
-    if pre.shape != (system.dim,):
-        raise ValueError(f"prehistory must have shape ({system.dim},)")
+    if pre.shape != (dim,):
+        raise ValueError(f"prehistory must have shape ({dim},)")
     y = pre.copy() if initial_state is None else \
         np.atleast_1d(np.asarray(initial_state, dtype=complex)).copy()
-    if y.shape != (system.dim,):
-        raise ValueError(f"initial_state must have shape ({system.dim},)")
+    if y.shape != (dim,):
+        raise ValueError(f"initial_state must have shape ({dim},)")
+
+    # Ring of `depth` slots per block: block 0 holds node states, block
+    # 1 + f the Hermite rows at fraction f of each closed node interval.
+    # Node i and interval [i, i+1] live in slot i % depth; slots of nodes
+    # and intervals before t = 0 hold the pre-history until overwritten,
+    # which one slot past the deepest read keeps from happening too early.
+    taps = resolve_taps(system.delays, dt)
+    fractions = sorted({s for row in taps for _, s in row if s > 0.0})
+    weights = [(h00, h10 * dt, h01, h11 * dt)
+               for h00, h10, h01, h11 in map(_hermite_weights, fractions)]
+    depth = 1 - min((m for row in taps for m, _ in row), default=0)
+    ring = np.empty(((1 + len(fractions)) * depth, dim), dtype=complex)
+    ring[:] = pre
+    # ring rows read by stage set k at step n: rows[k][n % depth]
+    phase = np.arange(depth)[:, None]
+    rows = []
+    for row in taps:
+        block = np.array([0 if s == 0.0 else 1 + fractions.index(s)
+                          for _, s in row], dtype=np.intp)
+        lag = np.array([m for m, _ in row], dtype=np.intp)
+        rows.append(block * depth + (phase + lag) % depth)
+    zero_idx = [i for i, d in enumerate(system.delays) if d == 0.0]
+    ydel = [np.empty((len(system.delays), dim), dtype=complex) for _ in taps]
+    frozen = [buf.view() for buf in ydel]     # what rhs sees: read-only
+    for view in frozen:
+        view.flags.writeable = False
+
+    def gather(k: int, n: int) -> None:
+        # indices are in range; a non-raising mode lets take fill `out`
+        # without an intermediate buffer
+        np.take(ring, rows[k][n % depth], axis=0, out=ydel[k], mode="clip")
+
+    def rhs(t: float, yy: np.ndarray, k: int) -> np.ndarray:
+        if zero_idx:
+            ydel[k][zero_idx] = yy
+        return np.asarray(system.rhs(t, yy, frozen[k]), dtype=complex)
+
+    gather(1, -1)
+    dy = rhs(0.0, y, 1)
+    ring[0] = y
 
     n_steps = int(np.ceil(t_final / dt - 1e-9))
-    # working history only needs to reach back one max-delay from the newest
-    # stage time; keep double that plus slack before the window rolls
-    if pos_delays:
-        depth = int(np.ceil(max(system.delays) / dt)) + 4
-        capacity = min(n_steps + 1, 2 * depth + 8)
-    else:
-        capacity = 16
-    hist = HistoryBuffer(system.dim, 0.0, dt, pre, capacity)
-
-    zero_idx = [i for i, d in enumerate(system.delays) if d == 0.0]
-
-    def rhs_full(t: float, yy: np.ndarray) -> np.ndarray:
-        ydel = [hist.sample(t - tau) for tau in system.delays]
-        for i in zero_idx:
-            ydel[i] = yy
-        out = system.rhs(t, yy, ydel)
-        return np.asarray(out, dtype=complex)
-
-    dy = rhs_full(0.0, y)
-    hist.push(y, dy)
-
     n_rec = n_steps // record_stride + 1
     times = np.empty(n_rec)
-    states = np.empty((n_rec, system.dim), dtype=complex)
-    derivs = np.empty((n_rec, system.dim), dtype=complex) if record_derivatives else None
+    states = np.empty((n_rec, dim), dtype=complex)
+    derivs = np.empty((n_rec, dim), dtype=complex) if record_derivatives else None
     times[0], states[0] = 0.0, y
     if derivs is not None:
         derivs[0] = dy
@@ -293,14 +265,23 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
     half = 0.5 * dt
     for n in range(n_steps):
         t = n * dt
-        k1 = dy                       # rhs at the node, reused from the push
-        k2 = rhs_full(t + half, y + half * k1)
-        k3 = rhs_full(t + half, y + half * k2)
-        k4 = rhs_full(t + dt, y + dt * k3)
+        k1 = dy                       # rhs at the node, reused from last step
+        gather(0, n)                  # k2 and k3 share the half-step taps
+        k2 = rhs(t + half, y + half * k1, 0)
+        k3 = rhs(t + half, y + half * k2, 0)
+        gather(1, n)                  # k4 and the next node's derivative
+        k4 = rhs(t + dt, y + dt * k3, 1)
+        y_old = y
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t_new = (n + 1) * dt
-        dy = rhs_full(t_new, y)
-        hist.push(y, dy)
+        dy = rhs(t_new, y, 1)
+        ring[(n + 1) % depth] = y
+        for f, (w00, w10, w01, w11) in enumerate(weights):
+            out = ring[(1 + f) * depth + n % depth]   # interval [n, n+1]
+            np.multiply(y_old, w00, out=out)
+            out += w10 * k1
+            out += w01 * y
+            out += w11 * dy
         if (n + 1) % check_every == 0 or n + 1 == n_steps:
             if not np.all(np.isfinite(y.view(float))):
                 raise NonFiniteState(f"non-finite state at t={t_new!r}")

@@ -150,12 +150,16 @@ class KGrid:
         return KGrid(k_values=k, dk=float(k[1] - k[0]), center=self.center)
 
 
-def default_kgrid(config: NetworkConfig, t_end: float, n: int = 1001) -> KGrid:
-    """Emission-window grid: centered at omega_a, wide enough for the
-    Lorentzian lines emitted over a horizon t_end, clipped to keep k > 0."""
+def default_halfwidth(config: NetworkConfig, t_end: float) -> float:
+    """Half-width of the emission window: wide enough for the Lorentzian
+    lines emitted over a horizon t_end, clipped to keep k > 0."""
     half = max(25.0 * config.gamma_rl, 40.0 * 2.0 * math.pi / t_end)
-    half = min(half, 0.98 * config.omega_a)
-    return KGrid.centered(config.omega_a, half, n)
+    return min(half, 0.98 * config.omega_a)
+
+
+def default_kgrid(config: NetworkConfig, t_end: float, n: int = 1001) -> KGrid:
+    """Emission-window grid of n modes centered at omega_a."""
+    return KGrid.centered(config.omega_a, default_halfwidth(config, t_end), n)
 
 
 def coupling_g(k, t: float, atom: AtomParams, omega_a: float):

@@ -26,7 +26,7 @@ from .frequency import (SpectralPairResult, TwoExcitationState,
                         analytic_cee_markov, classify_steady_state,
                         populations, solve_cee, solve_spectral_pair,
                         solve_two_photon, total_norm, two_photon_norm)
-from .model import AtomParams, KGrid, NetworkConfig
+from .model import AtomParams, KGrid, NetworkConfig, default_halfwidth
 from .runio import RunSettings, complex_columns, write_csv, write_manifest
 from .spatial import (check_mirror_boundary, field_snapshot,
                       single_excitation_norm, solve_single_atom,
@@ -47,10 +47,8 @@ class Preset:
     notes: str = ""
 
 
-def _tau_min_dt(config: NetworkConfig, divisor: int = 64) -> float:
-    z = [a.position for a in config.atoms]
-    tau_min = 2.0 * z[0] if len(z) == 1 else min(2.0 * z[0], z[1] - z[0])
-    return tau_min / divisor
+def _tau_min_dt(config: NetworkConfig) -> float:
+    return min(config.delays) / 64
 
 
 def _preset_table() -> dict[str, Preset]:
@@ -176,11 +174,8 @@ def _fill_defaults(config: NetworkConfig, s: RunSettings) -> RunSettings:
     t_end = s.t_end if s.t_end is not None else 40.0 * config.atoms[0].position
     dt = s.dt if s.dt is not None else _tau_min_dt(config)
     k_points = s.k_points if s.k_points is not None else 1001
-    if s.k_halfwidth is not None:
-        k_halfwidth = s.k_halfwidth
-    else:
-        k_halfwidth = max(25.0 * config.gamma_rl, 40.0 * 2.0 * math.pi / t_end)
-        k_halfwidth = min(k_halfwidth, 0.98 * config.omega_a)
+    k_halfwidth = s.k_halfwidth if s.k_halfwidth is not None else \
+        default_halfwidth(config, t_end)
     return RunSettings(t_end=t_end, dt=dt, k_points=k_points,
                        k_halfwidth=k_halfwidth)
 

@@ -20,10 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-from .dde import DelaySystem, Trajectory, dedupe_delays, integrate
+from .dde import DelaySystem, Trajectory, integrate
 from .errors import InvalidGeometry, MissingOrigin
 from .model import AtomParams, NetworkConfig, validate_config
-from .frequency import solve_cee
+from .frequency import exchange_table, solve_cee
 
 
 # ---------------------------------------------------------------------------
@@ -53,23 +53,12 @@ def solve_two_atom_single_excitation(config: NetworkConfig, t_end: float,
     validate_config(config)
     if len(config.atoms) != 2:
         raise InvalidGeometry("two atoms required")
-    a1, a2 = config.atoms
-    wa = config.omega_a
-    tau1, tau2, tau_p, tau_m = config.delays
-    f11 = a1.feedback * np.exp(1j * wa * tau1)
-    f22 = a2.feedback * np.exp(1j * wa * tau2)
-    p12 = a1.gamma_r * a2.gamma_l * np.exp(1j * wa * tau_p)
-    m12 = a1.gamma_l * a2.gamma_l * np.exp(1j * wa * tau_m)
-    p21 = a1.gamma_l * a2.gamma_r * np.exp(1j * wa * tau_p)
-    m21 = a1.gamma_r * a2.gamma_r * np.exp(1j * wa * tau_m)
-
-    delays, at = dedupe_delays((tau1, tau2, tau_p, tau_m))
+    delays, table = exchange_table(config)
+    damping = np.array([a.damping for a in config.atoms])
 
     def rhs(t, y, ydel):
-        d1, d2, dp, dm = (ydel[at[0]], ydel[at[1]], ydel[at[2]], ydel[at[3]])
-        dc1 = -a1.damping * y[0] + f11 * d1[0] + p12 * dp[1] - m12 * dm[1]
-        dc2 = -a2.damping * y[1] + f22 * d2[1] + p21 * dp[0] - m21 * dm[0]
-        return np.array([dc1, dc2])
+        # at dim 2 an elementwise product beats a BLAS matrix-vector call
+        return (table * ydel.reshape(-1)).sum(axis=1) - damping * y
 
     system = DelaySystem(dim=2, delays=delays, rhs=rhs)
     return integrate(system, prehistory=np.zeros(2, complex),

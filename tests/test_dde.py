@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wqsim import DelaySystem, NonFiniteState, OutOfRange, StepTooLarge, integrate
-from wqsim.dde import dedupe_delays
+from wqsim.dde import dedupe_delays, resolve_taps
 
 
 def exp_decay_system():
@@ -109,6 +109,26 @@ class TestGuards:
         with pytest.raises(ValueError):
             DelaySystem(dim=1, delays=(0.5, 0.2), rhs=lambda t, y, yd: -y)
 
+    def test_tap_reading_an_unfinished_node_raises(self):
+        dt = 0.1
+        # stage offset 1 of a half-step delay reads t_n + dt/2, inside the
+        # step being computed: the Hermite blend would need node n + 1
+        with pytest.raises(StepTooLarge):
+            resolve_taps((0.05,), dt)
+        # a delay of one step reads node n at offset 1, which exists
+        assert resolve_taps((0.1,), dt) == [[(-1, 0.5)], [(0, 0.0)]]
+
+    def test_rhs_receives_read_only_history(self):
+        seen = []
+
+        def rhs(t, y, yd):
+            seen.append((yd.shape, yd.flags.writeable))
+            return -yd[1]
+
+        system = DelaySystem(dim=1, delays=(0.0, 0.25), rhs=rhs)
+        integrate(system, prehistory=1.0, t_span=(0.0, 0.1), dt=0.01)
+        assert seen and set(seen) == {((2, 1), False)}
+
     def test_dedupe_delays(self):
         unique, idx = dedupe_delays((0.2, 0.4, 0.3, 0.2))
         assert unique == (0.2, 0.3, 0.4)
@@ -155,3 +175,100 @@ class TestProperties:
         ts = np.linspace(0.0, 1.0, 301)
         diff = np.abs(coarse.sample_grid(ts) - fine.sample_grid(ts)).max()
         assert diff < 5.0 * 0.02**4
+
+
+# ---------------------------------------------------------------------------
+# equivalence with a per-query reference engine
+# ---------------------------------------------------------------------------
+
+def reference_integrate(system, prehistory, t_end, dt, initial_state=None):
+    """Plain RK4 in which every delayed read is its own Hermite query through
+    the full node history (no tap table, no ring); returns the node states."""
+    pre = np.atleast_1d(np.asarray(prehistory, dtype=complex))
+    y = pre.copy() if initial_state is None else \
+        np.atleast_1d(np.asarray(initial_state, dtype=complex)).copy()
+    n_steps = int(np.ceil(t_end / dt - 1e-9))
+    ys = np.empty((n_steps + 1, system.dim), dtype=complex)
+    dys = np.empty_like(ys)
+    count = 0
+
+    def sample(t):
+        if t < 0.0:
+            return pre
+        x = t / dt
+        nearest = round(x)
+        if abs(x - nearest) < 1e-9 and 0 <= nearest <= count - 1:
+            x = float(nearest)
+        i = min(int(np.floor(x)), count - 1)
+        s = x - i
+        if s == 0.0:
+            return ys[i]
+        assert i + 1 < count, "query inside the current step"
+        h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
+        h10 = s * (1.0 - s) ** 2
+        h01 = s * s * (3.0 - 2.0 * s)
+        h11 = s * s * (s - 1.0)
+        return (h00 * ys[i] + h10 * dt * dys[i]
+                + h01 * ys[i + 1] + h11 * dt * dys[i + 1])
+
+    def f(t, yy):
+        ydel = np.array([yy if tau == 0.0 else sample(t - tau)
+                         for tau in system.delays]).reshape(-1, system.dim)
+        return np.asarray(system.rhs(t, yy, ydel), dtype=complex)
+
+    dy = f(0.0, y)
+    ys[0], dys[0], count = y, dy, 1
+    for n in range(n_steps):
+        t = n * dt
+        k2 = f(t + 0.5 * dt, y + 0.5 * dt * dy)
+        k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
+        k4 = f(t + dt, y + dt * k3)
+        y = y + (dt / 6.0) * (dy + 2.0 * k2 + 2.0 * k3 + k4)
+        dy = f((n + 1) * dt, y)
+        ys[n + 1], dys[n + 1], count = y, dy, count + 1
+    return ys
+
+
+def linear_system(delays, dim=3, seed=0):
+    """dy/dt = A y + sum_j B_j y(t - tau_j) with fixed complex matrices."""
+    rng = np.random.default_rng(seed)
+
+    def mat():
+        return 0.5 * (rng.standard_normal((dim, dim))
+                      + 1j * rng.standard_normal((dim, dim)))
+
+    a = mat() - 1.0 * np.eye(dim)
+    b = np.stack([mat() for _ in delays])
+    return DelaySystem(dim=dim, delays=delays,
+                       rhs=lambda t, y, yd: a @ y + np.einsum("jab,jb->a", b, yd))
+
+
+class TestEngineEquivalence:
+    def check(self, system, dt, t_end, prehistory, initial_state=None):
+        traj = integrate(system, prehistory=prehistory, t_span=(0.0, t_end),
+                         dt=dt, initial_state=initial_state)
+        ref = reference_integrate(system, prehistory, t_end, dt, initial_state)
+        assert traj.states.shape == ref.shape
+        return traj.states, ref
+
+    def test_off_grid_delays_dim3(self):
+        dt = 0.01
+        system = linear_system((0.3 + dt / 3, 0.41 + 0.6 * dt))
+        # the horizon wraps the history ring (depth ~ max delay / dt) > 5 times
+        states, ref = self.check(system, dt, 6.0 * 0.42, np.array([1.0, 0.5j, -0.2]))
+        np.testing.assert_allclose(states, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+    def test_zero_delay(self):
+        dt = 0.01
+        system = linear_system((0.0, 0.2 + dt / 3), seed=1)
+        states, ref = self.check(system, dt, 1.5, np.array([0.2, 1.0, 0.3j]))
+        np.testing.assert_allclose(states, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+    def test_jump_initial_state_on_grid_is_exact(self):
+        # dt, delays and stage times are exact binary fractions, so every
+        # tap is an exact node or an exact midpoint in both engines
+        dt = 1.0 / 64
+        system = linear_system((0.25, 0.5), seed=2)
+        states, ref = self.check(system, dt, 4.0, np.zeros(3),
+                                 initial_state=np.array([1.0, 0.0, -0.5j]))
+        np.testing.assert_array_equal(states, ref)
