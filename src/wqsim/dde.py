@@ -4,10 +4,10 @@ Classical RK4 on a uniform grid with constant delays, so every delayed read
 c(t_n + c dt - tau) of a stage at offset c (1/2 for k2 and k3, 1 for k4 and
 the next node's derivative) lands at the same node offset and the same
 cubic-Hermite fraction at every step.  `integrate` resolves these taps once
-into a table and keeps the history in a ring buffer: one row per node state
-plus, for each distinct off-node fraction, one Hermite row per node interval,
-filled once when the interval closes.  Every delayed read is then a row
-gather.  Reads before the initial instant return the constant pre-history
+into a table and keeps the history in a ring (`HistoryBuffer`): one row per
+node state plus, for each distinct off-node fraction, one Hermite row per node
+interval, filled once when the interval closes.  Every delayed read is then a
+row copy.  Reads before the initial instant return the constant pre-history
 (zero by default: the field does not exist before t = 0).  The explicit
 scheme is kept honest by requiring dt <= min(positive delay)/8, and setup
 checks that no tap reads a node the current step has not produced yet.
@@ -103,6 +103,48 @@ def resolve_taps(delays: Sequence[float], dt: float
             row.append((m, s))
         table.append(row)
     return table
+
+
+class HistoryBuffer:
+    """The integrator's working history for a tap table (`resolve_taps`).
+
+    A ring of `depth` slots per block: block 0 holds node states, block
+    1 + f the Hermite rows at the f-th distinct off-node fraction of each
+    closed node interval.  Node i and interval [i, i+1] live in slot
+    i % depth; slots of nodes and intervals before t = 0 hold the
+    pre-history until overwritten, which one slot past the deepest read
+    keeps from happening too early.
+    """
+
+    def __init__(self, taps: list[list[tuple[int, float]]], dt: float,
+                 prehistory: np.ndarray) -> None:
+        fractions = sorted({s for row in taps for _, s in row if s > 0.0})
+        self.weights = [(h00, h10 * dt, h01, h11 * dt) for h00, h10, h01, h11
+                        in map(_hermite_weights, fractions)]
+        self.depth = 1 - min((m for row in taps for m, _ in row), default=0)
+        self.ring = np.empty(((1 + len(fractions)) * self.depth,
+                              len(prehistory)), dtype=complex)
+        self.ring[:] = prehistory
+        # (first slot of the block, node lag) of each tap
+        self.taps = [[(0 if s == 0.0 else (1 + fractions.index(s)) * self.depth,
+                       m) for m, s in row] for row in taps]
+
+    def sample(self, k: int, i: int, n: int) -> np.ndarray:
+        """The state delay i reads in tap set k during step n: a ring row."""
+        base, lag = self.taps[k][i]
+        return self.ring[base + (n + lag) % self.depth]
+
+    def push(self, n: int, y_old: np.ndarray, dy_old: np.ndarray,
+             y: np.ndarray, dy: np.ndarray) -> None:
+        """Close the interval [n, n+1]: store node n+1 and the interval's
+        Hermite rows."""
+        self.ring[(n + 1) % self.depth] = y
+        for f, (w00, w10, w01, w11) in enumerate(self.weights):
+            out = self.ring[(1 + f) * self.depth + n % self.depth]
+            np.multiply(y_old, w00, out=out)
+            out += w10 * dy_old
+            out += w01 * y
+            out += w11 * dy
 
 
 @dataclass
@@ -212,45 +254,23 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
     if y.shape != (dim,):
         raise ValueError(f"initial_state must have shape ({dim},)")
 
-    # Ring of `depth` slots per block: block 0 holds node states, block
-    # 1 + f the Hermite rows at fraction f of each closed node interval.
-    # Node i and interval [i, i+1] live in slot i % depth; slots of nodes
-    # and intervals before t = 0 hold the pre-history until overwritten,
-    # which one slot past the deepest read keeps from happening too early.
-    taps = resolve_taps(system.delays, dt)
-    fractions = sorted({s for row in taps for _, s in row if s > 0.0})
-    weights = [(h00, h10 * dt, h01, h11 * dt)
-               for h00, h10, h01, h11 in map(_hermite_weights, fractions)]
-    depth = 1 - min((m for row in taps for m, _ in row), default=0)
-    ring = np.empty(((1 + len(fractions)) * depth, dim), dtype=complex)
-    ring[:] = pre
-    # ring rows read by stage set k at step n: rows[k][n % depth]
-    phase = np.arange(depth)[:, None]
-    rows = []
-    for row in taps:
-        block = np.array([0 if s == 0.0 else 1 + fractions.index(s)
-                          for _, s in row], dtype=np.intp)
-        lag = np.array([m for m, _ in row], dtype=np.intp)
-        rows.append(block * depth + (phase + lag) % depth)
+    hist = HistoryBuffer(resolve_taps(system.delays, dt), dt, pre)
+    lagged = [i for i, d in enumerate(system.delays) if d > 0.0]
     zero_idx = [i for i, d in enumerate(system.delays) if d == 0.0]
-    ydel = [np.empty((len(system.delays), dim), dtype=complex) for _ in taps]
-    frozen = [buf.view() for buf in ydel]     # what rhs sees: read-only
-    for view in frozen:
-        view.flags.writeable = False
+    buf = np.empty((len(system.delays), dim), dtype=complex)
+    ydel = buf.view()                         # what rhs sees: read-only
+    ydel.flags.writeable = False
 
-    def gather(k: int, n: int) -> None:
-        # indices are in range; a non-raising mode lets take fill `out`
-        # without an intermediate buffer
-        np.take(ring, rows[k][n % depth], axis=0, out=ydel[k], mode="clip")
-
-    def rhs(t: float, yy: np.ndarray, k: int) -> np.ndarray:
+    def rhs(t: float, yy: np.ndarray, k: int, n: int) -> np.ndarray:
+        for i in lagged:
+            buf[i] = hist.sample(k, i, n)
         if zero_idx:
-            ydel[k][zero_idx] = yy
-        return np.asarray(system.rhs(t, yy, frozen[k]), dtype=complex)
+            buf[zero_idx] = yy
+        # copied: the rhs may return a row of ydel, which later reads overwrite
+        return np.array(system.rhs(t, yy, ydel), dtype=complex)
 
-    gather(1, -1)
-    dy = rhs(0.0, y, 1)
-    ring[0] = y
+    dy = rhs(0.0, y, 1, -1)
+    hist.ring[0] = y
 
     n_steps = int(np.ceil(t_final / dt - 1e-9))
     n_rec = n_steps // record_stride + 1
@@ -266,22 +286,13 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
     for n in range(n_steps):
         t = n * dt
         k1 = dy                       # rhs at the node, reused from last step
-        gather(0, n)                  # k2 and k3 share the half-step taps
-        k2 = rhs(t + half, y + half * k1, 0)
-        k3 = rhs(t + half, y + half * k2, 0)
-        gather(1, n)                  # k4 and the next node's derivative
-        k4 = rhs(t + dt, y + dt * k3, 1)
-        y_old = y
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = rhs(t + half, y + half * k1, 0, n)   # k2, k3: half-step taps
+        k3 = rhs(t + half, y + half * k2, 0, n)
+        k4 = rhs(t + dt, y + dt * k3, 1, n)       # k4, next dy: full-step taps
+        y_old, y = y, y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t_new = (n + 1) * dt
-        dy = rhs(t_new, y, 1)
-        ring[(n + 1) % depth] = y
-        for f, (w00, w10, w01, w11) in enumerate(weights):
-            out = ring[(1 + f) * depth + n % depth]   # interval [n, n+1]
-            np.multiply(y_old, w00, out=out)
-            out += w10 * k1
-            out += w01 * y
-            out += w11 * dy
+        dy = rhs(t_new, y, 1, n)
+        hist.push(n, y_old, k1, y, dy)
         if (n + 1) % check_every == 0 or n + 1 == n_steps:
             if not np.all(np.isfinite(y.view(float))):
                 raise NonFiniteState(f"non-finite state at t={t_new!r}")
