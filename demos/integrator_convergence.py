@@ -3,11 +3,11 @@
 The backbone integrator is classical RK4 on a uniform grid.  Each delayed
 read of a stage resolves once, at setup, to a node offset and a cubic
 Hermite fraction; the history is a ring of node states plus the Hermite
-rows of closed node intervals, so a read is a row gather, and reads before
-t = 0 return the pre-history constant.  Three
-checks below: 4th-order endpoint convergence on a smooth problem, the
-piecewise-polynomial solution of x'(t) = -x(t-1), and decay-rate accuracy
-for the atomic delay equation against its characteristic root.
+rows of closed node intervals, so a read is a row copy, and reads before
+t = 0 return the pre-history constant.  Three checks below: 4th-order
+endpoint convergence on a smooth problem, the piecewise-polynomial solution
+of x'(t) = -x(t-1), and decay-rate accuracy for the atomic delay equation
+against its characteristic root.
 
 Run:  python demos/integrator_convergence.py
 """
