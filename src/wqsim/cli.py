@@ -2,15 +2,7 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-
-# honor the thread cap before any numpy import (also done in __init__)
-_cap = os.environ.get("WQSIM_THREADS")
-if _cap:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(_var, _cap)
 
 
 def build_parser() -> argparse.ArgumentParser:

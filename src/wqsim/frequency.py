@@ -91,18 +91,24 @@ def solve_cee(config: NetworkConfig, t_end: float, dt: float) -> Trajectory:
                      dt=dt, initial_state=1.0 + 0.0j)
 
 
-def analytic_cee_markov(t, config: NetworkConfig):
-    """Short-delay (Markov) closed form of c_ee: delayed amplitudes replaced
-    by instantaneous ones while the delay phases are retained.  Modulus is
-    <= 1 and non-increasing for t >= 0."""
-    validate_config(config)
+def markov_exponent(config: NetworkConfig) -> complex:
+    """Short-delay (Markov) exponent of c_ee: delayed amplitudes replaced by
+    instantaneous ones while the delay phases are retained.  The real part
+    is the amplitude's decay rate (<= 0), the imaginary part its shift."""
     rate = -config.gamma_rl
     phase = 0.0
     for atom, tau in zip(config.atoms, config.round_trip_delays):
         rate += atom.feedback * math.cos(config.omega_a * tau)
         phase += atom.feedback * math.sin(config.omega_a * tau)
+    return complex(rate, phase)
+
+
+def analytic_cee_markov(t, config: NetworkConfig):
+    """Short-delay closed form  c_ee = exp(markov_exponent * t).  Modulus is
+    <= 1 and non-increasing for t >= 0."""
+    validate_config(config)
     t = np.asarray(t, dtype=float)
-    out = np.exp((rate + 1j * phase) * t)
+    out = np.exp(markov_exponent(config) * t)
     return out if out.ndim else complex(out)
 
 
@@ -337,20 +343,23 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
 
     The two-photon sector runs on (full grid) x (every ckk_stride-th mode) to
     bound memory; checkpoints report its symmetric square restriction.
+
+    The stages are low rank.  d c_kk/dt = -i (c_egk g1s^T + g1 c_egk[sub]^T
+    + c_gek g2s^T + g2 c_gek[sub]^T) is rank 4 and free of c_kk, and c_kk
+    enters the other equations only through the projections c_kk conj(g1s)
+    and c_kk conj(g2s).  Stage j's c_kk is thus C + a_j K_{j-1}: a step is
+    one (n x m) @ (m x 6) projection of C on the couplings at t, t + dt/2 and
+    t + dt, an O(n + m) correction per stage, and one rank-12 update of C.
     """
     validate_config(config)
     if len(config.atoms) != 2:
         raise InvalidGeometry("the two-excitation oracle needs two atoms")
-    a1, a2 = config.atoms
     n = len(kgrid)
     sub = kgrid.subsample(ckk_stride)
     sub_idx = np.arange(0, n, ckk_stride)
-    m = len(sub)
-    dk = kgrid.dk
-    dks = sub.dk
+    dk, dks = kgrid.dk, sub.dk
     det = kgrid.k_values - config.omega_a
-    g1_0 = coupling_row(kgrid, a1)
-    g2_0 = coupling_row(kgrid, a2)
+    g_0 = np.stack([coupling_row(kgrid, a) for a in config.atoms])
 
     if checkpoint_times is None:
         checkpoint_times = [t_end]
@@ -358,35 +367,27 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
     chk_steps = sorted({min(n_steps, max(0, int(round(t / dt))))
                         for t in checkpoint_times})
 
-    size = 1 + 2 * n + n * m
-    y = np.zeros(size, dtype=complex)
+    # y = (c_ee, c_egk, c_gek); the two-photon block c_kk is kept apart
+    y = np.zeros(1 + 2 * n, dtype=complex)
     y[0] = 1.0
-    k_bufs = [np.empty(size, dtype=complex) for _ in range(4)]
-    y_tmp = np.empty(size, dtype=complex)
-    t1 = np.empty((n, m), dtype=complex)
+    ckk = np.zeros((n, len(sub)), dtype=complex)
+    k_bufs = [np.empty_like(y) for _ in range(4)]
+    stages = [y] + [np.empty_like(y) for _ in range(3)]
 
-    def rhs(t: float, state: np.ndarray, out: np.ndarray) -> None:
-        cee = state[0]
-        ce = state[1:1 + n]
-        cg = state[1 + n:1 + 2 * n]
-        ckk = state[1 + 2 * n:].reshape(n, m)
-        ph = np.exp(1j * det * t)
-        g1 = g1_0 * ph
-        g2 = g2_0 * ph
-        g1s = g1[sub_idx]
-        g2s = g2[sub_idx]
-        out[0] = -1j * dk * (ce @ np.conj(g2) + cg @ np.conj(g1))
-        out[1:1 + n] = -1j * cee * g2 - 1j * dks * (ckk @ np.conj(g1s))
-        out[1 + n:1 + 2 * n] = -1j * cee * g1 - 1j * dks * (ckk @ np.conj(g2s))
-        okk = out[1 + 2 * n:].reshape(n, m)
-        np.multiply(ce[:, None], g1s[None, :], out=okk)
-        np.multiply(g1[:, None], ce[sub_idx][None, :], out=t1)
-        okk += t1
-        np.multiply(cg[:, None], g2s[None, :], out=t1)
-        okk += t1
-        np.multiply(g2[:, None], cg[sub_idx][None, :], out=t1)
-        okk += t1
-        okk *= -1j
+    def rhs(state: np.ndarray, g: np.ndarray, proj: np.ndarray,
+            out: np.ndarray) -> None:
+        """(c_ee, c_egk, c_gek) derivative; proj = c_kk @ conj(g1s, g2s)."""
+        cee, ce, cg = state[0], state[1:1 + n], state[1 + n:]
+        out[0] = -1j * dk * (ce @ np.conj(g[1]) + cg @ np.conj(g[0]))
+        out[1:1 + n] = -1j * cee * g[1] - 1j * dks * proj[:, 0]
+        out[1 + n:] = -1j * cee * g[0] - 1j * dks * proj[:, 1]
+
+    def factors(state: np.ndarray, g: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """(U, V) with d c_kk/dt = -i U @ V: U's columns c_egk, g1, c_gek,
+        g2, and V's rows their partners on the c_kk modes."""
+        u = np.stack([state[1:1 + n], g[0], state[1 + n:], g[1]], axis=1)
+        return u, u[sub_idx][:, [1, 0, 3, 2]].T
 
     times = dt * np.arange(n_steps + 1)
     cee_rec = np.empty(n_steps + 1, dtype=complex)
@@ -394,41 +395,47 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
     checkpoints: list[TwoExcitationState] = []
 
     def snapshot(step: int) -> None:
-        ckk = y[1 + 2 * n:].reshape(n, m)
         square = ckk[sub_idx, :] * TWO_PHOTON_SCALE
         square = 0.5 * (square + square.T)   # symmetric up to roundoff
         checkpoints.append(TwoExcitationState(
             c_ee=complex(y[0]), c_egk=y[1:1 + n].copy(),
-            c_gek=y[1 + n:1 + 2 * n].copy(), c_kk=square,
+            c_gek=y[1 + n:].copy(), c_kk=square,
             kgrid=kgrid, ckk_grid=sub, t=float(step * dt)))
 
     if 0 in chk_steps:
         snapshot(0)
     for step in range(n_steps):
         t = step * dt
-        rhs(t, y, k_bufs[0])
-        np.multiply(k_bufs[0], 0.5 * dt, out=y_tmp)
-        y_tmp += y
-        rhs(t + 0.5 * dt, y_tmp, k_bufs[1])
-        np.multiply(k_bufs[1], 0.5 * dt, out=y_tmp)
-        y_tmp += y
-        rhs(t + 0.5 * dt, y_tmp, k_bufs[2])
-        np.multiply(k_bufs[2], dt, out=y_tmp)
-        y_tmp += y
-        rhs(t + dt, y_tmp, k_bufs[3])
-        k_bufs[1] += k_bufs[2]
-        k_bufs[1] *= 2.0
-        k_bufs[1] += k_bufs[0]
-        k_bufs[1] += k_bufs[3]
-        k_bufs[1] *= dt / 6.0
-        y += k_bufs[1]
+        # couplings at t, t + dt/2, t + dt, and C projected onto all three
+        g = [g_0 * np.exp(1j * det * s) for s in (t, t + 0.5 * dt, t + dt)]
+        w = np.conj(np.concatenate([gi[:, sub_idx] for gi in g])).T
+        proj = ckk @ w
+        # stage j runs on g[i]; stage j + 1 (on g[nxt]) has c_kk = C + a K_j,
+        # so its projection is proj's column pair plus a K_j conj(w)
+        p = proj[:, 0:2]
+        for j, (a, i, nxt) in enumerate(((0.5 * dt, 0, 1), (0.5 * dt, 1, 1),
+                                         (dt, 1, 2))):
+            rhs(stages[j], g[i], p, k_bufs[j])
+            np.multiply(k_bufs[j], a, out=stages[j + 1])
+            stages[j + 1] += y
+            u, v = factors(stages[j], g[i])
+            c = slice(2 * nxt, 2 * nxt + 2)
+            p = proj[:, c] + (-1j * a) * (u @ (v @ w[:, c]))
+        rhs(stages[3], g[2], p, k_bufs[3])
+        # C += dt/6 (K_1 + 2 K_2 + 2 K_3 + K_4); K is linear in the stage
+        # amplitudes, and stages 2 and 3 share their couplings
+        u, v = zip(factors(stages[0], g[0]),
+                   factors(2.0 * (stages[1] + stages[2]), g[1]),
+                   factors(stages[3], g[2]))
+        ckk += np.concatenate(u, axis=1) @ (np.concatenate(v) * (-1j * dt / 6.0))
+        y += ((k_bufs[1] + k_bufs[2]) * 2.0 + k_bufs[0] + k_bufs[3]) * (dt / 6.0)
         cee_rec[step + 1] = y[0]
-        if (step + 1) % 512 == 0 and not np.all(np.isfinite(y[:1 + 2 * n].view(float))):
+        if (step + 1) % 512 == 0 and not np.isfinite(y).all():
             raise NonFiniteState(f"oracle state non-finite at t={(step + 1) * dt}")
         if (step + 1) in chk_steps:
             snapshot(step + 1)
 
-    if not np.all(np.isfinite(y.view(float))):
+    if not (np.isfinite(y).all() and np.isfinite(ckk).all()):
         raise NonFiniteState("oracle state non-finite at end")
     return OracleResult(times=times, cee=cee_rec, checkpoints=checkpoints,
                         kgrid=kgrid, ckk_grid=sub)
@@ -504,9 +511,6 @@ def classify_steady_state(config: NetworkConfig) -> SteadyStateClass:
     if any(a.is_chiral for a in atoms):
         return SteadyStateClass(SteadyStateLabel.TWO_PHOTON, 0.0, 0.0, 0.0,
                                 markov_ok)
-    rate = -config.gamma_rl + sum(
-        a.feedback * math.cos(wa * tau)
-        for a, tau in zip(atoms, config.round_trip_delays))
-    decays = rate < -1e-12
+    decays = markov_exponent(config).real < -1e-12
     lim = 0.0 if decays else 1.0
     return SteadyStateClass(SteadyStateLabel.MIXED, lim, lim, lim, markov_ok)

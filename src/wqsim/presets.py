@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .dde import Trajectory
 from .errors import UnknownPreset
 from .frequency import (SpectralPairResult, TwoExcitationState,
                         analytic_cee_markov, classify_steady_state,
@@ -195,6 +196,23 @@ def _checkpoint_times(t_end: float) -> np.ndarray:
     return np.linspace(0.0, t_end, _N_CHECKPOINTS + 1)[1:]
 
 
+def _write_cee_csv(out: Path, cee: Trajectory, markov: np.ndarray
+                   ) -> np.ndarray:
+    """cee.csv: c_ee with its short-delay closed form alongside and
+    |c_ee|^2; returns the last column."""
+    hdr = ["t"]
+    cols = [cee.times]
+    for nm, vals in (("cee", cee.states[:, 0]), ("cee_markov", markov)):
+        h, c = complex_columns(nm, vals)
+        hdr += h
+        cols += c
+    sq = np.abs(cee.states[:, 0]) ** 2
+    hdr.append("cee_abs2")
+    cols.append(sq)
+    write_csv(out / "cee.csv", hdr, cols)
+    return sq
+
+
 def _run_cascade(config: NetworkConfig, s: RunSettings, out: Path,
                  plot: bool) -> dict:
     kgrid = KGrid.centered(config.omega_a, s.k_halfwidth, s.k_points)
@@ -204,17 +222,7 @@ def _run_cascade(config: NetworkConfig, s: RunSettings, out: Path,
     chk = list(_checkpoint_times(t_final))
     matrices = solve_two_photon(pair, at_times=chk)
 
-    # c_ee with its short-delay closed form alongside
-    markov = analytic_cee_markov(cee.times, config)
-    hdr = ["t"]
-    cols = [cee.times]
-    for nm, vals in (("cee", cee.states[:, 0]), ("cee_markov", markov)):
-        h, c = complex_columns(nm, vals)
-        hdr += h
-        cols += c
-    hdr.append("cee_abs2")
-    cols.append(np.abs(cee.states[:, 0]) ** 2)
-    write_csv(out / "cee.csv", hdr, cols)
+    _write_cee_csv(out, cee, analytic_cee_markov(cee.times, config))
 
     times, p1, p2 = pair.populations_series()
     write_csv(out / "populations.csv", ["t", "pe1", "pe2", "cee_abs2"],
@@ -276,16 +284,7 @@ def _run_cee_only(config: NetworkConfig, s: RunSettings, out: Path,
                   plot: bool) -> dict:
     cee = solve_cee(config, s.t_end, s.dt)
     markov = analytic_cee_markov(cee.times, config)
-    hdr = ["t"]
-    cols = [cee.times]
-    for nm, vals in (("cee", cee.states[:, 0]), ("cee_markov", markov)):
-        h, c = complex_columns(nm, vals)
-        hdr += h
-        cols += c
-    sq = np.abs(cee.states[:, 0]) ** 2
-    hdr.append("cee_abs2")
-    cols.append(sq)
-    write_csv(out / "cee.csv", hdr, cols)
+    sq = _write_cee_csv(out, cee, markov)
     summary = {
         "t_final": cee.t_end,
         "cee_abs2_final": float(sq[-1]),

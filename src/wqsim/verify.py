@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .frequency import (analytic_cee_markov, classify_steady_state,
-                        oracle_full_grid, solve_cee, solve_spectral_pair,
-                        SteadyStateLabel)
+                        markov_exponent, oracle_full_grid, solve_cee,
+                        solve_spectral_pair, SteadyStateLabel)
 from .model import AtomParams, KGrid, NetworkConfig
 from .presets import PRESETS
 
@@ -87,17 +87,11 @@ def _scaled(config: NetworkConfig, s: float) -> NetworkConfig:
         omega_a=config.omega_a, label=f"{config.label}*{s}")
 
 
-def _markov_rate(config: NetworkConfig) -> float:
-    return -config.gamma_rl + sum(
-        a.feedback * math.cos(config.omega_a * tau)
-        for a, tau in zip(config.atoms, config.round_trip_delays))
-
-
 def verify_theorem1() -> VerificationReport:
     """Chiral coupling forces the doubly excited amplitude to zero."""
     rep = VerificationReport("theorem1")
     for cfg in (PRESETS["fig2"].config, _scaled(PRESETS["fig2"].config, 0.5)):
-        rate = _markov_rate(cfg)
+        rate = markov_exponent(cfg).real
         t_end = math.log(200.0) / (2.0 * abs(rate))
         dt = min(cfg.delays) / 64.0
         traj = solve_cee(cfg, t_end, dt)

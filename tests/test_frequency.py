@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from wqsim import (AtomParams, KGrid, NetworkConfig, OutsideMarkovRegimeWarning,
+from wqsim import (AtomParams, InvalidGrid, KGrid, NetworkConfig,
+                   OutsideMarkovRegimeWarning,
                    SteadyStateLabel, TwoExcitationState, analytic_cee_markov,
                    classify_steady_state, oracle_full_grid, populations,
                    solve_cee, solve_spectral_pair, solve_two_photon,
                    total_norm, two_photon_norm)
-from wqsim.model import MODE_MEASURE, coupling_g
+from wqsim.frequency import TWO_PHOTON_SCALE
+from wqsim.model import MODE_MEASURE, coupling_g, coupling_row
 
 WA = 50.0
 
@@ -190,6 +192,93 @@ class TestOracle:
         diff = np.abs(np.abs(single.states[:n, 0])
                       - np.abs(res.cee[:n])).max()
         assert diff < 0.02
+
+
+# ---------------------------------------------------------------------------
+# equivalence with a dense reference oracle
+# ---------------------------------------------------------------------------
+
+def reference_oracle(config, kgrid, t_end, dt, ckk_stride, checkpoint_steps):
+    """Dense RK4 on one flat state (c_ee, c_egk, c_gek, c_kk): every stage is
+    a full-size copy, and the c_kk derivative is four n x m outer products.
+    Returns the c_ee record and (c_egk, c_gek, symmetric c_kk square) at the
+    checkpoint steps."""
+    a1, a2 = config.atoms
+    n = len(kgrid)
+    sub = np.arange(0, n, ckk_stride)
+    m = len(sub)
+    dk, dks = kgrid.dk, kgrid.subsample(ckk_stride).dk
+    det = kgrid.k_values - config.omega_a
+    g1_0, g2_0 = coupling_row(kgrid, a1), coupling_row(kgrid, a2)
+
+    def f(t, y):
+        cee, ce, cg = y[0], y[1:1 + n], y[1 + n:1 + 2 * n]
+        ckk = y[1 + 2 * n:].reshape(n, m)
+        ph = np.exp(1j * det * t)
+        g1, g2 = g1_0 * ph, g2_0 * ph
+        dkk = (np.outer(ce, g1[sub]) + np.outer(g1, ce[sub])
+               + np.outer(cg, g2[sub]) + np.outer(g2, cg[sub]))
+        return np.concatenate([
+            [-1j * dk * (ce @ np.conj(g2) + cg @ np.conj(g1))],
+            -1j * cee * g2 - 1j * dks * (ckk @ np.conj(g1[sub])),
+            -1j * cee * g1 - 1j * dks * (ckk @ np.conj(g2[sub])),
+            -1j * dkk.ravel()])
+
+    def snapshot(y):
+        square = y[1 + 2 * n:].reshape(n, m)[sub, :] * TWO_PHOTON_SCALE
+        return (y[1:1 + n].copy(), y[1 + n:1 + 2 * n].copy(),
+                0.5 * (square + square.T))
+
+    y = np.zeros(1 + 2 * n + n * m, dtype=complex)
+    y[0] = 1.0
+    cee = [y[0]]
+    snaps = [snapshot(y)] if 0 in checkpoint_steps else []
+    for step in range(int(np.ceil(t_end / dt - 1e-9))):
+        t = step * dt
+        k1 = f(t, y)
+        k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
+        k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
+        k4 = f(t + dt, y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        cee.append(y[0])
+        if step + 1 in checkpoint_steps:
+            snaps.append(snapshot(y))
+    return np.array(cee), snaps
+
+
+class TestOracleEquivalence:
+    """The low-rank stages of `oracle_full_grid` against the dense RK4."""
+
+    @staticmethod
+    def close(got, ref):
+        np.testing.assert_allclose(got, ref, rtol=0,
+                                   atol=1e-13 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("config, n, stride", [
+        (FIG2, 41, 1),
+        # m = 15 columns, not n / 3; the stride must divide n - 1
+        (FIG2, 43, 3),
+        (NetworkConfig(atoms=(AtomParams(0.1, 0.25, 0.5),
+                              AtomParams(0.2, 0.0, 0.0)), omega_a=WA), 41, 2),
+    ], ids=["fig2-stride1", "fig2-stride3", "atom2-decoupled"])
+    def test_matches_dense_rk4(self, config, n, stride):
+        kg = KGrid.centered(WA, 20.0, n)
+        t_end, dt = 1.0, 0.004
+        res = oracle_full_grid(config, kg, t_end, dt, ckk_stride=stride,
+                               checkpoint_times=[0.0, 0.5 * t_end, t_end])
+        cee, snaps = reference_oracle(config, kg, t_end, dt, stride,
+                                      [0, 125, 250])
+        self.close(res.cee, cee)
+        assert [s.t for s in res.checkpoints] == [0.0, 0.5, 1.0]
+        for state, (egk, gek, ckk) in zip(res.checkpoints, snaps, strict=True):
+            self.close(state.c_egk, egk)
+            self.close(state.c_gek, gek)
+            self.close(state.c_kk, ckk)
+
+    def test_stride_off_the_grid_endpoints_is_refused(self):
+        with pytest.raises(InvalidGrid):
+            oracle_full_grid(FIG2, KGrid.centered(WA, 20.0, 41), 0.1, 0.004,
+                             ckk_stride=3)
 
 
 class TestNormRefinement:
