@@ -8,9 +8,14 @@ into a table and keeps the history in a ring (`HistoryBuffer`): one row per
 node state plus, for each distinct off-node fraction, one Hermite row per node
 interval, filled once when the interval closes.  Every delayed read is then a
 row copy.  Reads before the initial instant return the constant pre-history
-(zero by default: the field does not exist before t = 0).  The explicit
-scheme is kept honest by requiring dt <= min(positive delay)/8, and setup
-checks that no tap reads a node the current step has not produced yet.
+(zero by default: the field does not exist before t = 0).  The tap table
+keeps the explicit scheme honest by refusing dt > min(positive delay)/8, so
+no tap reads a node the current step has not produced yet.
+
+`integrate` calls an rhs closure at every stage.  `integrate_linear` runs
+the same RK4 scheme in closed form for linear systems whose delayed part
+and drive do not depend on the step's own stages (the per-mode pair
+equations): one gather of ring rows per tap set and step, no rhs calls.
 """
 from __future__ import annotations
 
@@ -83,9 +88,17 @@ def resolve_taps(delays: Sequence[float], dt: float
     with t_n + c dt - tau = t_{n+m} + s dt, 0 <= s < 1, snapped to the node
     within 1e-9.  A zero delay reads the stage state itself and gets (0, 0).
 
-    Raises StepTooLarge if a tap would read node n + 1 or later, which the
-    step has not produced when the stage runs.
+    Raises StepTooLarge when dt exceeds min(positive delays)/8.  Within that
+    bound every tap reads node n - 7 or earlier, which the ring holds before
+    step n starts.
     """
+    positive = [tau for tau in delays if tau > 0.0]
+    if positive:
+        bound = min(positive) / 8.0
+        if dt > bound * (1.0 + 1e-12):
+            raise StepTooLarge(
+                f"dt={dt!r} exceeds min(delay)/8 = {bound!r}; "
+                "reduce dt or the delay evaluation would need extrapolation")
     table = []
     for c in _STAGE_OFFSETS:
         row = []
@@ -95,12 +108,7 @@ def resolve_taps(delays: Sequence[float], dt: float
                 continue
             x = _snap(c - _snap(tau / dt))
             m = math.floor(x)
-            s = x - m
-            if m + (s > 0.0) > 0:
-                raise StepTooLarge(
-                    f"delay {tau!r} at stage offset {c} reads node "
-                    f"n+{m + (s > 0.0)}; dt={dt!r} is too large")
-            row.append((m, s))
+            row.append((m, x - m))
         table.append(row)
     return table
 
@@ -128,11 +136,21 @@ class HistoryBuffer:
         # (first slot of the block, node lag) of each tap
         self.taps = [[(0 if s == 0.0 else (1 + fractions.index(s)) * self.depth,
                        m) for m, s in row] for row in taps]
+        self._gather = [(np.array([b for b, _ in row], dtype=int),
+                         np.array([m for _, m in row], dtype=int))
+                        for row in self.taps]
 
     def sample(self, k: int, i: int, n: int) -> np.ndarray:
         """The state delay i reads in tap set k during step n: a ring row."""
         base, lag = self.taps[k][i]
         return self.ring[base + (n + lag) % self.depth]
+
+    def gather(self, k: int, n: int, out: np.ndarray) -> None:
+        """The rows every delay reads in tap set k during step n, into
+        out (n_delays, dim): one `np.take` instead of one `sample` each."""
+        base, lag = self._gather[k]
+        np.take(self.ring, base + (n + lag) % self.depth, axis=0, out=out,
+                mode="clip")
 
     def push(self, n: int, y_old: np.ndarray, dy_old: np.ndarray,
              y: np.ndarray, dy: np.ndarray) -> None:
@@ -234,14 +252,7 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
         raise ValueError("t_span must start at 0")
     if t_final <= 0.0 or dt <= 0.0:
         raise ValueError("need T > 0 and dt > 0")
-    pos_delays = [d for d in system.delays if d > 0.0]
-    if pos_delays:
-        bound = min(pos_delays) / 8.0
-        if dt > bound * (1.0 + 1e-12):
-            raise StepTooLarge(
-                f"dt={dt!r} exceeds min(delay)/8 = {bound!r}; "
-                "reduce dt or the delay evaluation would need extrapolation"
-            )
+    taps = resolve_taps(system.delays, dt)
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
 
@@ -254,7 +265,7 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
     if y.shape != (dim,):
         raise ValueError(f"initial_state must have shape ({dim},)")
 
-    hist = HistoryBuffer(resolve_taps(system.delays, dt), dt, pre)
+    hist = HistoryBuffer(taps, dt, pre)
     lagged = [i for i, d in enumerate(system.delays) if d > 0.0]
     zero_idx = [i for i, d in enumerate(system.delays) if d == 0.0]
     buf = np.empty((len(system.delays), dim), dtype=complex)
@@ -305,3 +316,84 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
     return Trajectory(times=times[:rec], states=states[:rec],
                       derivatives=None if derivs is None else derivs[:rec],
                       dt=dt, stride=record_stride, prehistory=pre)
+
+
+def integrate_linear(y0: np.ndarray, damping: np.ndarray, table: np.ndarray,
+                     delays: Sequence[float],
+                     drive: Callable[[int], np.ndarray], dt: float,
+                     n_steps: int, record_stride: int = 1) -> Trajectory:
+    """`integrate`'s RK4 in closed form for the linear system
+
+        y' = -D y + table @ Y + f(t),    y(0) = y0, zero before t = 0,
+
+    where y is (rows, cols), D = `damping` broadcasts against y, row
+    u * rows + r of Y is row r of y(t - delays[u]), and `drive(h)` is f at
+    t = h dt/2.  Every delay must be positive.
+
+    The delayed part and the drive do not depend on the step's own stages,
+    so each RK4 stage is -D (stage state) plus a known part g: a = g(t_n)
+    (the previous step's c), b = g(t_n + dt/2) and c = g(t_n + dt).
+    Eliminating the stages, with z = -D dt:
+
+        y_{n+1} = R y_n + P_a a + P_b b + P_c c,   dy_{n+1} = c - D y_{n+1},
+        R = 1 + z + z^2/2 + z^3/6 + z^4/24,      P_c = dt/6,
+        P_a = dt/6 (1 + z + z^2/2 + z^3/4),      P_b = dt/6 (4 + 2z + z^2/2).
+
+    A step is one ring gather and one `table @` product per tap set; the
+    values are `integrate`'s up to rounding.  States are recorded flattened
+    every `record_stride` steps, without derivatives.  Raises StepTooLarge
+    and NonFiniteState as `integrate` does.
+    """
+    if any(tau <= 0.0 for tau in delays):
+        raise ValueError(f"delays must be > 0, got {tuple(delays)}")
+    if record_stride < 1:
+        raise ValueError("record_stride must be >= 1")
+    y = np.array(y0, dtype=complex)
+    rows, cols = y.shape
+    hist = HistoryBuffer(resolve_taps(delays, dt), dt,
+                         np.zeros(y.size, dtype=complex))
+    z = -dt * np.asarray(damping, dtype=float)
+    r = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+    p_a = dt / 6.0 * (1.0 + z + z**2 / 2.0 + z**3 / 4.0)
+    p_b = dt / 6.0 * (4.0 + 2.0 * z + z**2 / 2.0)
+    p_c = dt / 6.0
+    ydel = np.empty((len(delays), y.size), dtype=complex)
+    stacked = ydel.reshape(len(delays) * rows, cols)
+
+    def known(k: int, n: int, h: int) -> np.ndarray:
+        hist.gather(k, n, ydel)
+        out = table @ stacked
+        out += drive(h)
+        return out
+
+    c = known(1, -1, 0)
+    dy = c - damping * y
+    hist.ring[0] = y.reshape(-1)
+
+    n_rec = n_steps // record_stride + 1
+    states = np.empty((n_rec, y.size), dtype=complex)
+    states[0] = y.reshape(-1)
+    rec = 1
+    for n in range(n_steps):
+        a = c
+        b = known(0, n, 2 * n + 1)
+        c = known(1, n, 2 * n + 2)
+        y_new = r * y
+        y_new += p_a * a
+        y_new += p_b * b
+        y_new += p_c * c
+        dy_new = c - damping * y_new
+        hist.push(n, y.reshape(-1), dy.reshape(-1), y_new.reshape(-1),
+                  dy_new.reshape(-1))
+        y, dy = y_new, dy_new
+        if (n + 1) % 64 == 0 or n + 1 == n_steps:
+            if not np.all(np.isfinite(y)):
+                raise NonFiniteState(f"non-finite state at t={(n + 1) * dt!r}")
+        if (n + 1) % record_stride == 0:
+            states[rec] = y.reshape(-1)
+            rec += 1
+
+    times = dt * (record_stride * np.arange(rec))
+    return Trajectory(times=times, states=states[:rec], derivatives=None,
+                      dt=dt, stride=record_stride,
+                      prehistory=np.zeros(y.size, dtype=complex))

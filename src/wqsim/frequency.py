@@ -2,7 +2,8 @@
 
 The cascade solves, in order: the closed delay equation for the doubly
 excited amplitude, the per-mode pair equations for the single-photon
-amplitudes (vectorized over the whole mode grid), and the two-photon
+amplitudes (vectorized over the whole mode grid and advanced by the
+closed-form linear RK4 step `dde.integrate_linear`), and the two-photon
 amplitudes by time quadrature.  `oracle_full_grid` integrates the raw
 discretized integro-differential system instead - no delay reduction - and
 serves as the brute-force cross-check for everything above.
@@ -21,7 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .dde import DelaySystem, Trajectory, dedupe_delays, integrate
+from .dde import (DelaySystem, Trajectory, dedupe_delays, integrate,
+                  integrate_linear)
 from .errors import InvalidGeometry, NonFiniteState, OutsideMarkovRegimeWarning
 from .model import KGrid, NetworkConfig, coupling_row, validate_config
 
@@ -139,10 +141,8 @@ class SpectralPairResult:
 
     def populations_series(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(times, P_e1, P_e2): per-atom excited-state populations."""
-        pee = np.abs(self.cee) ** 2
-        p1 = pee + (np.abs(self.cegk) ** 2).sum(axis=1) * self.kgrid.dk
-        p2 = pee + (np.abs(self.cgek) ** 2).sum(axis=1) * self.kgrid.dk
-        return self.times, p1, p2
+        return (self.times, *_excited_populations(
+            self.cee, self.cegk, self.cgek, self.kgrid.dk))
 
 
 def _pair_record_stride(kgrid: KGrid, dt: float) -> int:
@@ -160,8 +160,13 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
 
     Both amplitudes start at zero and are driven by the precomputed c_ee;
     the four delays are the two mirror round trips and the mirror-path and
-    direct inter-atom delays.  The per-mode systems share delays and are
-    advanced together as one vectorized state.
+    direct inter-atom delays.  The per-mode systems share their delays,
+    damping and exchange table, differ only in the drive, and are advanced
+    together as one (2, N) state by `integrate_linear`: per step, one
+    gather of delayed rows and one `exchange_table @` product at the half
+    step and at the full step, then RK4's stages eliminated in closed form.
+    The record keeps every `record_stride`-th node (default: the phase
+    bound `_MAX_PHASE_PER_NODE`), lowered until it divides the step count.
     """
     validate_config(config)
     if len(config.atoms) != 2:
@@ -190,23 +195,17 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
     coarse = np.exp(1j * np.outer(half_grid[::_PHASE_BLOCK], detuning))
     fine = np.exp(1j * np.outer(half_grid[:_PHASE_BLOCK], detuning))
 
-    def rhs(t, y, ydel):
-        h = int(round(2.0 * t / dt))
+    def drive(h: int) -> np.ndarray:
         ph = coarse[h // _PHASE_BLOCK] * fine[h % _PHASE_BLOCK]
-        out = table @ ydel.reshape(-1, n)
-        out -= damping * y.reshape(2, n)
-        out += (cee_half[h] * drive_row) * ph
-        return out.reshape(-1)
+        return (cee_half[h] * drive_row) * ph
 
-    system = DelaySystem(dim=2 * n, delays=delays, rhs=rhs)
     if record_stride is None:
         record_stride = _pair_record_stride(kgrid, dt)
     # the final node must land on the record grid
     while n_steps % record_stride:
         record_stride -= 1
-    traj = integrate(system, prehistory=np.zeros(2 * n, complex),
-                     t_span=(0.0, n_steps * dt), dt=dt,
-                     record_stride=record_stride, record_derivatives=False)
+    traj = integrate_linear(np.zeros((2, n), dtype=complex), damping, table,
+                            delays, drive, dt, n_steps, record_stride)
     cee_rec = cee_traj.sample_grid(traj.times)[:, 0]
     return SpectralPairResult(times=traj.times, cee=cee_rec,
                               cegk=traj.states[:, :n], cgek=traj.states[:, n:],
@@ -304,22 +303,35 @@ class TwoExcitationState:
             raise ValueError(f"c_kk must be exchange symmetric, asym={asym}")
 
 
+def _excited_populations(cee, cegk: np.ndarray, cgek: np.ndarray, dk: float):
+    """P_e1 = |c_ee|^2 + sum_k |c_egk|^2 dk and P_e2 likewise with c_gek:
+    plain-dk sums over the last (mode) axis, for one state or a series."""
+    pee = np.abs(cee) ** 2
+    return (pee + (np.abs(cegk) ** 2).sum(axis=-1) * dk,
+            pee + (np.abs(cgek) ** 2).sum(axis=-1) * dk)
+
+
 def populations(state: TwoExcitationState, kgrid: KGrid | None = None
                 ) -> tuple[float, float]:
     """(P_e1, P_e2): each atom's excited population, plain-dk sums."""
+    p1, p2 = _excited_populations(state.c_ee, state.c_egk, state.c_gek,
+                                  (kgrid or state.kgrid).dk)
+    return float(p1), float(p2)
+
+
+def sector_norms(state: TwoExcitationState, kgrid: KGrid | None = None
+                 ) -> tuple[float, float, float, float]:
+    """(P_e1, P_e2, two-photon norm, total norm), the total being
+    |c_ee|^2 + sum |c_egk|^2 dk + sum |c_gek|^2 dk + sum |c_kk|^2 dk^2."""
     kg = kgrid or state.kgrid
-    pee = abs(state.c_ee) ** 2
-    p1 = pee + float((np.abs(state.c_egk) ** 2).sum()) * kg.dk
-    p2 = pee + float((np.abs(state.c_gek) ** 2).sum()) * kg.dk
-    return p1, p2
+    p1, p2 = populations(state, kg)
+    p2ph = two_photon_norm(state.c_kk, state.ckk_grid or kg)
+    return p1, p2, p2ph, p1 + p2 - abs(state.c_ee) ** 2 + p2ph
 
 
 def total_norm(state: TwoExcitationState, kgrid: KGrid | None = None) -> float:
     """|c_ee|^2 + sum |c_egk|^2 dk + sum |c_gek|^2 dk + sum |c_kk|^2 dk^2."""
-    kg = kgrid or state.kgrid
-    p1, p2 = populations(state, kg)
-    pee = abs(state.c_ee) ** 2
-    return p1 + p2 - pee + two_photon_norm(state.c_kk, state.ckk_grid or kg)
+    return sector_norms(state, kgrid)[3]
 
 
 # ---------------------------------------------------------------------------

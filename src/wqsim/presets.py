@@ -23,10 +23,9 @@ import numpy as np
 from . import __version__
 from .dde import Trajectory
 from .errors import UnknownPreset
-from .frequency import (SpectralPairResult, TwoExcitationState,
-                        analytic_cee_markov, classify_steady_state,
-                        populations, solve_cee, solve_spectral_pair,
-                        solve_two_photon, total_norm, two_photon_norm)
+from .frequency import (TwoExcitationState, analytic_cee_markov,
+                        classify_steady_state, sector_norms, solve_cee,
+                        solve_spectral_pair, solve_two_photon)
 from .model import AtomParams, KGrid, NetworkConfig, default_halfwidth
 from .runio import RunSettings, complex_columns, write_csv, write_manifest
 from .spatial import (check_mirror_boundary, field_snapshot,
@@ -257,9 +256,7 @@ def _run_cascade(config: NetworkConfig, s: RunSettings, out: Path,
         state = TwoExcitationState(
             c_ee=complex(pair.cee[i]), c_egk=pair.cegk[i], c_gek=pair.cgek[i],
             c_kk=mat, kgrid=kgrid, t=t_c)
-        pe1, pe2 = populations(state)
-        rows.append((t_c, abs(state.c_ee) ** 2, pe1, pe2,
-                     two_photon_norm(mat, kgrid), total_norm(state)))
+        rows.append((t_c, abs(state.c_ee) ** 2, *sector_norms(state)))
     arr = np.array(rows)
     write_csv(out / "norm.csv",
               ["t", "cee_abs2", "pe1", "pe2", "two_photon_norm", "total_norm"],

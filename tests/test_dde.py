@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wqsim import DelaySystem, NonFiniteState, OutOfRange, StepTooLarge, integrate
-from wqsim.dde import dedupe_delays, resolve_taps
+from wqsim.dde import dedupe_delays, integrate_linear, resolve_taps
 
 
 def exp_decay_system():
@@ -115,8 +115,12 @@ class TestGuards:
         # step being computed: the Hermite blend would need node n + 1
         with pytest.raises(StepTooLarge):
             resolve_taps((0.05,), dt)
-        # a delay of one step reads node n at offset 1, which exists
-        assert resolve_taps((0.1,), dt) == [[(-1, 0.5)], [(0, 0.0)]]
+        # a delay of one step reads node n, which exists, but breaks the
+        # dt <= min(delay)/8 bound that the table now enforces itself
+        with pytest.raises(StepTooLarge):
+            resolve_taps((0.1,), dt)
+        # at the bound, every tap reads node n - 7 or earlier
+        assert resolve_taps((0.8,), dt) == [[(-8, 0.5)], [(-7, 0.0)]]
 
     def test_rhs_receives_read_only_history(self):
         seen = []
@@ -282,3 +286,39 @@ class TestEngineEquivalence:
                              rhs=lambda t, y, yd: yd[row])
         states, ref = self.check(system, dt, 3.0, np.array([1.0, 0.5j]))
         np.testing.assert_allclose(states, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+class TestLinearStepper:
+    """`integrate_linear` against `integrate` on the same linear system."""
+
+    def test_matches_generic_engine_from_a_jump(self):
+        dt = 0.01
+        delays = (0.13 + dt / 3, 0.3 + 0.6 * dt)
+        rng = np.random.default_rng(3)
+        table = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        damping = np.array([[0.7], [0.2]])
+        force = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        y0 = np.array([[1.0, 0.5j, 0.0], [-0.3, 0.0, 2.0]])
+
+        def f(t):
+            return force * np.exp(1j * np.array([0.0, 5.0, -9.0]) * t)
+
+        def rhs(t, y, ydel):
+            y = y.reshape(2, 3)
+            return (table @ ydel.reshape(-1, 3) - damping * y + f(t)).ravel()
+
+        ref = integrate(DelaySystem(dim=6, delays=delays, rhs=rhs),
+                        prehistory=np.zeros(6), t_span=(0.0, 2.0), dt=dt,
+                        initial_state=y0.ravel(), record_stride=3)
+        got = integrate_linear(y0, damping, table, delays,
+                               lambda h: f(0.5 * dt * h), dt, 200, 3)
+        np.testing.assert_array_equal(got.times, ref.times)
+        np.testing.assert_allclose(got.states, ref.states, rtol=0,
+                                   atol=1e-12 * np.abs(ref.states).max())
+
+    def test_guards(self):
+        y0, d, table = np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 1))
+        with pytest.raises(ValueError):
+            integrate_linear(y0, d, table, (0.0,), lambda h: 0.0, 0.01, 10)
+        with pytest.raises(StepTooLarge):
+            integrate_linear(y0, d, table, (0.1,), lambda h: 0.0, 0.02, 10)

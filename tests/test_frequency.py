@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from wqsim import (AtomParams, InvalidGrid, KGrid, NetworkConfig,
-                   OutsideMarkovRegimeWarning,
+from wqsim import (AtomParams, DelaySystem, InvalidGrid, KGrid, NetworkConfig,
+                   OutsideMarkovRegimeWarning, StepTooLarge,
                    SteadyStateLabel, TwoExcitationState, analytic_cee_markov,
-                   classify_steady_state, oracle_full_grid, populations,
-                   solve_cee, solve_spectral_pair, solve_two_photon,
-                   total_norm, two_photon_norm)
-from wqsim.frequency import TWO_PHOTON_SCALE
+                   classify_steady_state, integrate, oracle_full_grid,
+                   populations, solve_cee, solve_spectral_pair,
+                   solve_two_photon, total_norm, two_photon_norm)
+from wqsim.dde import resolve_taps
+from wqsim.frequency import (TWO_PHOTON_SCALE, _pair_record_stride,
+                             exchange_table)
 from wqsim.model import MODE_MEASURE, coupling_g, coupling_row
 
 WA = 50.0
@@ -119,6 +121,76 @@ class TestSpectralPair:
         _, p1, p2 = pair.populations_series()
         assert p1[0] == pytest.approx(1.0)
         assert p2[0] == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# closed-form pair stepper against the pair rhs on the generic engine
+# ---------------------------------------------------------------------------
+
+def reference_pair(config, cee, kgrid, dt, n_steps, record_stride):
+    """The pair equations as an rhs closure on the generic `integrate` (four
+    rhs calls per step, one history read per delay and call).  Returns the
+    record times and the (n_times, 2N) states (c_egk | c_gek)."""
+    a1, a2 = config.atoms
+    n = len(kgrid)
+    delays, table = exchange_table(config)
+    damping = np.array([[a1.damping], [a2.damping]])
+    drive_row = -1j * np.stack([coupling_row(kgrid, a2),
+                                coupling_row(kgrid, a1)])
+    detuning = kgrid.k_values - config.omega_a
+
+    def rhs(t, y, ydel):
+        out = table @ ydel.reshape(-1, n)
+        out -= damping * y.reshape(2, n)
+        out += (cee.sample(t)[0] * drive_row) * np.exp(1j * detuning * t)
+        return out.reshape(-1)
+
+    traj = integrate(DelaySystem(dim=2 * n, delays=delays, rhs=rhs),
+                     prehistory=np.zeros(2 * n, complex),
+                     t_span=(0.0, n_steps * dt), dt=dt,
+                     record_stride=record_stride, record_derivatives=False)
+    return traj.times, traj.states
+
+
+OFF_GRID = NetworkConfig(atoms=(AtomParams(0.1, 0.3, 0.45),
+                                AtomParams(0.23, 0.4, 0.2)), omega_a=WA)
+
+
+class TestPairStepper:
+    """`solve_spectral_pair` (closed-form RK4) against `reference_pair`."""
+
+    @pytest.mark.parametrize("config, half, dt, n_steps, stride", [
+        # the fig2 atoms, step and half-width: planned stride 2
+        (FIG2, 45.0, 0.1 / 64, 640, 2),
+        # delays 0.13, 0.2, 0.33, 0.46 at dt 0.0107: eight distinct Hermite
+        # fractions, none of them 0 or 1/2
+        (OFF_GRID, 6.0, 0.0107, 150, 2),
+        # planned stride 11 does not divide 650 steps: it falls to 10
+        (FIG2, 8.0, 0.1 / 64, 650, 10),
+    ], ids=["fig2-stride2", "off-grid-fractions", "stride-not-dividing"])
+    def test_matches_generic_engine(self, config, half, dt, n_steps, stride):
+        kg = KGrid.centered(WA, half, 41)
+        fractions = {s for row in resolve_taps(exchange_table(config)[0], dt)
+                     for _, s in row}
+        if config is OFF_GRID:
+            assert len(fractions) == 8 and not fractions & {0.0, 0.5}
+        planned = _pair_record_stride(kg, dt)
+        assert (n_steps % planned != 0) == (planned != stride)
+        cee = solve_cee(config, n_steps * dt, dt)
+        pair = solve_spectral_pair(config, cee, kg, n_steps * dt, dt)
+        assert pair.stride == stride
+        times, ref = reference_pair(config, cee, kg, dt, n_steps, stride)
+        np.testing.assert_array_equal(pair.times, times)
+        got = np.hstack([pair.cegk, pair.cgek])
+        np.testing.assert_allclose(got, ref, rtol=0,
+                                   atol=1e-12 * np.abs(ref).max())
+
+    def test_step_above_the_pair_delay_bound_raises(self):
+        # dt = 0.02 is within the c_ee bound 2 z1 / 8 = 0.025 but above the
+        # pair's, (z2 - z1) / 8 = 0.0125
+        cee = solve_cee(FIG2, 1.0, 0.02)
+        with pytest.raises(StepTooLarge):
+            solve_spectral_pair(FIG2, cee, KGrid.centered(WA, 8.0, 21))
 
 
 class TestTwoPhoton:
