@@ -321,7 +321,8 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
 def integrate_linear(y0: np.ndarray, damping: np.ndarray, table: np.ndarray,
                      delays: Sequence[float],
                      drive: Callable[[int], np.ndarray], dt: float,
-                     n_steps: int, record_stride: int = 1) -> Trajectory:
+                     n_steps: int, record_stride: int = 1
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """`integrate`'s RK4 in closed form for the linear system
 
         y' = -D y + table @ Y + f(t),    y(0) = y0, zero before t = 0,
@@ -340,9 +341,12 @@ def integrate_linear(y0: np.ndarray, damping: np.ndarray, table: np.ndarray,
         P_a = dt/6 (1 + z + z^2/2 + z^3/4),      P_b = dt/6 (4 + 2z + z^2/2).
 
     A step is one ring gather and one `table @` product per tap set; the
-    values are `integrate`'s up to rounding.  States are recorded flattened
-    every `record_stride` steps, without derivatives.  Raises StepTooLarge
-    and NonFiniteState as `integrate` does.
+    values are `integrate`'s up to rounding.  Returns (times, states): the
+    states flattened, without derivatives, at every `record_stride`-th step
+    and at the final step.  When the stride does not divide `n_steps` the
+    last interval is short, so the record is no `Trajectory`, whose
+    sampling assumes uniform spacing.  Raises StepTooLarge and
+    NonFiniteState as `integrate` does.
     """
     if any(tau <= 0.0 for tau in delays):
         raise ValueError(f"delays must be > 0, got {tuple(delays)}")
@@ -370,8 +374,8 @@ def integrate_linear(y0: np.ndarray, damping: np.ndarray, table: np.ndarray,
     dy = c - damping * y
     hist.ring[0] = y.reshape(-1)
 
-    n_rec = n_steps // record_stride + 1
-    states = np.empty((n_rec, y.size), dtype=complex)
+    steps = np.append(np.arange(0, n_steps, record_stride), n_steps)
+    states = np.empty((len(steps), y.size), dtype=complex)
     states[0] = y.reshape(-1)
     rec = 1
     for n in range(n_steps):
@@ -389,11 +393,7 @@ def integrate_linear(y0: np.ndarray, damping: np.ndarray, table: np.ndarray,
         if (n + 1) % 64 == 0 or n + 1 == n_steps:
             if not np.all(np.isfinite(y)):
                 raise NonFiniteState(f"non-finite state at t={(n + 1) * dt!r}")
-        if (n + 1) % record_stride == 0:
+        if n + 1 == steps[rec]:
             states[rec] = y.reshape(-1)
             rec += 1
-
-    times = dt * (record_stride * np.arange(rec))
-    return Trajectory(times=times, states=states[:rec], derivatives=None,
-                      dt=dt, stride=record_stride,
-                      prehistory=np.zeros(y.size, dtype=complex))
+    return dt * steps, states

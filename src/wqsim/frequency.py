@@ -34,6 +34,9 @@ TWO_PHOTON_SCALE = 1.0 / math.sqrt(2.0)
 _MAX_PHASE_PER_NODE = 0.15
 # half-steps per coarse row of the pair solve's two-level phase table
 _PHASE_BLOCK = 128
+# record nodes per chunk of the two-photon GEMM (2 * 128 stacked rows) and
+# of the population sums
+_RECORD_CHUNK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +123,8 @@ def analytic_cee_markov(t, config: NetworkConfig):
 
 @dataclass
 class SpectralPairResult:
-    """Single-photon amplitudes on the mode grid, recorded on a uniform
-    subgrid of the integration nodes (spacing dt * stride)."""
+    """Single-photon amplitudes on the mode grid, recorded on every
+    stride-th integration node (spacing dt * stride) and the final node."""
 
     times: np.ndarray
     cee: np.ndarray            # c_ee sampled at `times`
@@ -166,7 +169,8 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
     gather of delayed rows and one `exchange_table @` product at the half
     step and at the full step, then RK4's stages eliminated in closed form.
     The record keeps every `record_stride`-th node (default: the phase
-    bound `_MAX_PHASE_PER_NODE`), lowered until it divides the step count.
+    bound `_MAX_PHASE_PER_NODE`) and the final node, so its last interval
+    is shorter when the stride does not divide the step count.
     """
     validate_config(config)
     if len(config.atoms) != 2:
@@ -201,14 +205,12 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
 
     if record_stride is None:
         record_stride = _pair_record_stride(kgrid, dt)
-    # the final node must land on the record grid
-    while n_steps % record_stride:
-        record_stride -= 1
-    traj = integrate_linear(np.zeros((2, n), dtype=complex), damping, table,
-                            delays, drive, dt, n_steps, record_stride)
-    cee_rec = cee_traj.sample_grid(traj.times)[:, 0]
-    return SpectralPairResult(times=traj.times, cee=cee_rec,
-                              cegk=traj.states[:, :n], cgek=traj.states[:, n:],
+    times, states = integrate_linear(np.zeros((2, n), dtype=complex), damping,
+                                     table, delays, drive, dt, n_steps,
+                                     record_stride)
+    cee_rec = cee_traj.sample_grid(times)[:, 0]
+    return SpectralPairResult(times=times, cee=cee_rec,
+                              cegk=states[:, :n], cgek=states[:, n:],
                               kgrid=kgrid, config=config, dt=dt,
                               stride=record_stride)
 
@@ -222,46 +224,54 @@ def solve_two_photon(pair: SpectralPairResult,
                      ) -> list[tuple[float, np.ndarray]]:
     """Two-photon amplitude matrices c_kk(k1, k2, t) at the requested times
     (default: the end of the pair record), by trapezoid quadrature of the
-    symmetrized pair sources over the recorded nodes.
+    symmetrized pair sources over the recorded nodes t_j <= t:
+    c_kk = -i/sqrt(2) (S + S^T), S = sum_j w_j (c_egk(t_j) (x) g_1 +
+    c_gek(t_j) (x) g_2) e^{i(k_2 - omega_a) t_j}, w the trapezoid weights.
+    Checkpoints are taken in time order; S gains the integral since the
+    previous one as one GEMM per `_RECORD_CHUNK` nodes, stacked
+    (c_egk | c_gek) rows against their phase-weighted couplings.  Besides
+    the results it holds two N x N buffers and one chunk.
 
-    Matrices are symmetric by construction and returned in the normalized
+    Matrices are exactly symmetric and returned in the normalized
     convention (see module docstring).
     """
     cfg = pair.config
-    a1, a2 = cfg.atoms
-    g1 = coupling_row(pair.kgrid, a1)
-    g2 = coupling_row(pair.kgrid, a2)
+    g1 = coupling_row(pair.kgrid, cfg.atoms[0])
+    g2 = coupling_row(pair.kgrid, cfg.atoms[1])
     det = pair.kgrid.k_values - cfg.omega_a
     times = pair.times
-    h = float(times[1] - times[0])
     if at_times is None:
         at_times = [float(times[-1])]
     idx = [pair.index_at(t) for t in at_times]
-    order = np.argsort(idx)
 
     n = len(pair.kgrid)
-    acc_a = np.zeros((n, n), dtype=complex)
-    acc_b = np.zeros((n, n), dtype=complex)
+    acc = np.zeros((n, n), dtype=complex)
+    prod = np.empty_like(acc)
+    rows = np.empty((2 * _RECORD_CHUNK, n), dtype=complex)
+    coup = np.empty_like(rows)
     out: list[tuple[float, np.ndarray]] = [(0.0, np.zeros((0, 0)))] * len(at_times)
-    summed = -1   # highest node index already folded into the running sums
-    for pos in order:
+    start = 0   # acc holds the quadrature over [0, times[start]]
+    for pos in np.argsort(idx):
         m = idx[pos]
-        for c0 in range(summed + 1, m + 1, 2048):
-            c1 = min(m + 1, c0 + 2048)
-            phases = np.exp(1j * np.outer(times[c0:c1], det))
-            acc_a += pair.cegk[c0:c1].T @ phases
-            acc_b += pair.cgek[c0:c1].T @ phases
-        summed = max(summed, m)
-        # trapezoid endpoint correction on [0, m]
-        ph0 = np.exp(1j * times[0] * det)
-        phm = np.exp(1j * times[m] * det)
-        corr_a = 0.5 * (np.outer(pair.cegk[0], ph0) + np.outer(pair.cegk[m], phm))
-        corr_b = 0.5 * (np.outer(pair.cgek[0], ph0) + np.outer(pair.cgek[m], phm))
-        a = (acc_a - corr_a) * (h * g1)[None, :]
-        b = (acc_b - corr_b) * (h * g2)[None, :]
-        # (a + a.T) and (b + b.T) are each exactly symmetric in floating
-        # point; keep that grouping so the result is too
-        ckk = (-1j * TWO_PHOTON_SCALE) * ((a + a.T) + (b + b.T))
+        half_gap = 0.5 * np.diff(times[start:m + 1])
+        w = np.append(half_gap, 0.0) + np.insert(half_gap, 0, 0.0)
+        for j0 in range(start, m + 1, _RECORD_CHUNK):
+            j1 = min(m + 1, j0 + _RECORD_CHUNK)
+            r = j1 - j0
+            rows[:r] = pair.cegk[j0:j1]
+            rows[r:2 * r] = pair.cgek[j0:j1]
+            phase = coup[r:2 * r]
+            np.exp(1j * np.multiply.outer(times[j0:j1], det), out=phase)
+            phase *= w[j0 - start:j1 - start, None]
+            np.multiply(phase, g1, out=coup[:r])
+            phase *= g2
+            np.matmul(rows[:2 * r].T, coup[:2 * r], out=prod)
+            acc += prod
+        start = m
+        # x + x.T is exactly symmetric in floating point, and so is any
+        # multiple of it
+        ckk = acc + acc.T
+        ckk *= -1j * TWO_PHOTON_SCALE
         out[pos] = (float(times[m]), ckk)
     return out
 
@@ -305,10 +315,16 @@ class TwoExcitationState:
 
 def _excited_populations(cee, cegk: np.ndarray, cgek: np.ndarray, dk: float):
     """P_e1 = |c_ee|^2 + sum_k |c_egk|^2 dk and P_e2 likewise with c_gek:
-    plain-dk sums over the last (mode) axis, for one state or a series."""
+    plain-dk sums over the last (mode) axis, for one state or a series,
+    `_RECORD_CHUNK` rows at a time to bound the |c|^2 temporaries."""
+    def mode_sums(c: np.ndarray) -> np.ndarray:
+        rows = c.reshape(-1, c.shape[-1])
+        return np.concatenate([
+            (np.abs(rows[i:i + _RECORD_CHUNK]) ** 2).sum(axis=-1)
+            for i in range(0, len(rows), _RECORD_CHUNK)]).reshape(c.shape[:-1])
+
     pee = np.abs(cee) ** 2
-    return (pee + (np.abs(cegk) ** 2).sum(axis=-1) * dk,
-            pee + (np.abs(cgek) ** 2).sum(axis=-1) * dk)
+    return pee + mode_sums(cegk) * dk, pee + mode_sums(cgek) * dk
 
 
 def populations(state: TwoExcitationState, kgrid: KGrid | None = None

@@ -157,10 +157,11 @@ def write_csv(path: str | Path, header: list[str],
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("columns must share a length")
+    # "%.17g" % x gives the bytes of fmt(x), special values included
+    row = ",".join(["%.17g"] * len(columns))
     out = [",".join(header)]
-    cols = [np.asarray(c) for c in columns]
-    for i in range(n):
-        out.append(",".join(fmt(c[i]) for c in cols))
+    out += [row % values
+            for values in zip(*(np.asarray(c).tolist() for c in columns))]
     p = Path(path)
     p.write_text("\n".join(out) + "\n", encoding="utf-8")
     return p

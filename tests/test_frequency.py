@@ -100,9 +100,10 @@ class TestSpectralPair:
         for j, t in enumerate(pair.times):
             drive[j] = -1j * cee_vals[j] * MODE_MEASURE * coupling_g(
                 k, t, cfg.atoms[0], WA)
-        h = pair.times[1] - pair.times[0]
-        quad = np.cumsum(drive, axis=0) * h
-        quad -= 0.5 * h * (drive[0] + drive)
+        # trapezoid on the record's own nodes: its last interval is short
+        half_gap = 0.5 * np.diff(pair.times)[:, None]
+        quad = np.zeros_like(drive)
+        quad[1:] = np.cumsum(half_gap * (drive[1:] + drive[:-1]), axis=0)
         assert np.abs(pair.cgek - quad).max() < 2e-4
 
     def test_trapping_spectrum_peaks_at_resonance(self):
@@ -130,7 +131,8 @@ class TestSpectralPair:
 def reference_pair(config, cee, kgrid, dt, n_steps, record_stride):
     """The pair equations as an rhs closure on the generic `integrate` (four
     rhs calls per step, one history read per delay and call).  Returns the
-    record times and the (n_times, 2N) states (c_egk | c_gek)."""
+    times and (n_times, 2N) states (c_egk | c_gek) at every
+    `record_stride`-th step and at the final step."""
     a1, a2 = config.atoms
     n = len(kgrid)
     delays, table = exchange_table(config)
@@ -148,8 +150,9 @@ def reference_pair(config, cee, kgrid, dt, n_steps, record_stride):
     traj = integrate(DelaySystem(dim=2 * n, delays=delays, rhs=rhs),
                      prehistory=np.zeros(2 * n, complex),
                      t_span=(0.0, n_steps * dt), dt=dt,
-                     record_stride=record_stride, record_derivatives=False)
-    return traj.times, traj.states
+                     record_derivatives=False)
+    steps = list(range(0, n_steps, record_stride)) + [n_steps]
+    return traj.times[steps], traj.states[steps]
 
 
 OFF_GRID = NetworkConfig(atoms=(AtomParams(0.1, 0.3, 0.45),
@@ -165,20 +168,25 @@ class TestPairStepper:
         # delays 0.13, 0.2, 0.33, 0.46 at dt 0.0107: eight distinct Hermite
         # fractions, none of them 0 or 1/2
         (OFF_GRID, 6.0, 0.0107, 150, 2),
-        # planned stride 11 does not divide 650 steps: it falls to 10
-        (FIG2, 8.0, 0.1 / 64, 650, 10),
-    ], ids=["fig2-stride2", "off-grid-fractions", "stride-not-dividing"])
+        # planned stride 11 does not divide 650 steps: 60 records on the
+        # stride grid, then the final node one step after the last of them
+        (FIG2, 8.0, 0.1 / 64, 650, 11),
+        # a prime step count: stride 2 and a final half interval
+        (FIG2, 45.0, 0.1 / 64, 641, 2),
+    ], ids=["fig2-stride2", "off-grid-fractions", "stride-not-dividing",
+            "prime-steps"])
     def test_matches_generic_engine(self, config, half, dt, n_steps, stride):
         kg = KGrid.centered(WA, half, 41)
         fractions = {s for row in resolve_taps(exchange_table(config)[0], dt)
                      for _, s in row}
         if config is OFF_GRID:
             assert len(fractions) == 8 and not fractions & {0.0, 0.5}
-        planned = _pair_record_stride(kg, dt)
-        assert (n_steps % planned != 0) == (planned != stride)
+        assert _pair_record_stride(kg, dt) == stride
         cee = solve_cee(config, n_steps * dt, dt)
         pair = solve_spectral_pair(config, cee, kg, n_steps * dt, dt)
         assert pair.stride == stride
+        assert len(pair.times) == -(-n_steps // stride) + 1
+        assert pair.times[-1] == n_steps * dt
         times, ref = reference_pair(config, cee, kg, dt, n_steps, stride)
         np.testing.assert_array_equal(pair.times, times)
         got = np.hstack([pair.cegk, pair.cgek])
@@ -209,6 +217,134 @@ class TestTwoPhoton:
         mats = solve_two_photon(pair, at_times=[0.5, 1.0, 2.0])
         norms = [two_photon_norm(m, pair.kgrid) for _, m in mats]
         assert norms[0] < norms[1] < norms[2]
+
+
+# ---------------------------------------------------------------------------
+# two-photon quadrature against the per-segment loop it replaced
+# ---------------------------------------------------------------------------
+
+def reference_two_photon(pair, at_times):
+    """Per-segment trapezoid loop on a uniform record: two accumulators fed
+    by 2048-node phase chunks, then four outer-product end corrections and
+    the coupling weights at every checkpoint."""
+    cfg = pair.config
+    g1 = coupling_row(pair.kgrid, cfg.atoms[0])
+    g2 = coupling_row(pair.kgrid, cfg.atoms[1])
+    det = pair.kgrid.k_values - cfg.omega_a
+    times = pair.times
+    h = float(times[1] - times[0])
+    idx = [pair.index_at(t) for t in at_times]
+    n = len(pair.kgrid)
+    acc_a = np.zeros((n, n), dtype=complex)
+    acc_b = np.zeros((n, n), dtype=complex)
+    out = [None] * len(at_times)
+    summed = -1
+    for pos in np.argsort(idx):
+        m = idx[pos]
+        for c0 in range(summed + 1, m + 1, 2048):
+            c1 = min(m + 1, c0 + 2048)
+            phases = np.exp(1j * np.outer(times[c0:c1], det))
+            acc_a += pair.cegk[c0:c1].T @ phases
+            acc_b += pair.cgek[c0:c1].T @ phases
+        summed = max(summed, m)
+        ph0 = np.exp(1j * times[0] * det)
+        phm = np.exp(1j * times[m] * det)
+        corr_a = 0.5 * (np.outer(pair.cegk[0], ph0) + np.outer(pair.cegk[m], phm))
+        corr_b = 0.5 * (np.outer(pair.cgek[0], ph0) + np.outer(pair.cgek[m], phm))
+        a = (acc_a - corr_a) * (h * g1)[None, :]
+        b = (acc_b - corr_b) * (h * g2)[None, :]
+        out[pos] = (float(times[m]),
+                    (-1j * TWO_PHOTON_SCALE) * ((a + a.T) + (b + b.T)))
+    return out
+
+
+def trapezoid_two_photon(pair, t):
+    """c_kk at record time t with explicit trapezoid weights on the nodes
+    [0, t], whatever their spacing."""
+    cfg = pair.config
+    m = pair.index_at(t)
+    gaps = np.diff(pair.times[:m + 1])
+    w = np.zeros(m + 1)
+    w[:-1] += 0.5 * gaps
+    w[1:] += 0.5 * gaps
+    ph = w[:, None] * np.exp(1j * np.outer(pair.times[:m + 1],
+                                           pair.kgrid.k_values - cfg.omega_a))
+    s = (pair.cegk[:m + 1].T @ (ph * coupling_row(pair.kgrid, cfg.atoms[0]))
+         + pair.cgek[:m + 1].T @ (ph * coupling_row(pair.kgrid, cfg.atoms[1])))
+    return -1j * TWO_PHOTON_SCALE * (s + s.T)
+
+
+class TestTwoPhotonQuadrature:
+    """`solve_two_photon` (one GEMM per record chunk into one accumulator)
+    against `reference_two_photon` and explicit trapezoid weights."""
+
+    @staticmethod
+    def check(got, ref):
+        scale = max(np.abs(r).max() for _, r in ref)
+        assert [t for t, _ in got] == [t for t, _ in ref]
+        for (_, g), (_, r) in zip(got, ref, strict=True):
+            assert np.array_equal(g, g.T)
+            np.testing.assert_allclose(g, r, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("config, t_end, at_times", [
+        # 161 records: more than one chunk; checkpoints unsorted, repeated,
+        # at t = 0 and at the end
+        (FIG2, 2.0, [1.5, 0.0, 2.0, 0.7, 1.5]),
+        # 961 records, a checkpoint on a chunk boundary
+        (FIG2, 12.0, [128 * 4 * 0.1 / 32, 12.0]),
+        # atom 2 decoupled: c_egk and g2 vanish, so c_kk must be exactly 0
+        (NetworkConfig(atoms=(AtomParams(0.1, 0.25, 0.5),
+                              AtomParams(0.2, 0.0, 0.0)), omega_a=WA),
+         2.0, [1.0, 2.0]),
+    ], ids=["unsorted-duplicate-zero", "longer-than-a-chunk",
+            "atom2-decoupled"])
+    def test_matches_per_segment_loop(self, config, t_end, at_times):
+        pair, _ = small_pair(config, t_end, n=61, half=10.0)
+        assert pair.stride == 4
+        np.testing.assert_allclose(np.diff(pair.times), pair.times[1],
+                                   rtol=1e-12)
+        got = solve_two_photon(pair, at_times)
+        self.check(got, reference_two_photon(pair, at_times))
+        if config.atoms[1].gamma_l == 0.0:
+            assert all(np.all(g == 0.0) for _, g in got)
+
+    def test_short_last_interval(self):
+        # 641 steps at stride 4: the final node is one step past the last
+        # stride node
+        dt = min(FIG2.delays) / 32
+        pair, _ = small_pair(FIG2, 641 * dt, n=61, half=10.0)
+        assert pair.stride == 4 and len(pair.times) == 162
+        assert pair.times[-1] - pair.times[-2] == pytest.approx(dt, rel=1e-12)
+        at = [float(pair.times[-1]), float(pair.times[-2]), 1.0]
+        got = solve_two_photon(pair, at)
+        self.check(got, [(t, trapezoid_two_photon(pair, t)) for t in at])
+
+    def test_working_memory_is_bounded(self):
+        # N = 401 modes, 2000 records: besides its results the quadrature
+        # may hold three N x N matrices and one chunk (stacked rows,
+        # weighted couplings and their phase temporaries)
+        import tracemalloc
+
+        from wqsim.frequency import _RECORD_CHUNK, SpectralPairResult
+        n, n_rec = 401, 2000
+        rng = np.random.default_rng(5)
+        cegk, cgek = (rng.standard_normal((n_rec, n))
+                      + 1j * rng.standard_normal((n_rec, n)) for _ in range(2))
+        pair = SpectralPairResult(
+            times=0.003 * np.arange(n_rec), cee=np.zeros(n_rec, complex),
+            cegk=cegk, cgek=cgek, kgrid=KGrid.centered(WA, 20.0, n),
+            config=FIG2, dt=0.003, stride=1)
+        at_times = [6.0, 2.0, 4.0]
+        chunk = 6 * _RECORD_CHUNK * n * 16
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = solve_two_photon(pair, at_times)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(result) == 3
+        assert peak <= (len(at_times) + 3) * n * n * 16 + chunk
 
 
 class TestStateAndNorms:

@@ -97,6 +97,18 @@ class TestCsv:
         back = np.loadtxt(p, delimiter=",", skiprows=1)
         assert np.array_equal(back, vals)
 
+    def test_special_values_bytes(self, tmp_path):
+        vals = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324,
+                         -1.7976931348623157e308, 0.1, 1e16, 2.0 ** 53 + 2])
+        p = write_csv(tmp_path / "s.csv", ["v", "w"], [vals, vals[::-1]])
+        want = ("v,w\n" + "".join(f"{fmt(a)},{fmt(b)}\n"
+                                  for a, b in zip(vals, vals[::-1])))
+        assert p.read_bytes() == want.encode()
+        assert p.read_text().splitlines()[1:7] == [
+            "inf,9007199254740994", "-inf,10000000000000000",
+            "nan,0.10000000000000001", "-0,-1.7976931348623157e+308",
+            "0,4.9406564584124654e-324", "4.9406564584124654e-324,0"]
+
     def test_fmt_17_digits(self):
         assert float(fmt(np.pi)) == np.pi
 
