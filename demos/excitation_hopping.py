@@ -49,7 +49,7 @@ print(f"peak |c_2|^2, left-favored  (gR=0.1, gL=0.5): "
 snap = wqsim.field_snapshot(cfg, traj, t_end)
 print(f"\nsnapshot at t = {t_end:g}: mirror residual "
       f"{wqsim.check_mirror_boundary(snap):.1e}, norm "
-      f"{wqsim.single_excitation_norm(cfg, traj, t_end):.5f}")
+      f"{wqsim.single_excitation_norm(snap, traj):.5f}")
 
 if args.plot:
     from pathlib import Path

@@ -4,8 +4,9 @@ One atom at z1 = 2.25 pi / omega_a, where the round-trip phase is a quarter
 turn and the feedback neither protects nor accelerates: the excited
 population follows |c_e|^2 = e^{-(gL^2 + gR^2) t}.  At fixed total coupling
 gL + gR, chirality therefore speeds up the decay (gL^2 + gR^2 is minimal at
-gL = gR).  The emitted right-moving packet is evaluated piecewise from the
-retarded amplitude formulas; the mirror forces Phi_R(0, t) = -Phi_L(0, t).
+gL = gR).  The emitted field is the image sum over the atom's retarded
+amplitude: the right-moving packet carries the direct emission plus the
+mirror image of the left-moving one, so Phi_R(0, t) = -Phi_L(0, t).
 
 Run:  python demos/single_atom_packet.py [--plot]
 """
@@ -48,7 +49,7 @@ peak = snap.z_values[np.argmax(dens)]
 print(f"  right-moving density: peak at z = {peak:.2f}, "
       f"front at z = {front:.2f} (light cone z1 + t = {z1 + t_end:.2f})")
 print(f"  norm |c_e|^2 + field = "
-      f"{wqsim.single_excitation_norm(cfg, traj, t_end):.5f}")
+      f"{wqsim.single_excitation_norm(snap, traj):.5f}")
 
 if args.plot:
     from pathlib import Path

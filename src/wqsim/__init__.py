@@ -25,12 +25,9 @@ from .frequency import (OracleResult, SpectralPairResult, SteadyStateClass,
                         oracle_full_grid, populations, solve_cee,
                         solve_spectral_pair, solve_two_photon, total_norm,
                         two_photon_norm)
-from .spatial import (Direction, FieldSnapshot, SegmentedPacket,
-                      check_mirror_boundary, eval_single_atom_field,
-                      eval_two_atom_field, field_snapshot, packets_for,
-                      single_atom_packets, single_excitation_norm,
-                      solve_single_atom, solve_two_atom_single_excitation,
-                      two_atom_packets)
+from .spatial import (FieldSnapshot, check_mirror_boundary, field_snapshot,
+                      single_excitation_norm, solve_single_atom,
+                      solve_two_atom_single_excitation)
 from .presets import PRESETS, Preset, get_preset, run_pipeline, run_preset
 from .runio import (RunSettings, format_config, parse_config_file,
                     parse_config_text, write_csv, write_manifest)

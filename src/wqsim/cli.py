@@ -65,10 +65,7 @@ def main(argv: list[str] | None = None) -> int:
             report = run_verify(args.scope)
             print(report.format())
             return 0 if report.passed else 1
-    except errors.WqsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (errors.WqsimError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -32,6 +32,8 @@ RhsFunc = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 # stage offsets (in units of dt past the current node) that read the history
 _STAGE_OFFSETS = (0.5, 1.0)
 _SNAP = 1e-9
+# steps between finiteness checks of the state (and at the last step)
+_CHECK_EVERY = 64
 
 
 def dedupe_delays(delays: Sequence[float]) -> tuple[tuple[float, ...], list[int]]:
@@ -167,18 +169,14 @@ class HistoryBuffer:
 
 @dataclass
 class Trajectory:
-    """Immutable record of a solve: node states on [0, t_end], dense samples.
-
-    `stride` nodes of the integration grid separate consecutive records, so
-    node spacing is stride * dt.  Hermite sampling needs derivatives; they are
-    recorded unless the caller opted out to bound memory.
+    """Immutable record of a solve: the state and its derivative at every
+    node of the integration grid on [0, t_end], and dense samples between.
     """
 
     times: np.ndarray
     states: np.ndarray
-    derivatives: np.ndarray | None
+    derivatives: np.ndarray
     dt: float
-    stride: int
     prehistory: np.ndarray
     dim: int = field(init=False)
 
@@ -196,15 +194,14 @@ class Trajectory:
     def sample_grid(self, ts: np.ndarray) -> np.ndarray:
         """States at an array of times -> (len(ts), dim): prehistory for
         t < 0, node-exact at grid points, cubic Hermite between nodes.
-        Raises OutOfRange beyond t_end, and between nodes when no
-        derivatives were recorded.
+        Raises OutOfRange beyond t_end.
         """
         ts = np.asarray(ts, dtype=float)
         tol = 1e-12 * max(1.0, abs(self.t_end))
         if np.any(ts > self.t_end + tol):
             bad = float(ts[np.argmax(ts)])
             raise OutOfRange(f"t={bad!r} beyond trajectory end {self.t_end!r}")
-        h = self.dt * self.stride
+        h = self.dt
         x = (ts - self.times[0]) / h
         nearest = np.round(x)
         snap = np.abs(x - nearest) < _SNAP
@@ -214,29 +211,19 @@ class Trajectory:
         i = np.floor(x).astype(int)
         i = np.minimum(i, len(self.times) - 2) if len(self.times) > 1 else i * 0
         s = x - i
-        on_node = (s == 0.0) | (s == 1.0)
-        if self.derivatives is None:
-            if not np.all(on_node | pre_mask):
-                raise OutOfRange(
-                    "trajectory was recorded without derivatives; only node "
-                    "values can be sampled"
-                )
-            out = self.states[i + (s == 1.0)].astype(complex, copy=True)
-        else:
-            # the weights are exact at s = 0 and s = 1, so node hits come
-            # out bit-exact without special-casing
-            h00, h10, h01, h11 = _hermite_weights(s[:, None])
-            out = (h00 * self.states[i] + h10 * h * self.derivatives[i]
-                   + h01 * self.states[i + 1] + h11 * h * self.derivatives[i + 1])
+        # the weights are exact at s = 0 and s = 1, so node hits come out
+        # bit-exact without special-casing
+        h00, h10, h01, h11 = _hermite_weights(s[:, None])
+        out = (h00 * self.states[i] + h10 * h * self.derivatives[i]
+               + h01 * self.states[i + 1] + h11 * h * self.derivatives[i + 1])
         out[pre_mask] = self.prehistory
         return out
 
 
 def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
               t_span: tuple[float, float], dt: float,
-              initial_state: np.ndarray | complex | None = None,
-              record_stride: int = 1, record_derivatives: bool = True,
-              check_every: int = 64) -> Trajectory:
+              initial_state: np.ndarray | complex | None = None
+              ) -> Trajectory:
     """Integrate a DelaySystem over t_span = (0, T) with fixed step dt.
 
     The state before t = 0 is the constant `prehistory`; the state AT t = 0
@@ -253,8 +240,6 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
     if t_final <= 0.0 or dt <= 0.0:
         raise ValueError("need T > 0 and dt > 0")
     taps = resolve_taps(system.delays, dt)
-    if record_stride < 1:
-        raise ValueError("record_stride must be >= 1")
 
     dim = system.dim
     pre = np.atleast_1d(np.asarray(prehistory, dtype=complex))
@@ -284,14 +269,10 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
     hist.ring[0] = y
 
     n_steps = int(np.ceil(t_final / dt - 1e-9))
-    n_rec = n_steps // record_stride + 1
-    times = np.empty(n_rec)
-    states = np.empty((n_rec, dim), dtype=complex)
-    derivs = np.empty((n_rec, dim), dtype=complex) if record_derivatives else None
-    times[0], states[0] = 0.0, y
-    if derivs is not None:
-        derivs[0] = dy
-    rec = 1
+    times = dt * np.arange(n_steps + 1)
+    states = np.empty((n_steps + 1, dim), dtype=complex)
+    derivs = np.empty((n_steps + 1, dim), dtype=complex)
+    states[0], derivs[0] = y, dy
 
     half = 0.5 * dt
     for n in range(n_steps):
@@ -304,18 +285,13 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
         t_new = (n + 1) * dt
         dy = rhs(t_new, y, 1, n)
         hist.push(n, y_old, k1, y, dy)
-        if (n + 1) % check_every == 0 or n + 1 == n_steps:
+        if (n + 1) % _CHECK_EVERY == 0 or n + 1 == n_steps:
             if not np.all(np.isfinite(y.view(float))):
                 raise NonFiniteState(f"non-finite state at t={t_new!r}")
-        if (n + 1) % record_stride == 0:
-            times[rec], states[rec] = t_new, y
-            if derivs is not None:
-                derivs[rec] = dy
-            rec += 1
+        states[n + 1], derivs[n + 1] = y, dy
 
-    return Trajectory(times=times[:rec], states=states[:rec],
-                      derivatives=None if derivs is None else derivs[:rec],
-                      dt=dt, stride=record_stride, prehistory=pre)
+    return Trajectory(times=times, states=states, derivatives=derivs, dt=dt,
+                      prehistory=pre)
 
 
 def integrate_linear(y0: np.ndarray, damping: np.ndarray, table: np.ndarray,
@@ -390,7 +366,7 @@ def integrate_linear(y0: np.ndarray, damping: np.ndarray, table: np.ndarray,
         hist.push(n, y.reshape(-1), dy.reshape(-1), y_new.reshape(-1),
                   dy_new.reshape(-1))
         y, dy = y_new, dy_new
-        if (n + 1) % 64 == 0 or n + 1 == n_steps:
+        if (n + 1) % _CHECK_EVERY == 0 or n + 1 == n_steps:
             if not np.all(np.isfinite(y)):
                 raise NonFiniteState(f"non-finite state at t={(n + 1) * dt!r}")
         if n + 1 == steps[rec]:

@@ -312,7 +312,10 @@ def _run_spatial(config: NetworkConfig, s: RunSettings, out: Path,
         cols.append(np.abs(traj.states[:, j]) ** 2)
     write_csv(out / "amplitudes.csv", hdr, cols)
 
-    snap = field_snapshot(config, traj, traj.t_end)
+    # the last checkpoint is t_end, whose snapshot field_snapshot.csv shows
+    snaps = [field_snapshot(config, traj, t)
+             for t in _checkpoint_times(traj.t_end)]
+    snap = snaps[-1]
     hdr = ["z"]
     cols = [snap.z_values]
     for nm, vals in (("phi_r", snap.phi_r), ("phi_l", snap.phi_l)):
@@ -323,9 +326,8 @@ def _run_spatial(config: NetworkConfig, s: RunSettings, out: Path,
         cols.append(np.abs(vals) ** 2)
     write_csv(out / "field_snapshot.csv", hdr, cols)
 
-    rows = [(t, single_excitation_norm(config, traj, t),
-             check_mirror_boundary(field_snapshot(config, traj, t)))
-            for t in _checkpoint_times(traj.t_end)]
+    rows = [(sn.t, single_excitation_norm(sn, traj), check_mirror_boundary(sn))
+            for sn in snaps]
     arr = np.array(rows)
     write_csv(out / "norm.csv", ["t", "total_norm", "mirror_residual"],
               [arr[:, 0], arr[:, 1], arr[:, 2]])

@@ -1,22 +1,22 @@
-"""Spatial-domain models: emitted wave packets and mirror boundary checks.
+"""Spatial-domain picture: the emitted photon as a field on the half-line,
+and the mirror boundary and norm checks on it.
 
-Amplitudes for the propagating photon are piecewise functions of retarded
-(t - z) or advanced (t + z) arguments, with pieces delimited by the mirror
-and the atom positions.  A `SegmentedPacket` stores those retarded-time
-formulas as callables over the already-solved amplitude trajectories, so a
-field evaluation at any (z, t) costs one trajectory sample per segment and
-no (z, t) grid is ever stored.
+With C_i(s) = c_i(s) e^{-i omega_a s}, zero for s < 0, the right- and
+left-moving amplitudes are one image sum over the atoms:
 
-Evaluation follows the step-function convention Theta(0) = 1/2: each segment
-enters with weight Theta(z - z_lo) - Theta(z - z_hi), which averages adjacent
-segments at interior boundaries and halves the exterior edges.
+    Phi_R(z, t) = Theta(z) [ -sum_i gamma_iL C_i(t - z - z_i)
+                             + sum_i Theta(z - z_i) gamma_iR C_i(t - z + z_i) ]
+    Phi_L(z, t) = Theta(z) sum_i Theta(z_i - z) gamma_iL C_i(t + z - z_i)
+
+The first sum is the mirror image of the left-moving photon, which makes
+Phi_R(0, t) = -Phi_L(0, t).  Steps follow Theta(0) = 1/2, so the field at
+an atom is the average of its two sides and the mirror edge is halved.
+The amplitudes are sampled from the already-solved trajectory; no (z, t)
+grid is ever stored.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -67,142 +67,45 @@ def solve_two_atom_single_excitation(config: NetworkConfig, t_end: float,
 
 
 # ---------------------------------------------------------------------------
-# segmented wave packets
+# the image sum
 # ---------------------------------------------------------------------------
-
-class Direction(Enum):
-    RIGHT = "right"
-    LEFT = "left"
-
-
-@dataclass(frozen=True)
-class SegmentedPacket:
-    """Piecewise wave packet: (z_lo, z_hi, amplitude-of-retarded-argument).
-
-    Right-moving packets take the argument u = t - z, left-moving ones
-    w = t + z.  Segments partition [0, inf) for right packets; left packets
-    end at the outermost atom.
-    """
-
-    direction: Direction
-    segments: tuple[tuple[float, float, Callable[[np.ndarray], np.ndarray]], ...]
-
-    def evaluate(self, z, t: float) -> np.ndarray:
-        """Amplitude at positions z (scalar or array) at one time t."""
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.zeros(z.shape, dtype=complex)
-        arg = (t - z) if self.direction is Direction.RIGHT else (t + z)
-        for z_lo, z_hi, amp in self.segments:
-            w = _theta(z - z_lo) - (_theta(z - z_hi) if math.isfinite(z_hi) else 0.0)
-            mask = w != 0.0
-            if np.any(mask):
-                out[mask] += w[mask] * amp(arg[mask])
-        return out
-
 
 def _theta(x: np.ndarray) -> np.ndarray:
     """Heaviside with Theta(0) = 1/2."""
     return np.where(x > 0.0, 1.0, np.where(x == 0.0, 0.5, 0.0))
 
 
-def _carrier(traj: Trajectory, component: int, shift: float, omega_a: float
-             ) -> Callable[[np.ndarray], np.ndarray]:
-    """arg -> c(arg + shift) e^{-i omega_a (arg + shift)}, zero before t=0."""
+def _image_sum(config: NetworkConfig, traj: Trajectory, t: float,
+               z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi_R, Phi_L) at positions z at time t; component i of `traj` is
+    atom i's amplitude.
 
-    def amp(arg: np.ndarray) -> np.ndarray:
-        tt = arg + shift
-        c = traj.sample_grid(tt)[:, component]
-        return c * np.exp(-1j * omega_a * tt)
-
-    return amp
-
-
-def single_atom_packets(ce_traj: Trajectory, atom: AtomParams, omega_a: float
-                        ) -> tuple[SegmentedPacket, SegmentedPacket]:
-    """(right, left) packets emitted by a single mirror-fed atom.
-
-    Between mirror and atom the right-mover is the reflected image of the
-    left-mover (f_r = -f_l); beyond the atom the outgoing amplitude combines
-    direct emission and the mirror echo delayed by the round trip.
+    A term is sampled only where its weight is nonzero: points past the
+    light cone stay exact zeros, and an argument beyond the trajectory's
+    end raises OutOfRange only where the field needs it.  At z = 0 the
+    image terms and the left-moving terms take the same arguments and are
+    summed in the same atom order, so Phi_R(0, t) + Phi_L(0, t) is exactly
+    zero.
     """
-    z1 = atom.position
-    base = _carrier(ce_traj, 0, -z1, omega_a)          # c_e(arg - z1) carrier
-    direct = _carrier(ce_traj, 0, +z1, omega_a)        # c_e(arg + z1) carrier
-
-    def f_l(w):
-        return atom.gamma_l * base(w)
-
-    def f_r(u):
-        return -f_l(u)
-
-    def g_r(u):
-        return atom.gamma_r * direct(u) - atom.gamma_l * base(u)
-
-    right = SegmentedPacket(Direction.RIGHT,
-                            ((0.0, z1, f_r), (z1, math.inf, g_r)))
-    left = SegmentedPacket(Direction.LEFT, ((0.0, z1, f_l),))
-    return right, left
-
-
-def two_atom_packets(traj: Trajectory, config: NetworkConfig
-                     ) -> tuple[SegmentedPacket, SegmentedPacket]:
-    """(right, left) packets for the two-atom single-excitation network.
-
-    Right segments cover [0, z1], [z1, z2], [z2, inf); the left packet
-    vanishes beyond the outer atom.
-    """
-    if len(config.atoms) != 2:
-        raise InvalidGeometry("two atoms required")
-    a1, a2 = config.atoms
-    z1, z2 = a1.position, a2.position
-    wa = config.omega_a
-    c1_m = _carrier(traj, 0, -z1, wa)     # c_1(arg - z1) carrier
-    c1_p = _carrier(traj, 0, +z1, wa)
-    c2_m = _carrier(traj, 1, -z2, wa)
-    c2_p = _carrier(traj, 1, +z2, wa)
-
-    def g_l(w):
-        return a2.gamma_l * c2_m(w)
-
-    def f_l(w):
-        return a2.gamma_l * c2_m(w) + a1.gamma_l * c1_m(w)
-
-    def f_r(u):
-        return -f_l(u)
-
-    def g_r(u):
-        return f_r(u) + a1.gamma_r * c1_p(u)
-
-    def h_r(u):
-        return g_r(u) + a2.gamma_r * c2_p(u)
-
-    right = SegmentedPacket(Direction.RIGHT,
-                            ((0.0, z1, f_r), (z1, z2, g_r), (z2, math.inf, h_r)))
-    left = SegmentedPacket(Direction.LEFT,
-                           ((0.0, z1, f_l), (z1, z2, g_l)))
-    return right, left
-
-
-def packets_for(config: NetworkConfig, traj: Trajectory
-                ) -> tuple[SegmentedPacket, SegmentedPacket]:
-    """Dispatch on atom count."""
-    if len(config.atoms) == 1:
-        return single_atom_packets(traj, config.atoms[0], config.omega_a)
-    return two_atom_packets(traj, config)
-
-
-def eval_single_atom_field(z, t: float, ce_traj: Trajectory, atom: AtomParams,
-                           omega_a: float) -> tuple[np.ndarray, np.ndarray]:
-    """(Phi_R, Phi_L) at positions z, time t, for the single-atom network."""
-    right, left = single_atom_packets(ce_traj, atom, omega_a)
-    return right.evaluate(z, t), left.evaluate(z, t)
-
-
-def eval_two_atom_field(z, t: float, traj: Trajectory, config: NetworkConfig
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """(Phi_r, Phi_l) at positions z, time t, for the two-atom network."""
-    right, left = two_atom_packets(traj, config)
-    return right.evaluate(z, t), left.evaluate(z, t)
+    atoms = config.atoms
+    z_i = np.array([[a.position] for a in atoms])
+    g_l = np.array([[a.gamma_l] for a in atoms])
+    g_r = np.array([[a.gamma_r] for a in atoms])
+    inside = _theta(z)
+    # (term, atom, point): Phi_R's image and direct terms, then Phi_L's
+    weight = np.stack([-g_l * inside, g_r * _theta(z - z_i),
+                       g_l * inside * _theta(z_i - z)])
+    arg = np.stack([t - z - z_i, t - z + z_i, t + z - z_i])
+    live = weight != 0.0
+    s = arg[live]
+    c = traj.sample_grid(s)[np.arange(s.size), np.nonzero(live)[1]]
+    terms = np.zeros(weight.shape, dtype=complex)
+    terms[live] = weight[live] * (c * np.exp(-1j * config.omega_a * s))
+    phi_r = terms[0].sum(axis=0)
+    # atom by atom from the mirror out: past atom i, Phi_R gains its emission
+    for direct in terms[1]:
+        phi_r += direct
+    return phi_r, terms[2].sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,23 +127,18 @@ class FieldSnapshot:
 
 
 def field_snapshot(config: NetworkConfig, traj: Trajectory, t: float,
-                   z_values: np.ndarray | None = None,
-                   dz: float | None = None) -> FieldSnapshot:
-    """Sample both packets on a z-grid at time t.
+                   z_values: np.ndarray | None = None) -> FieldSnapshot:
+    """Both fields at positions `z_values` at time t.
 
     Default grid: spacing ~ the trajectory step over [0, z_outer + t], so
     retarded arguments land near trajectory nodes.
     """
-    z_outer = config.atoms[-1].position
     if z_values is None:
-        if dz is None:
-            dz = traj.dt * traj.stride
-        n = int(np.ceil((z_outer + t) / dz)) + 1
-        z_values = np.linspace(0.0, z_outer + t, n)
-    right, left = packets_for(config, traj)
-    return FieldSnapshot(t=float(t), z_values=np.asarray(z_values, float),
-                         phi_r=right.evaluate(z_values, t),
-                         phi_l=left.evaluate(z_values, t))
+        z_end = config.atoms[-1].position + t
+        z_values = np.linspace(0.0, z_end, int(np.ceil(z_end / traj.dt)) + 1)
+    z = np.atleast_1d(np.asarray(z_values, dtype=float))
+    phi_r, phi_l = _image_sum(config, traj, t, z)
+    return FieldSnapshot(t=float(t), z_values=z, phi_r=phi_r, phi_l=phi_l)
 
 
 def check_mirror_boundary(snapshot: FieldSnapshot) -> float:
@@ -252,15 +150,13 @@ def check_mirror_boundary(snapshot: FieldSnapshot) -> float:
     return float(abs(snapshot.phi_r[i] + snapshot.phi_l[i]))
 
 
-def single_excitation_norm(config: NetworkConfig, traj: Trajectory, t: float,
-                           dz: float | None = None) -> float:
-    """sum_j |c_j(t)|^2 + integral (|Phi_r|^2 + |Phi_l|^2) dz on [0, z_out+t].
-
-    Trapezoid in z with spacing <= the trajectory node spacing.
+def single_excitation_norm(snapshot: FieldSnapshot, traj: Trajectory) -> float:
+    """sum_j |c_j(t)|^2 + integral (|Phi_r|^2 + |Phi_l|^2) dz at the
+    snapshot's time, the integral by trapezoid over its grid, which should
+    cover [0, z_out + t] (the default grid of `field_snapshot` does).
     """
-    snap = field_snapshot(config, traj, t, dz=dz)
-    c = traj.sample(t)
+    c = traj.sample(snapshot.t)
     atom_part = float(np.sum(np.abs(c) ** 2))
-    dens = np.abs(snap.phi_r) ** 2 + np.abs(snap.phi_l) ** 2
-    field_part = float(np.trapezoid(dens, snap.z_values))
+    dens = np.abs(snapshot.phi_r) ** 2 + np.abs(snapshot.phi_l) ** 2
+    field_part = float(np.trapezoid(dens, snapshot.z_values))
     return atom_part + field_part

@@ -35,8 +35,7 @@ import pytest
 from wqsim import (AtomParams, KGrid, NetworkConfig, oracle_full_grid,
                    run_preset, solve_cee, solve_single_atom,
                    solve_two_atom_single_excitation, integrate, DelaySystem,
-                   field_snapshot, check_mirror_boundary, eval_two_atom_field,
-                   eval_single_atom_field, PRESETS)
+                   field_snapshot, check_mirror_boundary, PRESETS)
 
 WA = 50.0
 
@@ -281,11 +280,12 @@ def test_criterion_10_boundary_and_causality():
     max_res = max(residuals)
 
     t = 0.6 * traj5.t_end
-    pr5, pl5 = eval_single_atom_field(atom.position + t + 0.1, t, traj5,
-                                      atom, WA)
+    snap5 = field_snapshot(fig5.config, traj5, t,
+                           z_values=[atom.position + t + 0.1])
     t6 = 12.0
-    pr6, pl6 = eval_two_atom_field(fig6.config.atoms[1].position + t6 + 0.1,
-                                   t6, traj6, fig6.config)
+    snap6 = field_snapshot(fig6.config, traj6, t6,
+                           z_values=[fig6.config.atoms[1].position + t6 + 0.1])
+    pr5, pl5, pr6, pl6 = snap5.phi_r, snap5.phi_l, snap6.phi_r, snap6.phi_l
     all_zero = (pr5[0] == 0.0 and pl5[0] == 0.0
                 and pr6[0] == 0.0 and pl6[0] == 0.0)
     checks = [

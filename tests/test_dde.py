@@ -72,19 +72,6 @@ class TestSampling:
         for j, t in enumerate(ts):
             assert grid[j, 0] == traj.sample(t)[0]
 
-    def test_stride_recording(self):
-        full = integrate(exp_decay_system(), prehistory=1.0, t_span=(0.0, 1.0),
-                         dt=1e-3)
-        strided = integrate(exp_decay_system(), prehistory=1.0,
-                            t_span=(0.0, 1.0), dt=1e-3, record_stride=4,
-                            record_derivatives=False)
-        assert len(strided.times) == 251
-        np.testing.assert_array_equal(strided.states[:, 0], full.states[::4, 0])
-        # node queries fine, intermediate queries need derivatives
-        assert strided.sample(strided.times[3])[0] == strided.states[3, 0]
-        with pytest.raises(OutOfRange):
-            strided.sample(0.0005)
-
 
 class TestGuards:
     def test_step_too_large(self):
@@ -98,8 +85,7 @@ class TestGuards:
         blow = DelaySystem(dim=1, delays=(),
                            rhs=lambda t, y, yd: 1e8 * y * np.abs(y) ** 2)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteState):
-            integrate(blow, prehistory=10.0, t_span=(0.0, 10.0), dt=0.05,
-                      check_every=1)
+            integrate(blow, prehistory=10.0, t_span=(0.0, 10.0), dt=0.05)
 
     def test_distinct_delays_required(self):
         with pytest.raises(ValueError):

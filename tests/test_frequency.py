@@ -149,8 +149,7 @@ def reference_pair(config, cee, kgrid, dt, n_steps, record_stride):
 
     traj = integrate(DelaySystem(dim=2 * n, delays=delays, rhs=rhs),
                      prehistory=np.zeros(2 * n, complex),
-                     t_span=(0.0, n_steps * dt), dt=dt,
-                     record_derivatives=False)
+                     t_span=(0.0, n_steps * dt), dt=dt)
     steps = list(range(0, n_steps, record_stride)) + [n_steps]
     return traj.times[steps], traj.states[steps]
 

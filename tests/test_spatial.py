@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from wqsim import (AtomParams, FieldSnapshot, MissingOrigin, NetworkConfig,
-                   OutOfRange, check_mirror_boundary, eval_single_atom_field,
-                   eval_two_atom_field, field_snapshot, single_atom_packets,
+                   OutOfRange, check_mirror_boundary, field_snapshot,
                    single_excitation_norm, solve_cee, solve_single_atom,
-                   solve_two_atom_single_excitation, two_atom_packets)
+                   solve_two_atom_single_excitation)
 
 WA = 50.0
 ATOM = AtomParams(2.25 * math.pi / WA, 0.1, 0.3)
+ONE_ATOM = NetworkConfig(atoms=(ATOM,), omega_a=WA)
 
 FIG6 = NetworkConfig(atoms=(AtomParams(1.0, 0.25, 0.25),
                             AtomParams(10.0, 0.1, 0.5)), omega_a=WA)
@@ -18,6 +18,18 @@ FIG6 = NetworkConfig(atoms=(AtomParams(1.0, 0.25, 0.25),
 
 def solve_atom(atom=ATOM, t_end=3.0, div=64):
     return solve_single_atom(atom, WA, t_end, 2 * atom.position / div)
+
+
+def fields(config, traj, z, t):
+    """(Phi_R, Phi_L) at positions z at time t."""
+    snap = field_snapshot(config, traj, t, z_values=z)
+    return snap.phi_r, snap.phi_l
+
+
+def carrier(traj, t):
+    """C_j(t) = c_j(t) e^{-i omega_a t} for every atom j: (len(t), atoms)."""
+    t = np.atleast_1d(t)
+    return traj.sample_grid(t) * np.exp(-1j * WA * t)[:, None]
 
 
 class TestSingleAtomAmplitude:
@@ -52,51 +64,51 @@ class TestSingleAtomField:
     def test_mirror_cancellation_at_origin(self):
         traj = solve_atom()
         for t in (0.5, 1.0, 2.9):
-            phi_r, phi_l = eval_single_atom_field(0.0, t, traj, ATOM, WA)
+            phi_r, phi_l = fields(ONE_ATOM, traj, 0.0, t)
             assert abs(phi_r[0] + phi_l[0]) < 1e-10
 
     def test_ahead_of_light_cone_exactly_zero(self):
         traj = solve_atom()
         t = 1.5
         z = ATOM.position + t + 0.05
-        phi_r, phi_l = eval_single_atom_field(z, t, traj, ATOM, WA)
+        phi_r, phi_l = fields(ONE_ATOM, traj, z, t)
         assert phi_r[0] == 0.0
         assert phi_l[0] == 0.0
 
     def test_boundary_averaging_at_atom(self):
+        # on the atom, Phi_R is the mean of its two sides along the same
+        # characteristic t - z
         traj = solve_atom()
-        t = 2.0
-        right, _ = single_atom_packets(traj, ATOM, WA)
-        f_r = right.segments[0][2]
-        g_r = right.segments[1][2]
-        u = np.array([t - ATOM.position])
-        expected = 0.5 * (f_r(u)[0] + g_r(u)[0])
-        phi_r, _ = eval_single_atom_field(ATOM.position, t, traj, ATOM, WA)
-        assert phi_r[0] == pytest.approx(expected, rel=1e-12)
+        t, z1, d = 2.0, ATOM.position, 1e-6
+        before, _ = fields(ONE_ATOM, traj, z1 - d, t - d)
+        after, _ = fields(ONE_ATOM, traj, z1 + d, t + d)
+        phi_r, _ = fields(ONE_ATOM, traj, z1, t)
+        assert phi_r[0] == pytest.approx(0.5 * (before[0] + after[0]),
+                                         rel=1e-12)
 
     def test_emission_jump_identity(self):
-        # g_r(t - z1) - f_r(t - z1) = gamma_r c_e(t) e^{-i omega_a t}
+        # across the atom along t - z, Phi_R jumps by the emission
+        # gamma_r c_e(t) e^{-i omega_a t}
         traj = solve_atom()
-        right, _ = single_atom_packets(traj, ATOM, WA)
-        f_r, g_r = right.segments[0][2], right.segments[1][2]
+        z1, d = ATOM.position, 1e-6
         ts = np.linspace(0.1, 2.9, 23)
-        u = ts - ATOM.position
-        lhs = g_r(u) - f_r(u)
-        ce = traj.sample_grid(ts)[:, 0]
-        rhs = ATOM.gamma_r * ce * np.exp(-1j * WA * ts)
-        assert np.abs(lhs - rhs).max() < 1e-8
+        jump = np.array([fields(ONE_ATOM, traj, z1 + d, t + d)[0][0]
+                         - fields(ONE_ATOM, traj, z1 - d, t - d)[0][0]
+                         for t in ts])
+        expected = ATOM.gamma_r * carrier(traj, ts)[:, 0]
+        assert np.abs(jump - expected).max() < 1e-8
 
     def test_norm_conserved(self):
         traj = solve_atom(t_end=4.0)
         for t in (1.0, 2.5, 4.0):
             norm = single_excitation_norm(
-                NetworkConfig(atoms=(ATOM,), omega_a=WA), traj, t)
+                field_snapshot(ONE_ATOM, traj, t), traj)
             assert norm == pytest.approx(1.0, abs=0.01)
 
     def test_field_needs_recorded_history(self):
         traj = solve_atom(t_end=1.0)
         with pytest.raises(OutOfRange):
-            eval_single_atom_field(0.1, 1.5, traj, ATOM, WA)
+            fields(ONE_ATOM, traj, 0.1, 1.5)
 
 
 def solve_fig6(t_end=15.0):
@@ -143,33 +155,47 @@ class TestTwoAtomSingleExcitation:
     def test_mirror_cancellation(self):
         traj = solve_fig6()
         for t in (5.0, 12.0):
-            phi_r, phi_l = eval_two_atom_field(0.0, t, traj, FIG6)
+            phi_r, phi_l = fields(FIG6, traj, 0.0, t)
             assert abs(phi_r[0] + phi_l[0]) < 1e-10
 
     def test_causality_exact_zero(self):
         traj = solve_fig6()
         t = 12.0
         z = FIG6.atoms[1].position + t + 0.5
-        phi_r, phi_l = eval_two_atom_field(z, t, traj, FIG6)
+        phi_r, phi_l = fields(FIG6, traj, z, t)
         assert phi_r[0] == 0.0
         assert phi_l[0] == 0.0
 
     def test_left_packet_source_identity(self):
-        # g_l(t + z2) = gamma_2L c_2(t) e^{-i omega_a t}
+        # just inside the outer atom, the left-mover emitted at t arrives at
+        # t + d: Phi_L(z2 - d, t + d) = gamma_2L c_2(t) e^{-i omega_a t}
         traj = solve_fig6()
-        _, left = two_atom_packets(traj, FIG6)
-        g_l = left.segments[1][2]
-        z2 = FIG6.atoms[1].position
-        ts = np.linspace(0.5, 4.0, 17)
-        lhs = g_l(ts + z2)
-        c2 = traj.sample_grid(ts)[:, 1]
-        rhs = FIG6.atoms[1].gamma_l * c2 * np.exp(-1j * WA * ts)
-        assert np.abs(lhs - rhs).max() < 1e-8
+        z2, d = FIG6.atoms[1].position, 1e-6
+        ts = np.linspace(9.5, 14.5, 17)     # c_2 = 0 before the direct delay 9
+        lhs = np.array([fields(FIG6, traj, z2 - d, t + d)[1][0] for t in ts])
+        expected = FIG6.atoms[1].gamma_l * carrier(traj, ts)[:, 1]
+        assert np.abs(lhs - expected).max() < 1e-8
+
+    def test_edge_weights_are_half(self):
+        # Theta(0) = 1/2 at the outer atom and at the mirror:
+        # Phi_L(z2, t) = C_2(t) gamma_2L / 2 and
+        # Phi_R(0, t) = -sum_i gamma_iL C_i(t - z_i) / 2
+        traj = solve_fig6()
+        z1, z2 = (a.position for a in FIG6.atoms)
+        g_l = [a.gamma_l for a in FIG6.atoms]
+        for t in (3.0, 9.5, 14.0):
+            _, phi_l = fields(FIG6, traj, z2, t)
+            assert phi_l[0] == pytest.approx(
+                0.5 * g_l[1] * carrier(traj, t)[0, 1], rel=1e-12)
+            phi_r, _ = fields(FIG6, traj, 0.0, t)
+            image = (g_l[0] * carrier(traj, t - z1)[0, 0]
+                     + g_l[1] * carrier(traj, t - z2)[0, 1])
+            assert phi_r[0] == pytest.approx(-0.5 * image, rel=1e-12)
 
     def test_norm_conserved(self):
         traj = solve_fig6()
         for t in (4.0, 10.0, 15.0):
-            norm = single_excitation_norm(FIG6, traj, t)
+            norm = single_excitation_norm(field_snapshot(FIG6, traj, t), traj)
             assert norm == pytest.approx(1.0, abs=0.02)
 
 
@@ -178,9 +204,8 @@ class TestPacketShapes:
         # emitted density builds up toward the wavefront (earliest, strongest
         # emission travels farthest) and vanishes exactly past it
         traj = solve_atom(t_end=40 * ATOM.position)
-        cfg = NetworkConfig(atoms=(ATOM,), omega_a=WA)
         t = traj.t_end
-        snap = field_snapshot(cfg, traj, t)
+        snap = field_snapshot(ONE_ATOM, traj, t)
         beyond = snap.z_values > ATOM.position + 1e-9
         z = snap.z_values[beyond]
         dens = np.abs(snap.phi_r[beyond]) ** 2
@@ -198,7 +223,7 @@ class TestPacketShapes:
         z1 = FIG6.atoms[0].position
         zs = np.array([t - z1 - 0.05, t - z1 + 0.05,
                        t + z1 - 0.1, t + z1 + 0.05])
-        phi_r, _ = eval_two_atom_field(zs, t, traj, FIG6)
+        phi_r, _ = fields(FIG6, traj, zs, t)
         dens = np.abs(phi_r) ** 2
         assert dens[3] == 0.0                      # past the direct front
         assert dens[2] > 0.02                      # just inside it
