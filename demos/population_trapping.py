@@ -34,7 +34,7 @@ kgrid = wqsim.KGrid.centered(cfg.omega_a, 12.0, 501)
 dt = min(cfg.delays) / 32
 t_end = preset.settings.t_end
 cee = wqsim.solve_cee(cfg, t_end, dt)
-pair = wqsim.solve_spectral_pair(cfg, cee, kgrid, t_end, dt)
+pair = wqsim.solve_spectral_pair(cfg, cee, kgrid)
 times, p1, p2 = pair.populations_series()
 
 print("\n  t      |c_ee|^2    P_e1      P_e2")

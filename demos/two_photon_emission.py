@@ -29,7 +29,7 @@ kgrid = wqsim.KGrid.centered(cfg.omega_a, 45.0, 601)
 dt = preset.settings.dt
 t_end = preset.settings.t_end
 cee = wqsim.solve_cee(cfg, t_end, dt)
-pair = wqsim.solve_spectral_pair(cfg, cee, kgrid, t_end, dt)
+pair = wqsim.solve_spectral_pair(cfg, cee, kgrid)
 times, p1, p2 = pair.populations_series()
 mats = wqsim.solve_two_photon(pair, at_times=[t_end / 4, t_end / 2, t_end])
 
@@ -50,5 +50,5 @@ if args.plot:
     from wqsim import plots
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    plots.cascade_plots(out, cfg, cee, pair, mats[-1][1])
+    plots.cascade_plots(out, cee, pair, mats[-1][1])
     print(f"plots written to {out}")

@@ -17,7 +17,7 @@ from .errors import (InvalidCoupling, InvalidFrequency, InvalidGeometry,
                      OutOfRange, OutsideMarkovRegimeWarning, ParseError,
                      StepTooLarge, UnknownPreset, WqsimError)
 from .model import (AtomParams, KGrid, NetworkConfig, coupling_g,
-                    default_kgrid, validate_config)
+                    validate_config)
 from .dde import DelaySystem, Trajectory, integrate
 from .frequency import (OracleResult, SpectralPairResult, SteadyStateClass,
                         SteadyStateLabel, TwoExcitationState,

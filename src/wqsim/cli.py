@@ -4,6 +4,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .runio import RUN_FIELD_TYPES
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -12,25 +14,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "to a mirror-terminated waveguide.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run a user-supplied config file")
+    # the flags of a run: output, the RunSettings overrides, plots
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--out", required=True, help="output directory")
+    for name, kind in RUN_FIELD_TYPES.items():
+        run.add_argument("--" + name.replace("_", "-"), type=kind,
+                         default=None, help=f"override the plan's {name}")
+    run.add_argument("--plot", action="store_true", help="also write SVG plots")
+
+    sim = sub.add_parser("simulate", parents=[run],
+                         help="run a user-supplied config file")
     sim.add_argument("--config", required=True, help="path to the config file")
-    sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--t-end", type=float, default=None)
-    sim.add_argument("--dt", type=float, default=None)
-    sim.add_argument("--k-points", type=int, default=None)
-    sim.add_argument("--k-halfwidth", type=float, default=None)
     sim.add_argument("--mode", choices=("auto", "cascade", "cee", "spatial"),
                      default="auto", help="solver pipeline (default: by atom count)")
-    sim.add_argument("--plot", action="store_true", help="also write SVG plots")
 
-    pre = sub.add_parser("preset", help="run a named scenario preset")
+    pre = sub.add_parser("preset", parents=[run],
+                         help="run a named scenario preset")
     pre.add_argument("name", help="fig2 | fig3 | fig4_solid | fig4_dashed | fig5 | fig6")
-    pre.add_argument("--out", required=True, help="output directory")
-    pre.add_argument("--t-end", type=float, default=None)
-    pre.add_argument("--dt", type=float, default=None)
-    pre.add_argument("--k-points", type=int, default=None)
-    pre.add_argument("--k-halfwidth", type=float, default=None)
-    pre.add_argument("--plot", action="store_true")
 
     ver = sub.add_parser("verify", help="run a verification scope")
     ver.add_argument("scope", nargs="?", default="all",
@@ -44,31 +44,24 @@ def main(argv: list[str] | None = None) -> int:
     from .verify import verify as run_verify
 
     try:
-        if args.command == "simulate":
-            config, settings = runio.parse_config_file(args.config)
-            settings = settings.merged(t_end=args.t_end, dt=args.dt,
-                                       k_points=args.k_points,
-                                       k_halfwidth=args.k_halfwidth)
-            kind = None if args.mode == "auto" else args.mode
-            summary = presets.run_pipeline(config, settings, args.out,
-                                           kind=kind, plot=args.plot)
-            _print_summary(summary, args.out)
-            return 0
-        if args.command == "preset":
-            summary = presets.run_preset(
-                args.name, args.out, plot=args.plot, t_end=args.t_end,
-                dt=args.dt, k_points=args.k_points,
-                k_halfwidth=args.k_halfwidth)
-            _print_summary(summary, args.out)
-            return 0
         if args.command == "verify":
             report = run_verify(args.scope)
             print(report.format())
             return 0 if report.passed else 1
+        plan = {name: getattr(args, name) for name in RUN_FIELD_TYPES}
+        if args.command == "simulate":
+            config, settings = runio.parse_config_file(args.config)
+            kind = None if args.mode == "auto" else args.mode
+            summary = presets.run_pipeline(config, settings.merged(**plan),
+                                           args.out, kind=kind, plot=args.plot)
+        else:
+            summary = presets.run_preset(args.name, args.out, plot=args.plot,
+                                         **plan)
+        _print_summary(summary, args.out)
+        return 0
     except (errors.WqsimError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 def _print_summary(summary: dict, out: str) -> None:

@@ -132,7 +132,6 @@ class SpectralPairResult:
     cgek: np.ndarray           # (n_times, n_modes): atom 2 excited + photon
     kgrid: KGrid
     config: NetworkConfig
-    dt: float
     stride: int
 
     @property
@@ -156,10 +155,9 @@ def _pair_record_stride(kgrid: KGrid, dt: float) -> int:
 
 
 def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
-                        kgrid: KGrid, t_end: float | None = None,
-                        dt: float | None = None,
-                        record_stride: int | None = None) -> SpectralPairResult:
-    """Solve the driven pair equations for c_egk, c_gek on the whole grid.
+                        kgrid: KGrid) -> SpectralPairResult:
+    """Solve the driven pair equations for c_egk, c_gek on the whole grid,
+    on the step grid of `cee_traj`.
 
     Both amplitudes start at zero and are driven by the precomputed c_ee;
     the four delays are the two mirror round trips and the mirror-path and
@@ -168,21 +166,15 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
     together as one (2, N) state by `integrate_linear`: per step, one
     gather of delayed rows and one `exchange_table @` product at the half
     step and at the full step, then RK4's stages eliminated in closed form.
-    The record keeps every `record_stride`-th node (default: the phase
-    bound `_MAX_PHASE_PER_NODE`) and the final node, so its last interval
+    The record keeps every stride-th node, the stride set by the phase
+    bound `_MAX_PHASE_PER_NODE`, and the final node, so its last interval
     is shorter when the stride does not divide the step count.
     """
     validate_config(config)
     if len(config.atoms) != 2:
         raise InvalidGeometry("the two-excitation cascade needs two atoms")
-    if dt is None:
-        dt = cee_traj.dt
-    if t_end is None:
-        t_end = cee_traj.t_end
-    if t_end > cee_traj.t_end + 1e-12:
-        raise InvalidGeometry(
-            f"c_ee trajectory ends at {cee_traj.t_end}, cannot drive to {t_end}"
-        )
+    dt = cee_traj.dt
+    n_steps = len(cee_traj.times) - 1
     a1, a2 = config.atoms
     n = len(kgrid)
     delays, table = exchange_table(config)
@@ -192,7 +184,6 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
 
     # c_ee and e^{i(k - omega_a) t} at every half-step: the phase as a
     # coarse row (every _PHASE_BLOCK half-steps) times a fine row
-    n_steps = int(np.ceil(t_end / dt - 1e-9))
     half_grid = 0.5 * dt * np.arange(2 * n_steps + 1)
     cee_half = cee_traj.sample_grid(half_grid)[:, 0]
     detuning = kgrid.k_values - config.omega_a
@@ -203,15 +194,14 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
         ph = coarse[h // _PHASE_BLOCK] * fine[h % _PHASE_BLOCK]
         return (cee_half[h] * drive_row) * ph
 
-    if record_stride is None:
-        record_stride = _pair_record_stride(kgrid, dt)
+    record_stride = _pair_record_stride(kgrid, dt)
     times, states = integrate_linear(np.zeros((2, n), dtype=complex), damping,
                                      table, delays, drive, dt, n_steps,
                                      record_stride)
     cee_rec = cee_traj.sample_grid(times)[:, 0]
     return SpectralPairResult(times=times, cee=cee_rec,
                               cegk=states[:, :n], cgek=states[:, n:],
-                              kgrid=kgrid, config=config, dt=dt,
+                              kgrid=kgrid, config=config,
                               stride=record_stride)
 
 
@@ -327,27 +317,25 @@ def _excited_populations(cee, cegk: np.ndarray, cgek: np.ndarray, dk: float):
     return pee + mode_sums(cegk) * dk, pee + mode_sums(cgek) * dk
 
 
-def populations(state: TwoExcitationState, kgrid: KGrid | None = None
-                ) -> tuple[float, float]:
+def populations(state: TwoExcitationState) -> tuple[float, float]:
     """(P_e1, P_e2): each atom's excited population, plain-dk sums."""
     p1, p2 = _excited_populations(state.c_ee, state.c_egk, state.c_gek,
-                                  (kgrid or state.kgrid).dk)
+                                  state.kgrid.dk)
     return float(p1), float(p2)
 
 
-def sector_norms(state: TwoExcitationState, kgrid: KGrid | None = None
+def sector_norms(state: TwoExcitationState
                  ) -> tuple[float, float, float, float]:
     """(P_e1, P_e2, two-photon norm, total norm), the total being
     |c_ee|^2 + sum |c_egk|^2 dk + sum |c_gek|^2 dk + sum |c_kk|^2 dk^2."""
-    kg = kgrid or state.kgrid
-    p1, p2 = populations(state, kg)
-    p2ph = two_photon_norm(state.c_kk, state.ckk_grid or kg)
+    p1, p2 = populations(state)
+    p2ph = two_photon_norm(state.c_kk, state.ckk_grid)
     return p1, p2, p2ph, p1 + p2 - abs(state.c_ee) ** 2 + p2ph
 
 
-def total_norm(state: TwoExcitationState, kgrid: KGrid | None = None) -> float:
+def total_norm(state: TwoExcitationState) -> float:
     """|c_ee|^2 + sum |c_egk|^2 dk + sum |c_gek|^2 dk + sum |c_kk|^2 dk^2."""
-    return sector_norms(state, kgrid)[3]
+    return sector_norms(state)[3]
 
 
 # ---------------------------------------------------------------------------

@@ -157,11 +157,6 @@ def default_halfwidth(config: NetworkConfig, t_end: float) -> float:
     return min(half, 0.98 * config.omega_a)
 
 
-def default_kgrid(config: NetworkConfig, t_end: float, n: int = 1001) -> KGrid:
-    """Emission-window grid of n modes centered at omega_a."""
-    return KGrid.centered(config.omega_a, default_halfwidth(config, t_end), n)
-
-
 def coupling_g(k, t: float, atom: AtomParams, omega_a: float):
     """Directional coupling amplitude of one atom to mode k at time t.
 

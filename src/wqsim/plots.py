@@ -32,7 +32,7 @@ def cee_plot(out: Path, cee, markov) -> Path:
     return path
 
 
-def cascade_plots(out: Path, config, cee, pair, ckk) -> list[Path]:
+def cascade_plots(out: Path, cee, pair, ckk) -> list[Path]:
     plt = _pyplot()
     paths = []
 

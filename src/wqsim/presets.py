@@ -10,12 +10,13 @@ distant atoms (fig6).
 Horizons are chosen so the asymptotics actually develop: the doubly excited
 amplitude of fig2 (population rate ~0.73) needs t ~ 16 before the one-photon
 sectors drain below 2%, and fig3's (rate 0.25) needs t ~ 25 before
-|c_ee|^2 < 0.01.
+|c_ee|^2 < 0.01.  The other presets run the default horizon 40 z_1; every
+preset steps at the default dt of `RunSettings.resolved`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,8 @@ from .errors import UnknownPreset
 from .frequency import (TwoExcitationState, analytic_cee_markov,
                         classify_steady_state, sector_norms, solve_cee,
                         solve_spectral_pair, solve_two_photon)
-from .model import AtomParams, KGrid, NetworkConfig, default_halfwidth
-from .runio import RunSettings, complex_columns, write_csv, write_manifest
+from .model import AtomParams, KGrid, NetworkConfig
+from .runio import RunSettings, write_csv, write_manifest
 from .spatial import (check_mirror_boundary, field_snapshot,
                       single_excitation_norm, solve_single_atom,
                       solve_two_atom_single_excitation)
@@ -47,8 +48,10 @@ class Preset:
     notes: str = ""
 
 
-def _tau_min_dt(config: NetworkConfig) -> float:
-    return min(config.delays) / 64
+def _plan(config: NetworkConfig, **pinned) -> RunSettings:
+    """`pinned`, and the default t_end and dt of `RunSettings.resolved`."""
+    full = RunSettings(**pinned).resolved(config)
+    return replace(RunSettings(**pinned), t_end=full.t_end, dt=full.dt)
 
 
 def _preset_table() -> dict[str, Preset]:
@@ -77,35 +80,30 @@ def _preset_table() -> dict[str, Preset]:
     table = {
         "fig2": Preset(
             "fig2", fig2_cfg,
-            RunSettings(t_end=16.0, dt=_tau_min_dt(fig2_cfg),
-                        k_points=1001, k_halfwidth=45.0),
+            _plan(fig2_cfg, t_end=16.0, k_points=1001, k_halfwidth=45.0),
             "cascade",
             "both atoms chirally coupled: full decay into a two-photon state"),
         "fig3": Preset(
             "fig3", fig3_cfg,
-            RunSettings(t_end=25.0, dt=_tau_min_dt(fig3_cfg),
-                        k_points=1001, k_halfwidth=20.0),
+            _plan(fig3_cfg, t_end=25.0, k_points=1001, k_halfwidth=20.0),
             "cascade",
             "atom 1 nonchiral at a node, atom 2 left-coupled only: "
             "one photon emitted, atom 1 stays excited"),
         "fig4_solid": Preset(
             "fig4_solid", fig4s_cfg,
-            RunSettings(t_end=40 * fig4s_cfg.atoms[0].position,
-                        dt=_tau_min_dt(fig4s_cfg)),
+            _plan(fig4s_cfg),
             "cee", "nonchiral atoms at node positions: dark state"),
         "fig4_dashed": Preset(
             "fig4_dashed", fig4d_cfg,
-            RunSettings(t_end=40 * fig4d_cfg.atoms[0].position,
-                        dt=_tau_min_dt(fig4d_cfg)),
+            _plan(fig4d_cfg),
             "cee", "nonchiral atoms off node: fast decay contrast"),
         "fig5": Preset(
             "fig5", fig5_cfg,
-            RunSettings(t_end=40 * fig5_cfg.atoms[0].position,
-                        dt=_tau_min_dt(fig5_cfg)),
+            _plan(fig5_cfg),
             "spatial", "single chirally coupled atom: emitted packet profile"),
         "fig6": Preset(
             "fig6", fig6_cfg,
-            RunSettings(t_end=40.0, dt=_tau_min_dt(fig6_cfg)),
+            _plan(fig6_cfg),
             "spatial",
             "distant atoms, one excitation: hopping after the direct delay"),
     }
@@ -132,8 +130,8 @@ def run_preset(name: str, out_dir: str | Path, plot: bool = False,
                **overrides) -> dict:
     """Run a preset and write its file set under out_dir.
 
-    Returns a summary dict (also serialized into the manifest).  Overrides:
-    t_end, dt, k_points, k_halfwidth.
+    Returns a summary dict (also serialized into the manifest).  Overrides
+    are `RunSettings` fields.
     """
     preset = get_preset(name)
     settings = preset.settings.merged(**overrides)
@@ -149,7 +147,7 @@ def run_pipeline(config: NetworkConfig, settings: RunSettings,
     out.mkdir(parents=True, exist_ok=True)
     if kind is None:
         kind = "cascade" if len(config.atoms) == 2 else "spatial"
-    settings = _fill_defaults(config, settings)
+    settings = settings.resolved(config)
     if kind == "cascade":
         summary = _run_cascade(config, settings, out, plot)
     elif kind == "cee":
@@ -170,20 +168,8 @@ def run_pipeline(config: NetworkConfig, settings: RunSettings,
     return summary
 
 
-def _fill_defaults(config: NetworkConfig, s: RunSettings) -> RunSettings:
-    t_end = s.t_end if s.t_end is not None else 40.0 * config.atoms[0].position
-    dt = s.dt if s.dt is not None else _tau_min_dt(config)
-    k_points = s.k_points if s.k_points is not None else 1001
-    k_halfwidth = s.k_halfwidth if s.k_halfwidth is not None else \
-        default_halfwidth(config, t_end)
-    return RunSettings(t_end=t_end, dt=dt, k_points=k_points,
-                       k_halfwidth=k_halfwidth)
-
-
 def _describe(config: NetworkConfig, s: RunSettings) -> dict:
-    d = {"omega_a": config.omega_a, "label": config.label,
-         "t_end": s.t_end, "dt": s.dt, "k_points": s.k_points,
-         "k_halfwidth": s.k_halfwidth}
+    d = {"omega_a": config.omega_a, "label": config.label, **asdict(s)}
     for i, a in enumerate(config.atoms, 1):
         d[f"atom{i}.z"] = a.position
         d[f"atom{i}.gamma_l"] = a.gamma_l
@@ -195,20 +181,24 @@ def _checkpoint_times(t_end: float) -> np.ndarray:
     return np.linspace(0.0, t_end, _N_CHECKPOINTS + 1)[1:]
 
 
+def _write_table(path: Path, columns: list[tuple[str, np.ndarray]]) -> None:
+    """`write_csv` of named columns, each complex one split into
+    `{name}_re`, `{name}_im`."""
+    header, values = [], []
+    for name, col in columns:
+        split = np.iscomplexobj(col)
+        header += [f"{name}_re", f"{name}_im"] if split else [name]
+        values += [col.real, col.imag] if split else [col]
+    write_csv(path, header, values)
+
+
 def _write_cee_csv(out: Path, cee: Trajectory, markov: np.ndarray
                    ) -> np.ndarray:
     """cee.csv: c_ee with its short-delay closed form alongside and
     |c_ee|^2; returns the last column."""
-    hdr = ["t"]
-    cols = [cee.times]
-    for nm, vals in (("cee", cee.states[:, 0]), ("cee_markov", markov)):
-        h, c = complex_columns(nm, vals)
-        hdr += h
-        cols += c
     sq = np.abs(cee.states[:, 0]) ** 2
-    hdr.append("cee_abs2")
-    cols.append(sq)
-    write_csv(out / "cee.csv", hdr, cols)
+    _write_table(out / "cee.csv", [("t", cee.times), ("cee", cee.states[:, 0]),
+                                   ("cee_markov", markov), ("cee_abs2", sq)])
     return sq
 
 
@@ -216,7 +206,7 @@ def _run_cascade(config: NetworkConfig, s: RunSettings, out: Path,
                  plot: bool) -> dict:
     kgrid = KGrid.centered(config.omega_a, s.k_halfwidth, s.k_points)
     cee = solve_cee(config, s.t_end, s.dt)
-    pair = solve_spectral_pair(config, cee, kgrid, s.t_end, s.dt)
+    pair = solve_spectral_pair(config, cee, kgrid)
     t_final = pair.t_end
     chk = list(_checkpoint_times(t_final))
     matrices = solve_two_photon(pair, at_times=chk)
@@ -228,15 +218,10 @@ def _run_cascade(config: NetworkConfig, s: RunSettings, out: Path,
               [times, p1, p2, np.abs(pair.cee) ** 2])
 
     # spectra at the final time
-    hdr = ["k"]
-    cols = [kgrid.k_values]
+    cols = [("k", kgrid.k_values)]
     for nm, vals in (("cegk", pair.cegk[-1]), ("cgek", pair.cgek[-1])):
-        h, c = complex_columns(nm, vals)
-        hdr += h
-        cols += c
-        hdr.append(f"{nm}_abs")
-        cols.append(np.abs(vals))
-    write_csv(out / "spectra.csv", hdr, cols)
+        cols += [(nm, vals), (f"{nm}_abs", np.abs(vals))]
+    _write_table(out / "spectra.csv", cols)
 
     # two-photon magnitude grid at the final time, subsampled for file size
     t_kk, ckk = matrices[-1]
@@ -273,7 +258,7 @@ def _run_cascade(config: NetworkConfig, s: RunSettings, out: Path,
     }
     if plot:
         from . import plots
-        plots.cascade_plots(out, config, cee, pair, matrices[-1][1])
+        plots.cascade_plots(out, cee, pair, matrices[-1][1])
     return summary
 
 
@@ -302,29 +287,20 @@ def _run_spatial(config: NetworkConfig, s: RunSettings, out: Path,
     else:
         traj = solve_two_atom_single_excitation(config, s.t_end, s.dt)
         names = ["c1", "c2"]
-    hdr = ["t"]
-    cols = [traj.times]
+    cols = [("t", traj.times)]
     for j, nm in enumerate(names):
-        h, c = complex_columns(nm, traj.states[:, j])
-        hdr += h
-        cols += c
-        hdr.append(f"{nm}_abs2")
-        cols.append(np.abs(traj.states[:, j]) ** 2)
-    write_csv(out / "amplitudes.csv", hdr, cols)
+        cols += [(nm, traj.states[:, j]),
+                 (f"{nm}_abs2", np.abs(traj.states[:, j]) ** 2)]
+    _write_table(out / "amplitudes.csv", cols)
 
     # the last checkpoint is t_end, whose snapshot field_snapshot.csv shows
     snaps = [field_snapshot(config, traj, t)
              for t in _checkpoint_times(traj.t_end)]
     snap = snaps[-1]
-    hdr = ["z"]
-    cols = [snap.z_values]
+    cols = [("z", snap.z_values)]
     for nm, vals in (("phi_r", snap.phi_r), ("phi_l", snap.phi_l)):
-        h, c = complex_columns(nm, vals)
-        hdr += h
-        cols += c
-        hdr.append(f"{nm}_abs2")
-        cols.append(np.abs(vals) ** 2)
-    write_csv(out / "field_snapshot.csv", hdr, cols)
+        cols += [(nm, vals), (f"{nm}_abs2", np.abs(vals) ** 2)]
+    _write_table(out / "field_snapshot.csv", cols)
 
     rows = [(sn.t, single_excitation_norm(sn, traj), check_mirror_boundary(sn))
             for sn in snaps]

@@ -3,7 +3,7 @@
 Config format: flat UTF-8 key/value text with `#` comments and sections.
 Top-level keys `omega_a` and optional `label` precede the sections
 `[atom.1]`, `[atom.2]` (optional) with keys z, gamma_l, gamma_r, and an
-optional `[run]` section with t_end, dt, k_points, k_halfwidth.
+optional `[run]` section whose keys are the `RunSettings` fields.
 
 CSV: header row, comma separated, floats serialized with 17 significant
 digits (lossless double round-trip), complex columns split into _re/_im.
@@ -12,18 +12,20 @@ Data files carry no timestamps; the run manifest does.
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .errors import ParseError
-from .model import AtomParams, NetworkConfig
+from .model import AtomParams, NetworkConfig, default_halfwidth
 
 
 @dataclass
 class RunSettings:
-    """Numerical settings attached to a config file or preset."""
+    """The numerical plan of a run: horizon, step and mode grid.  A field
+    left None takes its default from `resolved`."""
 
     t_end: float | None = None
     dt: float | None = None
@@ -31,13 +33,30 @@ class RunSettings:
     k_halfwidth: float | None = None
 
     def merged(self, **overrides) -> "RunSettings":
-        vals = {k: (overrides[k] if overrides.get(k) is not None else getattr(self, k))
-                for k in ("t_end", "dt", "k_points", "k_halfwidth")}
-        return RunSettings(**vals)
+        """A copy with every override that is not None; an unknown field
+        name raises TypeError, whatever its value."""
+        unknown = overrides.keys() - asdict(self).keys()
+        if unknown:
+            raise TypeError(f"unknown RunSettings field(s) {sorted(unknown)}")
+        return replace(self, **{k: v for k, v in overrides.items()
+                                if v is not None})
+
+    def resolved(self, config: NetworkConfig) -> "RunSettings":
+        """A copy with every field set.  The default plan: dt = min(delay)/64,
+        t_end = 40 z_1, 1001 modes over `model.default_halfwidth`."""
+        t_end = 40.0 * config.atoms[0].position if self.t_end is None else self.t_end
+        return RunSettings(
+            t_end=t_end,
+            dt=min(config.delays) / 64 if self.dt is None else self.dt,
+            k_points=1001 if self.k_points is None else self.k_points,
+            k_halfwidth=default_halfwidth(config, t_end)
+            if self.k_halfwidth is None else self.k_halfwidth)
 
 
+# field name -> scalar type, for the [run] section and the CLI flags
+RUN_FIELD_TYPES = {name: get_args(hint)[0]
+                   for name, hint in get_type_hints(RunSettings).items()}
 _ATOM_KEYS = {"z", "gamma_l", "gamma_r"}
-_RUN_KEYS = {"t_end", "dt", "k_points", "k_halfwidth"}
 _TOP_KEYS = {"omega_a", "label"}
 
 
@@ -46,7 +65,7 @@ def parse_config_text(text: str, origin: str = "<string>"
     """Parse the config format; raises ParseError with line/field context."""
     top: dict[str, str] = {}
     atoms: dict[str, dict[str, float]] = {}
-    run: dict[str, float] = {}
+    run: dict[str, float | int] = {}
     section: str | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -68,9 +87,9 @@ def parse_config_text(text: str, origin: str = "<string>"
                 raise ParseError(f"{origin}:{lineno}: unknown top-level field {key!r}")
             top[key] = value
         elif section == "run":
-            if key not in _RUN_KEYS:
+            if key not in RUN_FIELD_TYPES:
                 raise ParseError(f"{origin}:{lineno}: unknown [run] field {key!r}")
-            run[key] = _number(value, key, origin, lineno)
+            run[key] = RUN_FIELD_TYPES[key](_number(value, key, origin, lineno))
         else:
             if key not in _ATOM_KEYS:
                 raise ParseError(f"{origin}:{lineno}: unknown [{section}] field {key!r}")
@@ -97,11 +116,7 @@ def parse_config_text(text: str, origin: str = "<string>"
         atom_list.append(build_atom("atom.2"))
     config = NetworkConfig(atoms=tuple(atom_list), omega_a=omega_a,
                            label=top.get("label", ""))
-    settings = RunSettings(
-        t_end=run.get("t_end"), dt=run.get("dt"),
-        k_points=None if "k_points" not in run else int(run["k_points"]),
-        k_halfwidth=run.get("k_halfwidth"))
-    return config, settings
+    return config, RunSettings(**run)
 
 
 def _number(value: str, key: str, origin: str, lineno: int) -> float:
@@ -134,9 +149,8 @@ def format_config(config: NetworkConfig, settings: RunSettings | None = None
                   f"gamma_l = {fmt(atom.gamma_l)}",
                   f"gamma_r = {fmt(atom.gamma_r)}"]
     if settings is not None:
-        entries = [(k, getattr(settings, k))
-                   for k in ("t_end", "dt", "k_points", "k_halfwidth")]
-        entries = [(k, v) for k, v in entries if v is not None]
+        entries = [(k, v) for k, v in asdict(settings).items()
+                   if v is not None]
         if entries:
             lines.append("[run]")
             lines += [f"{k} = {v if isinstance(v, int) else fmt(v)}"
@@ -165,13 +179,6 @@ def write_csv(path: str | Path, header: list[str],
     p = Path(path)
     p.write_text("\n".join(out) + "\n", encoding="utf-8")
     return p
-
-
-def complex_columns(name: str, values: np.ndarray
-                    ) -> tuple[list[str], list[np.ndarray]]:
-    """Split a complex array into `{name}_re`, `{name}_im` columns."""
-    v = np.asarray(values)
-    return [f"{name}_re", f"{name}_im"], [v.real, v.imag]
 
 
 def write_manifest(path: str | Path, entries: dict) -> Path:

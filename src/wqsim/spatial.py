@@ -131,8 +131,12 @@ def field_snapshot(config: NetworkConfig, traj: Trajectory, t: float,
     """Both fields at positions `z_values` at time t.
 
     Default grid: spacing ~ the trajectory step over [0, z_outer + t], so
-    retarded arguments land near trajectory nodes.
+    retarded arguments land near trajectory nodes.  Raises InvalidGeometry
+    unless `traj` has one component per atom of `config`.
     """
+    if traj.dim != len(config.atoms):
+        raise InvalidGeometry(f"trajectory has {traj.dim} components for "
+                              f"{len(config.atoms)} atom(s)")
     if z_values is None:
         z_end = config.atoms[-1].position + t
         z_values = np.linspace(0.0, z_end, int(np.ceil(z_end / traj.dt)) + 1)

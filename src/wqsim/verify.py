@@ -20,6 +20,7 @@ from .frequency import (analytic_cee_markov, classify_steady_state,
                         solve_spectral_pair, SteadyStateLabel)
 from .model import AtomParams, KGrid, NetworkConfig
 from .presets import PRESETS
+from .runio import RunSettings
 
 SCOPES = ("theorem1", "theorem2", "theorem3", "theorem4", "markov", "oracle")
 
@@ -93,8 +94,7 @@ def verify_theorem1() -> VerificationReport:
     for cfg in (PRESETS["fig2"].config, _scaled(PRESETS["fig2"].config, 0.5)):
         rate = markov_exponent(cfg).real
         t_end = math.log(200.0) / (2.0 * abs(rate))
-        dt = min(cfg.delays) / 64.0
-        traj = solve_cee(cfg, t_end, dt)
+        traj = solve_cee(cfg, t_end, RunSettings().resolved(cfg).dt)
         rep.checks.append(_check_lt(
             f"|c_ee(T)|^2 decays ({cfg.label})",
             abs(traj.states[-1, 0]) ** 2, 0.01))
@@ -113,7 +113,7 @@ def verify_theorem2() -> VerificationReport:
     dt = min(cfg.delays) / 32.0
     kgrid = KGrid.centered(cfg.omega_a, 12.0, 501)
     cee = solve_cee(cfg, t_end, dt)
-    pair = solve_spectral_pair(cfg, cee, kgrid, t_end, dt)
+    pair = solve_spectral_pair(cfg, cee, kgrid)
     times, p1, p2 = pair.populations_series()
 
     rep.checks.append(_check_label(
@@ -192,8 +192,8 @@ def verify_theorem4() -> VerificationReport:
     cfg = NetworkConfig(
         atoms=(AtomParams(math.pi / 50.0, 0.2, 0.2),), omega_a=50.0,
         label="atomic-mirror")
-    t_end = 40.0 * cfg.atoms[0].position
-    traj = solve_cee(cfg, t_end, min(cfg.delays) / 64.0)
+    plan = RunSettings().resolved(cfg)
+    traj = solve_cee(cfg, plan.t_end, plan.dt)
     rep.checks.append(_check_ge("|c_e(40 z1)|^2 trapped (atomic mirror)",
                                 abs(traj.states[-1, 0]) ** 2, 0.95))
     rep.checks.append(_check_label(
@@ -209,10 +209,10 @@ def verify_markov() -> VerificationReport:
     deep = NetworkConfig(
         atoms=(AtomParams(0.02, 0.25, 0.5), AtomParams(0.03, 0.25, 0.5)),
         omega_a=50.0, label="deep-regime")
-    for cfg, t_end in ((fig2, 40 * fig2.atoms[0].position),
-                       (deep, 40 * deep.atoms[0].position * 5)):
-        dt = min(cfg.delays) / 64.0
-        traj = solve_cee(cfg, t_end, dt)
+    # the default plan, over five default horizons in the deep regime
+    for cfg, horizons in ((fig2, 1), (deep, 5)):
+        plan = RunSettings().resolved(cfg)
+        traj = solve_cee(cfg, horizons * plan.t_end, plan.dt)
         diff = np.abs(traj.states[:, 0]
                       - analytic_cee_markov(traj.times, cfg)).max()
         rep.checks.append(_check_lt(

@@ -84,7 +84,7 @@ def small_pair(config, t_end, n=101, half=8.0, dt_div=32):
     dt = min(config.delays) / dt_div
     kgrid = KGrid.centered(config.omega_a, half, n)
     cee = solve_cee(config, t_end, dt)
-    return solve_spectral_pair(config, cee, kgrid, t_end, dt), cee
+    return solve_spectral_pair(config, cee, kgrid), cee
 
 
 class TestSpectralPair:
@@ -182,7 +182,7 @@ class TestPairStepper:
             assert len(fractions) == 8 and not fractions & {0.0, 0.5}
         assert _pair_record_stride(kg, dt) == stride
         cee = solve_cee(config, n_steps * dt, dt)
-        pair = solve_spectral_pair(config, cee, kg, n_steps * dt, dt)
+        pair = solve_spectral_pair(config, cee, kg)
         assert pair.stride == stride
         assert len(pair.times) == -(-n_steps // stride) + 1
         assert pair.times[-1] == n_steps * dt
@@ -332,7 +332,7 @@ class TestTwoPhotonQuadrature:
         pair = SpectralPairResult(
             times=0.003 * np.arange(n_rec), cee=np.zeros(n_rec, complex),
             cegk=cegk, cgek=cgek, kgrid=KGrid.centered(WA, 20.0, n),
-            config=FIG2, dt=0.003, stride=1)
+            config=FIG2, stride=1)
         at_times = [6.0, 2.0, 4.0]
         chunk = 6 * _RECORD_CHUNK * n * 16
         tracemalloc.start()

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import wqsim
-from wqsim import (ParseError, PRESETS, VerificationCheck, VerificationReport,
-                   parse_config_text, format_config)
+from wqsim import (InvalidGrid, ParseError, PRESETS, VerificationCheck,
+                   VerificationReport, parse_config_text, format_config)
 from wqsim.cli import main
+from wqsim.model import default_halfwidth
 from wqsim.runio import RunSettings, fmt, parse_config_file, write_csv
 
 GOOD = """\
@@ -250,3 +251,47 @@ class TestConfigFileApi:
         s = RunSettings(t_end=1.0, dt=0.1)
         m = s.merged(dt=0.05, k_points=11)
         assert m.t_end == 1.0 and m.dt == 0.05 and m.k_points == 11
+
+    def test_settings_merge_rejects_unknown_field(self):
+        for value in (1.0, None):
+            with pytest.raises(TypeError):
+                RunSettings().merged(t_stop=value)
+
+
+class TestRunPlan:
+    def test_resolved_fills_the_default_plan(self):
+        cfg = PRESETS["fig2"].config
+        assert RunSettings().resolved(cfg) == RunSettings(
+            t_end=40 * 0.1, dt=0.1 / 64, k_points=1001,
+            k_halfwidth=default_halfwidth(cfg, 40 * 0.1))
+
+    def test_resolved_keeps_explicit_values(self, tmp_path, capsys):
+        cfg = PRESETS["fig2"].config
+        s = RunSettings(t_end=0.5, dt=0.001, k_points=11, k_halfwidth=0.0)
+        assert s.resolved(cfg) == s
+        with pytest.raises(InvalidGrid):
+            wqsim.run_pipeline(cfg, s, tmp_path / "a")
+        rc = main(["preset", "fig2", "--out", str(tmp_path / "b"),
+                   "--k-halfwidth", "0"])
+        assert rc == 2
+        assert "half_width" in capsys.readouterr().err
+
+    def test_flags_reach_the_manifest_alike(self, tmp_path, capsys):
+        preset = PRESETS["fig4_dashed"]
+        cfg = tmp_path / "dashed.cfg"
+        cfg.write_text(format_config(preset.config))
+        flags = ["--t-end", "0.2", "--dt", "0.005", "--k-points", "11",
+                 "--k-halfwidth", "3.0"]
+        assert main(["simulate", "--config", str(cfg), "--mode", "cee",
+                     "--out", str(tmp_path / "sim")] + flags) == 0
+        assert main(["preset", "fig4_dashed", "--out", str(tmp_path / "pre")]
+                    + flags) == 0
+
+        def params(run):
+            lines = (tmp_path / run / "manifest.txt").read_text().splitlines()
+            return [ln for ln in lines if ln.startswith("param.")]
+
+        assert params("sim") == params("pre")
+        for line in ("param.t_end = 0.2", "param.dt = 0.005",
+                     "param.k_points = 11", "param.k_halfwidth = 3.0"):
+            assert line in params("sim")

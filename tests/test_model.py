@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from wqsim import (AtomParams, InvalidCoupling, InvalidFrequency,
                    InvalidGeometry, KGrid, NetworkConfig, coupling_g,
-                   default_kgrid, validate_config)
+                   validate_config)
 from wqsim.errors import InvalidGrid
+from wqsim.model import default_halfwidth
 
 
 def two_atom_config(**kw):
@@ -140,8 +141,11 @@ class TestKGrid:
         with pytest.raises(InvalidGrid):
             g.subsample(3)   # 100 % 3 != 0
 
-    def test_default_kgrid_clips_to_positive_k(self):
+    def test_default_halfwidth_clips_to_positive_k(self):
         cfg = two_atom_config()
-        g = default_kgrid(cfg, t_end=4.0, n=101)
+        # 40 * 2 pi / t_end = 62.8 would reach below k = 0 at omega_a = 50
+        half = default_halfwidth(cfg, t_end=4.0)
+        assert half == 0.98 * cfg.omega_a
+        g = KGrid.centered(cfg.omega_a, half, 101)
         assert g.k_values[0] > 0.0
         assert g.center == pytest.approx(cfg.omega_a)

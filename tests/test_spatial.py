@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from wqsim import (AtomParams, FieldSnapshot, MissingOrigin, NetworkConfig,
-                   OutOfRange, check_mirror_boundary, field_snapshot,
-                   single_excitation_norm, solve_cee, solve_single_atom,
-                   solve_two_atom_single_excitation)
+from wqsim import (AtomParams, FieldSnapshot, InvalidGeometry, MissingOrigin,
+                   NetworkConfig, OutOfRange, check_mirror_boundary,
+                   field_snapshot, single_excitation_norm, solve_cee,
+                   solve_single_atom, solve_two_atom_single_excitation)
 
 WA = 50.0
 ATOM = AtomParams(2.25 * math.pi / WA, 0.1, 0.3)
@@ -249,3 +249,10 @@ class TestSnapshots:
                                phi_r=snap.phi_r,
                                phi_l=np.zeros_like(snap.phi_l))
         assert check_mirror_boundary(broken) == abs(snap.phi_r[0])
+
+    def test_trajectory_must_match_atom_count(self):
+        # one trajectory component per atom, in either direction
+        with pytest.raises(InvalidGeometry):
+            field_snapshot(FIG6, solve_atom(t_end=1.0), 1.0)
+        with pytest.raises(InvalidGeometry):
+            field_snapshot(ONE_ATOM, solve_fig6(t_end=1.0), 1.0)
