@@ -25,7 +25,7 @@ import numpy as np
 from .dde import (DelaySystem, Trajectory, dedupe_delays, integrate,
                   integrate_linear)
 from .errors import InvalidGeometry, NonFiniteState, OutsideMarkovRegimeWarning
-from .model import KGrid, NetworkConfig, coupling_row, validate_config
+from .model import KGrid, NetworkConfig, coupling_row
 
 TWO_PHOTON_SCALE = 1.0 / math.sqrt(2.0)
 
@@ -47,7 +47,6 @@ def cee_system(config: NetworkConfig) -> DelaySystem:
     """Delay system for the doubly excited amplitude:
     dc/dt = -gamma_RL c + sum_j gamma_jL gamma_jR e^{i omega_a tau_j} c(t - tau_j).
     """
-    validate_config(config)
     gamma_rl = config.gamma_rl
     taus = config.round_trip_delays
     coef = np.array([a.feedback * np.exp(1j * config.omega_a * tau)
@@ -111,7 +110,6 @@ def markov_exponent(config: NetworkConfig) -> complex:
 def analytic_cee_markov(t, config: NetworkConfig):
     """Short-delay closed form  c_ee = exp(markov_exponent * t).  Modulus is
     <= 1 and non-increasing for t >= 0."""
-    validate_config(config)
     t = np.asarray(t, dtype=float)
     out = np.exp(markov_exponent(config) * t)
     return out if out.ndim else complex(out)
@@ -170,7 +168,6 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
     bound `_MAX_PHASE_PER_NODE`, and the final node, so its last interval
     is shorter when the stride does not divide the step count.
     """
-    validate_config(config)
     if len(config.atoms) != 2:
         raise InvalidGeometry("the two-excitation cascade needs two atoms")
     dt = cee_traj.dt
@@ -324,18 +321,11 @@ def populations(state: TwoExcitationState) -> tuple[float, float]:
     return float(p1), float(p2)
 
 
-def sector_norms(state: TwoExcitationState
-                 ) -> tuple[float, float, float, float]:
-    """(P_e1, P_e2, two-photon norm, total norm), the total being
-    |c_ee|^2 + sum |c_egk|^2 dk + sum |c_gek|^2 dk + sum |c_kk|^2 dk^2."""
-    p1, p2 = populations(state)
-    p2ph = two_photon_norm(state.c_kk, state.ckk_grid)
-    return p1, p2, p2ph, p1 + p2 - abs(state.c_ee) ** 2 + p2ph
-
-
 def total_norm(state: TwoExcitationState) -> float:
     """|c_ee|^2 + sum |c_egk|^2 dk + sum |c_gek|^2 dk + sum |c_kk|^2 dk^2."""
-    return sector_norms(state)[3]
+    p1, p2 = populations(state)
+    return (p1 + p2 - abs(state.c_ee) ** 2
+            + two_photon_norm(state.c_kk, state.ckk_grid))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +357,6 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
     one (n x m) @ (m x 6) projection of C on the couplings at t, t + dt/2 and
     t + dt, an O(n + m) correction per stage, and one rank-12 update of C.
     """
-    validate_config(config)
     if len(config.atoms) != 2:
         raise InvalidGeometry("the two-excitation oracle needs two atoms")
     n = len(kgrid)
@@ -503,7 +492,6 @@ def classify_steady_state(config: NetworkConfig) -> SteadyStateClass:
     Warns OutsideMarkovRegimeWarning when the short-delay assumptions that
     back the predicates are violated; the label is still returned.
     """
-    validate_config(config)
     wa = config.omega_a
     markov_ok = wa >= 10.0 and all(a.position <= 0.25 for a in config.atoms)
     if not markov_ok:

@@ -24,9 +24,9 @@ import numpy as np
 from . import __version__
 from .dde import Trajectory
 from .errors import UnknownPreset
-from .frequency import (TwoExcitationState, analytic_cee_markov,
-                        classify_steady_state, sector_norms, solve_cee,
-                        solve_spectral_pair, solve_two_photon)
+from .frequency import (analytic_cee_markov, classify_steady_state,
+                        solve_cee, solve_spectral_pair, solve_two_photon,
+                        two_photon_norm)
 from .model import AtomParams, KGrid, NetworkConfig
 from .runio import RunSettings, write_csv, write_manifest
 from .spatial import (check_mirror_boundary, field_snapshot,
@@ -214,8 +214,9 @@ def _run_cascade(config: NetworkConfig, s: RunSettings, out: Path,
     _write_cee_csv(out, cee, analytic_cee_markov(cee.times, config))
 
     times, p1, p2 = pair.populations_series()
+    pee = np.abs(pair.cee) ** 2
     write_csv(out / "populations.csv", ["t", "pe1", "pe2", "cee_abs2"],
-              [times, p1, p2, np.abs(pair.cee) ** 2])
+              [times, p1, p2, pee])
 
     # spectra at the final time
     cols = [("k", kgrid.k_values)]
@@ -223,42 +224,36 @@ def _run_cascade(config: NetworkConfig, s: RunSettings, out: Path,
         cols += [(nm, vals), (f"{nm}_abs", np.abs(vals))]
     _write_table(out / "spectra.csv", cols)
 
-    # two-photon magnitude grid at the final time, subsampled for file size
-    t_kk, ckk = matrices[-1]
-    stride = max(1, (len(kgrid) - 1) // 125)
-    while (len(kgrid) - 1) % stride:
-        stride -= 1
+    # two-photon magnitude grid at the final time, at most 126 modes a side
+    ckk = matrices[-1][1]
+    stride = math.ceil(len(kgrid) / 126)
     ks = kgrid.k_values[::stride]
     sub = ckk[::stride, ::stride]
     k1g, k2g = np.meshgrid(ks, ks, indexing="ij")
     write_csv(out / "two_photon.csv", ["k1", "k2", "ckk_abs"],
               [k1g.ravel(), k2g.ravel(), np.abs(sub).ravel()])
 
-    # sector norms at checkpoints
-    rows = []
-    for t_c, mat in matrices:
-        i = pair.index_at(t_c)
-        state = TwoExcitationState(
-            c_ee=complex(pair.cee[i]), c_egk=pair.cegk[i], c_gek=pair.cgek[i],
-            c_kk=mat, kgrid=kgrid, t=t_c)
-        rows.append((t_c, abs(state.c_ee) ** 2, *sector_norms(state)))
-    arr = np.array(rows)
+    # sector norms at checkpoints, the populations read from the record
+    t_chk = np.array([t for t, _ in matrices])
+    i = [pair.index_at(t) for t in t_chk]
+    p2ph = np.array([two_photon_norm(mat, kgrid) for _, mat in matrices])
+    total = p1[i] + p2[i] - pee[i] + p2ph
     write_csv(out / "norm.csv",
               ["t", "cee_abs2", "pe1", "pe2", "two_photon_norm", "total_norm"],
-              [arr[:, j] for j in range(6)])
+              [t_chk, pee[i], p1[i], p2[i], p2ph, total])
 
     summary = {
         "t_final": t_final,
-        "cee_abs2_final": float(np.abs(pair.cee[-1]) ** 2),
+        "cee_abs2_final": float(pee[-1]),
         "pe1_final": float(p1[-1]),
         "pe2_final": float(p2[-1]),
-        "two_photon_norm_final": float(rows[-1][4]),
-        "total_norm_final": float(rows[-1][5]),
+        "two_photon_norm_final": float(p2ph[-1]),
+        "total_norm_final": float(total[-1]),
         "spectral_argmax_k": float(kgrid.k_values[np.argmax(np.abs(pair.cegk[-1]))]),
     }
     if plot:
         from . import plots
-        plots.cascade_plots(out, cee, pair, matrices[-1][1])
+        plots.cascade_plots(out, cee, pair, ckk)
     return summary
 
 

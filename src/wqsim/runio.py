@@ -22,7 +22,7 @@ from .errors import ParseError
 from .model import AtomParams, NetworkConfig, default_halfwidth
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunSettings:
     """The numerical plan of a run: horizon, step and mode grid.  A field
     left None takes its default from `resolved`."""
@@ -89,7 +89,11 @@ def parse_config_text(text: str, origin: str = "<string>"
         elif section == "run":
             if key not in RUN_FIELD_TYPES:
                 raise ParseError(f"{origin}:{lineno}: unknown [run] field {key!r}")
-            run[key] = RUN_FIELD_TYPES[key](_number(value, key, origin, lineno))
+            x = _number(value, key, origin, lineno)
+            if RUN_FIELD_TYPES[key] is int and not x.is_integer():
+                raise ParseError(f"{origin}:{lineno}: field {key!r} is not "
+                                 f"an integer: {value!r}")
+            run[key] = RUN_FIELD_TYPES[key](x)
         else:
             if key not in _ATOM_KEYS:
                 raise ParseError(f"{origin}:{lineno}: unknown [{section}] field {key!r}")

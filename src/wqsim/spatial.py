@@ -22,7 +22,7 @@ import numpy as np
 
 from .dde import DelaySystem, Trajectory, integrate
 from .errors import InvalidGeometry, MissingOrigin
-from .model import AtomParams, NetworkConfig, validate_config
+from .model import AtomParams, NetworkConfig
 from .frequency import exchange_table, solve_cee
 
 
@@ -50,7 +50,6 @@ def solve_two_atom_single_excitation(config: NetworkConfig, t_end: float,
     trip, and exchanges excitation with the other atom over the mirror path
     (z1 + z2) and the direct path (z2 - z1).
     """
-    validate_config(config)
     if len(config.atoms) != 2:
         raise InvalidGeometry("two atoms required")
     delays, table = exchange_table(config)

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from wqsim import (AtomParams, DelaySystem, InvalidGrid, KGrid, NetworkConfig,
-                   OutsideMarkovRegimeWarning, StepTooLarge,
+from wqsim import (PRESETS, AtomParams, DelaySystem, InvalidGrid, KGrid,
+                   NetworkConfig, OutsideMarkovRegimeWarning, StepTooLarge,
                    SteadyStateLabel, TwoExcitationState, analytic_cee_markov,
                    classify_steady_state, integrate, oracle_full_grid,
                    populations, solve_cee, solve_spectral_pair,
                    solve_two_photon, total_norm, two_photon_norm)
 from wqsim.dde import resolve_taps
 from wqsim.frequency import (TWO_PHOTON_SCALE, _pair_record_stride,
-                             exchange_table)
+                             exchange_table, markov_exponent)
 from wqsim.model import MODE_MEASURE, coupling_g, coupling_row
 
 WA = 50.0
@@ -78,6 +78,15 @@ class TestMarkovForm:
         diff = np.abs(traj.states[:, 0]
                       - analytic_cee_markov(traj.times, cfg)).max()
         assert diff < 0.02
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4_solid"])
+    def test_exponent_matches_the_closed_form(self, name):
+        cfg = PRESETS[name].config
+        want = complex(-cfg.gamma_rl, 0.0)
+        for atom, tau in zip(cfg.atoms, cfg.round_trip_delays):
+            want += atom.feedback * complex(math.cos(WA * tau),
+                                            math.sin(WA * tau))
+        assert abs(markov_exponent(cfg) - want) <= 1e-15
 
 
 def small_pair(config, t_end, n=101, half=8.0, dt_div=32):

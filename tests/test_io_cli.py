@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +71,13 @@ class TestConfigParsing:
         with pytest.raises(ParseError, match="mirror"):
             parse_config_text("omega_a = 50\n[mirror]\nz = 0\n")
 
+    def test_fractional_integer_field_named(self):
+        bad = GOOD.replace("k_points = 41", "k_points = 41.7")
+        with pytest.raises(ParseError, match=r":15: .*'k_points'.*41\.7"):
+            parse_config_text(bad)
+        _, run = parse_config_text(GOOD.replace("k_points = 41", "k_points = 1e3"))
+        assert run.k_points == 1000 and isinstance(run.k_points, int)
+
     def test_invalid_geometry_surfaces(self):
         from wqsim import InvalidGeometry
         bad = GOOD.replace("z = 0.2", "z = 0.05")
@@ -119,6 +128,38 @@ class TestCsv:
         run_preset("fig4_dashed", tmp_path / "b")
         assert ((tmp_path / "a" / "cee.csv").read_bytes()
                 == (tmp_path / "b" / "cee.csv").read_bytes())
+
+
+@pytest.fixture(scope="module")
+def small_cascade(tmp_path_factory):
+    """fig2 at 258 modes, a count whose n - 1 has no divisor below 125."""
+    out = tmp_path_factory.mktemp("cascade")
+    wqsim.run_preset("fig2", out, t_end=0.5, k_points=258, k_halfwidth=20.0)
+    return lambda name: np.genfromtxt(out / name, delimiter=",", names=True)
+
+
+class TestCascadeFiles:
+    def test_norm_ledger_reads_the_population_record(self, small_cascade):
+        norm, pop = small_cascade("norm.csv"), small_cascade("populations.csv")
+        assert len(norm) == 9
+        for row in norm:
+            i = np.argmin(np.abs(pop["t"] - row["t"]))
+            for col in ("pe1", "pe2", "cee_abs2"):
+                assert row[col] == pop[col][i]
+        np.testing.assert_array_equal(
+            norm["total_norm"], norm["pe1"] + norm["pe2"] - norm["cee_abs2"]
+            + norm["two_photon_norm"])
+
+    def test_two_photon_grid_is_bounded_square_and_symmetric(self,
+                                                             small_cascade):
+        kk = small_cascade("two_photon.csv")
+        n = math.isqrt(len(kk))
+        assert n * n == len(kk) and n <= 126
+        k1, k2 = kk["k1"].reshape(n, n), kk["k2"].reshape(n, n)
+        np.testing.assert_array_equal(k1, k2.T)
+        assert np.all(np.diff(k2[0]) > 0)
+        ckk = kk["ckk_abs"].reshape(n, n)
+        np.testing.assert_array_equal(ckk, ckk.T)
 
 
 ONE_ATOM = """\
@@ -259,6 +300,11 @@ class TestConfigFileApi:
 
 
 class TestRunPlan:
+    def test_preset_plans_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            PRESETS["fig2"].settings.dt = 0.5
+        assert PRESETS["fig2"].settings.dt == 0.1 / 64
+
     def test_resolved_fills_the_default_plan(self):
         cfg = PRESETS["fig2"].config
         assert RunSettings().resolved(cfg) == RunSettings(
