@@ -12,7 +12,8 @@ row copy.  Reads before the initial instant return the constant pre-history
 keeps the explicit scheme honest by refusing dt > min(positive delay)/8, so
 no tap reads a node the current step has not produced yet.
 
-`integrate` calls an rhs closure at every stage.  `integrate_linear` runs
+`integrate` calls an rhs closure at every stage; `linear_system` builds the
+one of a linear system with constant coefficients.  `integrate_linear` runs
 the same RK4 scheme in closed form for linear systems whose delayed part
 and drive do not depend on the step's own stages (the per-mode pair
 equations): one gather of ring rows per tap set and step, no rhs calls.
@@ -70,6 +71,17 @@ class DelaySystem:
         object.__setattr__(self, "delays", d)
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
+
+
+def linear_system(damping: np.ndarray, delays: Sequence[float],
+                  table: np.ndarray) -> DelaySystem:
+    """The DelaySystem  y' = -damping * y + table @ Y,  Y the delayed
+    states in `integrate_linear`'s layout (row u * dim + r is component r
+    at t - delays[u])."""
+    def rhs(t, y, ydel):
+        return table @ ydel.reshape(-1) - damping * y
+
+    return DelaySystem(dim=len(damping), delays=delays, rhs=rhs)
 
 
 def _hermite_weights(s):

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .dde import (DelaySystem, Trajectory, dedupe_delays, integrate,
-                  integrate_linear)
+from .dde import (Trajectory, dedupe_delays, integrate, integrate_linear,
+                  linear_system)
 from .errors import InvalidGeometry, NonFiniteState, OutsideMarkovRegimeWarning
 from .model import KGrid, NetworkConfig, coupling_row
 
@@ -43,34 +43,28 @@ _RECORD_CHUNK = 128
 # closed c_ee equation and its Markov limit
 # ---------------------------------------------------------------------------
 
-def cee_system(config: NetworkConfig) -> DelaySystem:
-    """Delay system for the doubly excited amplitude:
-    dc/dt = -gamma_RL c + sum_j gamma_jL gamma_jR e^{i omega_a tau_j} c(t - tau_j).
-    """
-    gamma_rl = config.gamma_rl
+def cee_equation(config: NetworkConfig
+                 ) -> tuple[np.ndarray, tuple[float, ...], np.ndarray]:
+    """Delay equation of the doubly excited amplitude,
+    dc/dt = -gamma_RL c + sum_j gamma_jL gamma_jR e^{i omega_a tau_j} c(t - tau_j),
+    as (damping, delays, table) for `dde.linear_system`: the delays are the
+    mirror round trips tau_j, and the (1, len(delays)) table holds their
+    coefficients."""
     taus = config.round_trip_delays
-    coef = np.array([a.feedback * np.exp(1j * config.omega_a * tau)
-                     for a, tau in zip(config.atoms, taus)])
-
-    def rhs(t, y, ydel):
-        acc = -gamma_rl * y
-        for c, yd in zip(coef, ydel):
-            acc = acc + c * yd
-        return acc
-
-    return DelaySystem(dim=1, delays=taus, rhs=rhs)
+    table = np.array([[a.feedback * np.exp(1j * config.omega_a * tau)
+                       for a, tau in zip(config.atoms, taus)]])
+    return np.array([config.gamma_rl]), taus, table
 
 
 def exchange_table(config: NetworkConfig
-                   ) -> tuple[tuple[float, ...], np.ndarray]:
-    """Delayed couplings of the two-atom single-excitation amplitudes.
+                   ) -> tuple[np.ndarray, tuple[float, ...], np.ndarray]:
+    """Delay equations of the two-atom single-excitation amplitudes.
 
-    Returns (delays, table): the distinct sorted delays and the
-    (2, 2 * len(delays)) table with which the delayed part of
-    d(c_1, c_2)/dt is  table @ ydel.reshape(2 * len(delays), ...), where
-    ydel[u] = (c_1, c_2)(t - delays[u]).  Each atom is fed back by its own
-    mirror round trip and exchanges excitation with the other over the
-    mirror path (z1 + z2) and the direct path (z2 - z1).
+    Returns (damping, delays, table) for `dde.linear_system`: the per-atom
+    dampings (gamma_jR^2 + gamma_jL^2)/2, the distinct sorted delays, and
+    the (2, 2 * len(delays)) table of delayed couplings.  Each atom is fed
+    back by its own mirror round trip and exchanges excitation with the
+    other over the mirror path (z1 + z2) and the direct path (z2 - z1).
     """
     a1, a2 = config.atoms
     taus = config.delays
@@ -84,27 +78,23 @@ def exchange_table(config: NetworkConfig
                               (1, 2, 0, a1.gamma_l * a2.gamma_r),
                               (1, 3, 0, -a1.gamma_r * a2.gamma_r)):
         table[row, 2 * at[d] + col] += gain * np.exp(1j * config.omega_a * taus[d])
-    return delays, table
+    return np.array([a1.damping, a2.damping]), delays, table
 
 
 def solve_cee(config: NetworkConfig, t_end: float, dt: float) -> Trajectory:
     """Doubly excited amplitude on [0, t_end] with c_ee(0) = 1 and zero
     field history before the initial instant."""
-    system = cee_system(config)
-    return integrate(system, prehistory=0.0 + 0.0j, t_span=(0.0, t_end),
-                     dt=dt, initial_state=1.0 + 0.0j)
+    return integrate(linear_system(*cee_equation(config)),
+                     prehistory=0.0 + 0.0j, t_span=(0.0, t_end), dt=dt,
+                     initial_state=1.0 + 0.0j)
 
 
 def markov_exponent(config: NetworkConfig) -> complex:
     """Short-delay (Markov) exponent of c_ee: delayed amplitudes replaced by
     instantaneous ones while the delay phases are retained.  The real part
     is the amplitude's decay rate (<= 0), the imaginary part its shift."""
-    rate = -config.gamma_rl
-    phase = 0.0
-    for atom, tau in zip(config.atoms, config.round_trip_delays):
-        rate += atom.feedback * math.cos(config.omega_a * tau)
-        phase += atom.feedback * math.sin(config.omega_a * tau)
-    return complex(rate, phase)
+    damping, _, table = cee_equation(config)
+    return complex(table.sum() - damping[0])
 
 
 def analytic_cee_markov(t, config: NetworkConfig):
@@ -174,8 +164,7 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
     n_steps = len(cee_traj.times) - 1
     a1, a2 = config.atoms
     n = len(kgrid)
-    delays, table = exchange_table(config)
-    damping = np.array([[a1.damping], [a2.damping]])
+    damping, delays, table = exchange_table(config)
     # drive of (c_egk, c_gek): atom 2 resp. atom 1 emits from |ee>
     drive_row = -1j * np.stack([coupling_row(kgrid, a2), coupling_row(kgrid, a1)])
 
@@ -192,9 +181,9 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
         return (cee_half[h] * drive_row) * ph
 
     record_stride = _pair_record_stride(kgrid, dt)
-    times, states = integrate_linear(np.zeros((2, n), dtype=complex), damping,
-                                     table, delays, drive, dt, n_steps,
-                                     record_stride)
+    times, states = integrate_linear(np.zeros((2, n), dtype=complex),
+                                     damping[:, None], table, delays, drive,
+                                     dt, n_steps, record_stride)
     cee_rec = cee_traj.sample_grid(times)[:, 0]
     return SpectralPairResult(times=times, cee=cee_rec,
                               cegk=states[:, :n], cgek=states[:, n:],
@@ -324,7 +313,7 @@ def populations(state: TwoExcitationState) -> tuple[float, float]:
 def total_norm(state: TwoExcitationState) -> float:
     """|c_ee|^2 + sum |c_egk|^2 dk + sum |c_gek|^2 dk + sum |c_kk|^2 dk^2."""
     p1, p2 = populations(state)
-    return (p1 + p2 - abs(state.c_ee) ** 2
+    return (p1 + p2 - np.abs(state.c_ee) ** 2
             + two_photon_norm(state.c_kk, state.ckk_grid))
 
 

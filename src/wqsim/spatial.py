@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dde import DelaySystem, Trajectory, integrate
+from .dde import Trajectory, integrate, linear_system
 from .errors import InvalidGeometry, MissingOrigin
 from .model import AtomParams, NetworkConfig
 from .frequency import exchange_table, solve_cee
@@ -52,15 +52,8 @@ def solve_two_atom_single_excitation(config: NetworkConfig, t_end: float,
     """
     if len(config.atoms) != 2:
         raise InvalidGeometry("two atoms required")
-    delays, table = exchange_table(config)
-    damping = np.array([a.damping for a in config.atoms])
-
-    def rhs(t, y, ydel):
-        # at dim 2 an elementwise product beats a BLAS matrix-vector call
-        return (table * ydel.reshape(-1)).sum(axis=1) - damping * y
-
-    system = DelaySystem(dim=2, delays=delays, rhs=rhs)
-    return integrate(system, prehistory=np.zeros(2, complex),
+    return integrate(linear_system(*exchange_table(config)),
+                     prehistory=np.zeros(2, complex),
                      t_span=(0.0, t_end), dt=dt,
                      initial_state=np.array([1.0 + 0j, 0.0 + 0j]))
 

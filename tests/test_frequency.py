@@ -144,8 +144,8 @@ def reference_pair(config, cee, kgrid, dt, n_steps, record_stride):
     `record_stride`-th step and at the final step."""
     a1, a2 = config.atoms
     n = len(kgrid)
-    delays, table = exchange_table(config)
-    damping = np.array([[a1.damping], [a2.damping]])
+    damping, delays, table = exchange_table(config)
+    damping = damping[:, None]
     drive_row = -1j * np.stack([coupling_row(kgrid, a2),
                                 coupling_row(kgrid, a1)])
     detuning = kgrid.k_values - config.omega_a
@@ -185,7 +185,7 @@ class TestPairStepper:
             "prime-steps"])
     def test_matches_generic_engine(self, config, half, dt, n_steps, stride):
         kg = KGrid.centered(WA, half, 41)
-        fractions = {s for row in resolve_taps(exchange_table(config)[0], dt)
+        fractions = {s for row in resolve_taps(exchange_table(config)[1], dt)
                      for _, s in row}
         if config is OFF_GRID:
             assert len(fractions) == 8 and not fractions & {0.0, 0.5}

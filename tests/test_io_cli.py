@@ -72,9 +72,10 @@ class TestConfigParsing:
             parse_config_text("omega_a = 50\n[mirror]\nz = 0\n")
 
     def test_fractional_integer_field_named(self):
-        bad = GOOD.replace("k_points = 41", "k_points = 41.7")
-        with pytest.raises(ParseError, match=r":15: .*'k_points'.*41\.7"):
-            parse_config_text(bad)
+        for value in ("41.7", "inf"):
+            bad = GOOD.replace("k_points = 41", f"k_points = {value}")
+            with pytest.raises(ParseError, match=f":15: .*'k_points'.*'{value}'"):
+                parse_config_text(bad)
         _, run = parse_config_text(GOOD.replace("k_points = 41", "k_points = 1e3"))
         assert run.k_points == 1000 and isinstance(run.k_points, int)
 
