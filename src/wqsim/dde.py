@@ -6,11 +6,12 @@ the next node's derivative) lands at the same node offset and the same
 cubic-Hermite fraction at every step.  `integrate` resolves these taps once
 into a table and keeps the history in a ring (`HistoryBuffer`): one row per
 node state plus, for each distinct off-node fraction, one Hermite row per node
-interval, filled once when the interval closes.  Every delayed read is then a
-row copy.  Reads before the initial instant return the constant pre-history
-(zero by default: the field does not exist before t = 0).  The tap table
-keeps the explicit scheme honest by refusing dt > min(positive delay)/8, so
-no tap reads a node the current step has not produced yet.
+interval, all written by one product as the interval closes.  Every delayed
+read is then a row copy.  Reads before the initial instant return the
+constant pre-history (zero by default: the field does not exist before
+t = 0).  The tap table keeps the explicit scheme honest by refusing
+dt > min(positive delay)/8, so no tap reads a node the current step has not
+produced yet.
 
 `integrate` calls an rhs closure at every stage; `linear_system` builds the
 one of a linear system with constant coefficients.  `integrate_linear` runs
@@ -141,12 +142,14 @@ class HistoryBuffer:
     def __init__(self, taps: list[list[tuple[int, float]]], dt: float,
                  prehistory: np.ndarray) -> None:
         fractions = sorted({s for row in taps for _, s in row if s > 0.0})
-        self.weights = [(h00, h10 * dt, h01, h11 * dt) for h00, h10, h01, h11
-                        in map(_hermite_weights, fractions)]
+        h00, h10, h01, h11 = _hermite_weights(np.array(fractions))
+        w = np.stack([h00, h10 * dt, h01, h11 * dt], axis=1).astype(complex)
+        self.weights = (w, w[:, [2, 3, 0, 1]])   # the second: node n+1 first
         self.depth = 1 - min((m for row in taps for m, _ in row), default=0)
         self.ring = np.empty(((1 + len(fractions)) * self.depth,
                               len(prehistory)), dtype=complex)
         self.ring[:] = prehistory
+        self.hermite = self.ring.reshape(-1, self.depth, len(prehistory))[1:]
         # (first slot of the block, node lag) of each tap
         self.taps = [[(0 if s == 0.0 else (1 + fractions.index(s)) * self.depth,
                        m) for m, s in row] for row in taps]
@@ -166,17 +169,14 @@ class HistoryBuffer:
         np.take(self.ring, base + (n + lag) % self.depth, axis=0, out=out,
                 mode="clip")
 
-    def push(self, n: int, y_old: np.ndarray, dy_old: np.ndarray,
-             y: np.ndarray, dy: np.ndarray) -> None:
-        """Close the interval [n, n+1]: store node n+1 and the interval's
-        Hermite rows."""
-        self.ring[(n + 1) % self.depth] = y
-        for f, (w00, w10, w01, w11) in enumerate(self.weights):
-            out = self.ring[(1 + f) * self.depth + n % self.depth]
-            np.multiply(y_old, w00, out=out)
-            out += w10 * dy_old
-            out += w01 * y
-            out += w11 * dy
+    def push(self, n: int, ends: np.ndarray, old: int = 0) -> None:
+        """Close the interval [n, n+1]: store node n+1, then write every
+        Hermite row of the interval with one product.  ends (4, dim) holds
+        node n's (y, dy) in rows old, old + 1 (old 0 or 2), node n+1's in
+        the other two."""
+        self.ring[(n + 1) % self.depth] = ends[2 - old]
+        np.matmul(self.weights[old // 2], ends,
+                  out=self.hermite[:, n % self.depth])
 
 
 @dataclass
@@ -249,8 +249,8 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
     t0, t_final = t_span
     if t0 != 0.0:
         raise ValueError("t_span must start at 0")
-    if t_final <= 0.0 or dt <= 0.0:
-        raise ValueError("need T > 0 and dt > 0")
+    if not (0.0 < t_final < np.inf and 0.0 < dt < np.inf):
+        raise ValueError(f"need finite T > 0 and dt > 0, got {t_span}, {dt!r}")
     taps = resolve_taps(system.delays, dt)
 
     dim = system.dim
@@ -282,9 +282,8 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
 
     n_steps = int(np.ceil(t_final / dt - 1e-9))
     times = dt * np.arange(n_steps + 1)
-    states = np.empty((n_steps + 1, dim), dtype=complex)
-    derivs = np.empty((n_steps + 1, dim), dtype=complex)
-    states[0], derivs[0] = y, dy
+    nodes = np.empty((n_steps + 1, 2, dim), dtype=complex)
+    nodes[0, 0], nodes[0, 1] = y, dy
 
     half = 0.5 * dt
     for n in range(n_steps):
@@ -293,17 +292,17 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
         k2 = rhs(t + half, y + half * k1, 0, n)   # k2, k3: half-step taps
         k3 = rhs(t + half, y + half * k2, 0, n)
         k4 = rhs(t + dt, y + dt * k3, 1, n)       # k4, next dy: full-step taps
-        y_old, y = y, y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t_new = (n + 1) * dt
         dy = rhs(t_new, y, 1, n)
-        hist.push(n, y_old, k1, y, dy)
+        nodes[n + 1, 0], nodes[n + 1, 1] = y, dy
+        hist.push(n, nodes[n:n + 2].reshape(4, dim))
         if (n + 1) % _CHECK_EVERY == 0 or n + 1 == n_steps:
             if not np.all(np.isfinite(y.view(float))):
                 raise NonFiniteState(f"non-finite state at t={t_new!r}")
-        states[n + 1], derivs[n + 1] = y, dy
 
-    return Trajectory(times=times, states=states, derivatives=derivs, dt=dt,
-                      prehistory=pre)
+    return Trajectory(times=times, states=nodes[:, 0],
+                      derivatives=nodes[:, 1], dt=dt, prehistory=pre)
 
 
 def integrate_linear(y0: np.ndarray, damping: np.ndarray, table: np.ndarray,
@@ -359,7 +358,8 @@ def integrate_linear(y0: np.ndarray, damping: np.ndarray, table: np.ndarray,
         return out
 
     c = known(1, -1, 0)
-    dy = c - damping * y
+    ends = np.empty((2, 2, rows, cols), dtype=complex)  # node j: ends[j % 2]
+    ends[0] = y, c - damping * y
     hist.ring[0] = y.reshape(-1)
 
     steps = np.append(np.arange(0, n_steps, record_stride), n_steps)
@@ -370,18 +370,17 @@ def integrate_linear(y0: np.ndarray, damping: np.ndarray, table: np.ndarray,
         a = c
         b = known(0, n, 2 * n + 1)
         c = known(1, n, 2 * n + 2)
-        y_new = r * y
+        y, (y_new, dy_new) = ends[n % 2, 0], ends[(n + 1) % 2]
+        np.multiply(r, y, out=y_new)
         y_new += p_a * a
         y_new += p_b * b
         y_new += p_c * c
-        dy_new = c - damping * y_new
-        hist.push(n, y.reshape(-1), dy.reshape(-1), y_new.reshape(-1),
-                  dy_new.reshape(-1))
-        y, dy = y_new, dy_new
+        np.subtract(c, damping * y_new, out=dy_new)
+        hist.push(n, ends.reshape(4, -1), 2 * (n % 2))
         if (n + 1) % _CHECK_EVERY == 0 or n + 1 == n_steps:
-            if not np.all(np.isfinite(y)):
+            if not np.all(np.isfinite(y_new)):
                 raise NonFiniteState(f"non-finite state at t={(n + 1) * dt!r}")
         if n + 1 == steps[rec]:
-            states[rec] = y.reshape(-1)
+            states[rec] = y_new.reshape(-1)
             rec += 1
     return dt * steps, states

@@ -119,6 +119,8 @@ class KGrid:
         object.__setattr__(self, "k_values", k)
         if k.ndim != 1 or k.size < 2:
             raise InvalidGrid("k_values must be a 1-d array with >= 2 points")
+        if not (np.all(np.isfinite(k)) and math.isfinite(self.dk)):
+            raise InvalidGrid(f"k_values and dk must be finite, got dk={self.dk!r}")
         diffs = np.diff(k)
         if np.any(diffs <= 0):
             raise InvalidGrid("k_values must be strictly increasing")

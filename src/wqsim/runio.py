@@ -32,6 +32,14 @@ class RunSettings:
     k_points: int | None = None
     k_halfwidth: float | None = None
 
+    def __post_init__(self) -> None:
+        floor = {"t_end": 0, "dt": 0, "k_points": 1}  # KGrid: k_halfwidth > 0
+        for name, x in asdict(self).items():
+            low = floor.get(name, -np.inf)
+            if x is not None and not (np.isfinite(x) and x > low):
+                raise ValueError(f"run setting {name!r} must be a finite "
+                                 f"number > {low}, got {x!r}")
+
     def merged(self, **overrides) -> "RunSettings":
         """A copy with every override that is not None; an unknown field
         name raises TypeError, whatever its value."""
@@ -94,6 +102,10 @@ def parse_config_text(text: str, origin: str = "<string>"
                 raise ParseError(f"{origin}:{lineno}: field {key!r} is not "
                                  f"an integer: {value!r}")
             run[key] = RUN_FIELD_TYPES[key](x)
+            try:
+                RunSettings(**{key: run[key]})
+            except ValueError as exc:
+                raise ParseError(f"{origin}:{lineno}: {exc}") from None
         else:
             if key not in _ATOM_KEYS:
                 raise ParseError(f"{origin}:{lineno}: unknown [{section}] field {key!r}")

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from wqsim import DelaySystem, NonFiniteState, OutOfRange, StepTooLarge, integrate
-from wqsim.dde import dedupe_delays, integrate_linear, resolve_taps
+from wqsim.dde import (HistoryBuffer, _hermite_weights, dedupe_delays,
+                       integrate_linear, resolve_taps)
 
 
 def exp_decay_system():
@@ -86,6 +87,13 @@ class TestGuards:
                            rhs=lambda t, y, yd: 1e8 * y * np.abs(y) ** 2)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteState):
             integrate(blow, prehistory=10.0, t_span=(0.0, 10.0), dt=0.05)
+
+    def test_non_finite_horizon_or_step_refused(self):
+        for t_end, dt in ((np.inf, 0.01), (np.nan, 0.01), (1.0, np.nan),
+                          (1.0, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                integrate(exp_decay_system(), prehistory=1.0,
+                          t_span=(0.0, t_end), dt=dt)
 
     def test_distinct_delays_required(self):
         with pytest.raises(ValueError):
@@ -263,6 +271,15 @@ class TestEngineEquivalence:
                                  initial_state=np.array([1.0, 0.0, -0.5j]))
         np.testing.assert_array_equal(states, ref)
 
+    def test_zero_delay_alone_is_exact(self):
+        # no off-node fraction: the history holds no Hermite rows at all
+        dt = 0.01
+        assert HistoryBuffer(resolve_taps((0.0,), dt), dt,
+                             np.zeros(3)).weights[0].shape == (0, 4)
+        system = linear_system((0.0,), seed=4)
+        states, ref = self.check(system, dt, 1.0, np.array([1.0, 0.5j, -0.2]))
+        np.testing.assert_array_equal(states, ref)
+
     @pytest.mark.parametrize("row", [0, 1])
     def test_rhs_returning_a_history_row(self, row):
         # x' = x(t) or x' = x(t - tau) hands back a row of ydel itself; a
@@ -272,6 +289,43 @@ class TestEngineEquivalence:
                              rhs=lambda t, y, yd: yd[row])
         states, ref = self.check(system, dt, 3.0, np.array([1.0, 0.5j]))
         np.testing.assert_allclose(states, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+class TestHistoryPush:
+    """`HistoryBuffer.push` writes every Hermite row of an interval at once."""
+
+    # the two-atom point 2 of the seed-1 benchmark sweep: its four loop
+    # delays are off the dt grid and give seven distinct tap fractions
+    Z1, Z2 = 0.05473439699423947, 0.1992946755240927
+    DT = 2.0 * Z1 / 64
+
+    def buffer(self):
+        z1, z2 = self.Z1, self.Z2
+        delays, _ = dedupe_delays((2 * z1, 2 * z2, z1 + z2, z2 - z1))
+        taps = resolve_taps(delays, self.DT)
+        fractions = sorted({s for row in taps for _, s in row if s > 0.0})
+        assert len(fractions) == 7
+        return HistoryBuffer(taps, self.DT, np.zeros(2, dtype=complex)), fractions
+
+    @pytest.mark.parametrize("old", [0, 2])
+    def test_one_push_writes_the_node_and_every_hermite_row(self, old):
+        hist, fractions = self.buffer()
+        rng = np.random.default_rng(old)
+        y_old, dy_old, y, dy = (rng.standard_normal((4, 2))
+                                + 1j * rng.standard_normal((4, 2)))
+        # node n's rows at old, old + 1, node n+1's in the other two
+        ends = np.array([y_old, dy_old, y, dy] if old == 0 else
+                        [y, dy, y_old, dy_old])
+        n = 11
+        hist.push(n, ends, old)
+        assert np.array_equal(hist.ring[(n + 1) % hist.depth], y)
+        for f, s in enumerate(fractions):
+            h00, h10, h01, h11 = _hermite_weights(s)
+            want = (h00 * y_old + h10 * self.DT * dy_old + h01 * y
+                    + h11 * self.DT * dy)
+            got = hist.ring[(1 + f) * hist.depth + n % hist.depth]
+            assert np.all(np.abs(got - want)
+                          <= 4 * np.spacing(np.abs(want).max())), f
 
 
 class TestLinearStepper:

@@ -301,6 +301,31 @@ class TestConfigFileApi:
 
 
 class TestRunPlan:
+    @staticmethod
+    def one_error_line(capsys, field):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert len(lines) == 1 and f"'{field}'" in lines[0], err
+
+    def test_non_finite_plans_are_refused_where_built(self, tmp_path, capsys):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(GOOD.replace("t_end = 0.5", "t_end = inf"))
+        rc = main(["simulate", "--config", str(cfg), "--out",
+                   str(tmp_path / "a")])
+        assert rc == 2
+        self.one_error_line(capsys, "t_end")
+        rc = main(["preset", "fig5", "--out", str(tmp_path / "b"),
+                   "--dt", "nan"])
+        assert rc == 2
+        self.one_error_line(capsys, "dt")
+        with pytest.raises(ParseError, match=r":13: .*'t_end'"):
+            parse_config_text(GOOD.replace("t_end = 0.5", "t_end = nan"))
+        for bad in ({"t_end": -1.0}, {"dt": 0.0}, {"k_points": 1},
+                    {"k_halfwidth": math.inf}):
+            with pytest.raises(ValueError, match=repr(next(iter(bad)))):
+                RunSettings(**bad)
+
     def test_preset_plans_are_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             PRESETS["fig2"].settings.dt = 0.5

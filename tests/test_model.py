@@ -128,6 +128,12 @@ class TestKGrid:
         with pytest.raises(InvalidGrid):
             KGrid.centered(5.0, 10.0, 11)
 
+    def test_rejects_non_finite_width(self):
+        for half_width in (math.nan, math.inf):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(InvalidGrid, match="finite"):
+                KGrid.centered(50.0, half_width, 11)
+
     def test_rejects_decreasing(self):
         with pytest.raises(InvalidGrid):
             KGrid(k_values=np.array([2.0, 1.0, 0.5]), dk=-0.5, center=1.0)
