@@ -7,11 +7,12 @@ cubic-Hermite fraction at every step.  `integrate` resolves these taps once
 into a table and keeps the history in a ring (`HistoryBuffer`): one row per
 node state plus, for each distinct off-node fraction, one Hermite row per node
 interval, all written by one product as the interval closes.  Every delayed
-read is then a row copy.  Reads before the initial instant return the
-constant pre-history (zero by default: the field does not exist before
-t = 0).  The tap table keeps the explicit scheme honest by refusing
-dt > min(positive delay)/8, so no tap reads a node the current step has not
-produced yet.
+read is then a row copy.  Delays may come in any order and may repeat: the
+tap table alone decides which reads coincide (up to rounding), and those
+share one ring row.  Reads before the initial instant return the constant
+pre-history (zero by default: the field does not exist before t = 0).  The
+tap table keeps the explicit scheme honest by refusing dt > min(positive
+delay)/8, so no tap reads a node the current step has not produced yet.
 
 `integrate` calls an rhs closure at every stage; `linear_system` builds the
 one of a linear system with constant coefficients.  `integrate_linear` runs
@@ -38,23 +39,13 @@ _SNAP = 1e-9
 _CHECK_EVERY = 64
 
 
-def dedupe_delays(delays: Sequence[float]) -> tuple[tuple[float, ...], list[int]]:
-    """Collapse duplicates and sort ascending; returns (unique sorted delays,
-    index of each original delay in that tuple).  Degenerate geometries (for
-    example z2 = 3 z1, where a round trip equals the direct inter-atom delay)
-    would otherwise violate the distinct-delays contract."""
-    unique = sorted({float(d) for d in delays})
-    index = [unique.index(float(d)) for d in delays]
-    return tuple(unique), index
-
-
 @dataclass(frozen=True)
 class DelaySystem:
-    """A pure delay system: dim, sorted distinct delays, and the rhs map.
+    """A pure delay system: dim, finite delays >= 0, and the rhs map.
 
-    rhs(t, y, ydel) receives a read-only (len(delays), dim) array whose row
-    i is the state at t - delays[i], and must return dy/dt without side
-    effects.
+    The delays may come in any order and may repeat.  rhs(t, y, ydel)
+    receives a read-only (len(delays), dim) array whose row i is the state
+    at t - delays[i], and must return dy/dt without side effects.
     """
 
     dim: int
@@ -63,12 +54,8 @@ class DelaySystem:
 
     def __post_init__(self) -> None:
         d = tuple(float(x) for x in self.delays)
-        if any(x < 0 for x in d):
-            raise ValueError(f"delays must be >= 0, got {d}")
-        if len(set(d)) != len(d):
-            raise ValueError(f"delays must be distinct, got {d}")
-        if any(a > b for a, b in zip(d, d[1:])):
-            raise ValueError(f"delays must be sorted ascending, got {d}")
+        if not all(math.isfinite(x) and x >= 0 for x in d):
+            raise ValueError(f"delays must be finite and >= 0, got {d}")
         object.__setattr__(self, "delays", d)
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
@@ -101,7 +88,8 @@ def resolve_taps(delays: Sequence[float], dt: float
                  ) -> list[list[tuple[int, float]]]:
     """Tap table: for each stage offset c and each delay tau, the (m, s)
     with t_n + c dt - tau = t_{n+m} + s dt, 0 <= s < 1, snapped to the node
-    within 1e-9.  A zero delay reads the stage state itself and gets (0, 0).
+    within 1e-9 and to an earlier tap's fraction within 1e-9.  A zero delay
+    reads the stage state itself and gets (0, 0).
 
     Raises StepTooLarge when dt exceeds min(positive delays)/8.  Within that
     bound every tap reads node n - 7 or earlier, which the ring holds before
@@ -114,7 +102,7 @@ def resolve_taps(delays: Sequence[float], dt: float
             raise StepTooLarge(
                 f"dt={dt!r} exceeds min(delay)/8 = {bound!r}; "
                 "reduce dt or the delay evaluation would need extrapolation")
-    table = []
+    table, seen = [], []
     for c in _STAGE_OFFSETS:
         row = []
         for tau in delays:
@@ -123,7 +111,9 @@ def resolve_taps(delays: Sequence[float], dt: float
                 continue
             x = _snap(c - _snap(tau / dt))
             m = math.floor(x)
-            row.append((m, x - m))
+            s = next((f for f in seen if abs(f - x + m) < _SNAP), x - m)
+            seen.append(s)
+            row.append((m, s))
         table.append(row)
     return table
 
@@ -335,8 +325,8 @@ def integrate_linear(y0: np.ndarray, damping: np.ndarray, table: np.ndarray,
     sampling assumes uniform spacing.  Raises StepTooLarge and
     NonFiniteState as `integrate` does.
     """
-    if any(tau <= 0.0 for tau in delays):
-        raise ValueError(f"delays must be > 0, got {tuple(delays)}")
+    if not all(math.isfinite(tau) and tau > 0.0 for tau in delays):
+        raise ValueError(f"delays must be finite and > 0, got {tuple(delays)}")
     if record_stride < 1:
         raise ValueError("record_stride must be >= 1")
     y = np.array(y0, dtype=complex)

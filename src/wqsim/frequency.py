@@ -22,8 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dde import (Trajectory, dedupe_delays, integrate, integrate_linear,
-                  linear_system)
+from .dde import Trajectory, integrate, integrate_linear, linear_system
 from .errors import InvalidGeometry, NonFiniteState, OutsideMarkovRegimeWarning
 from .model import KGrid, NetworkConfig, coupling_row
 
@@ -61,23 +60,23 @@ def exchange_table(config: NetworkConfig
     """Delay equations of the two-atom single-excitation amplitudes.
 
     Returns (damping, delays, table) for `dde.linear_system`: the per-atom
-    dampings (gamma_jR^2 + gamma_jL^2)/2, the distinct sorted delays, and
-    the (2, 2 * len(delays)) table of delayed couplings.  Each atom is fed
-    back by its own mirror round trip and exchanges excitation with the
-    other over the mirror path (z1 + z2) and the direct path (z2 - z1).
+    dampings (gamma_jR^2 + gamma_jL^2)/2, `config.delays`, and the (2, 8)
+    table of delayed couplings, one column pair per delay (coinciding delays
+    keep theirs; the tap table merges their reads).  Each atom is fed back
+    by its own mirror round trip and exchanges excitation with the other
+    over the mirror path (z1 + z2) and the direct path (z2 - z1).
     """
     a1, a2 = config.atoms
-    taus = config.delays
-    delays, at = dedupe_delays(taus)
-    table = np.zeros((2, 2 * len(delays)), dtype=complex)
-    # (receiving atom, index into taus, emitting atom, gain)
+    delays = config.delays
+    table = np.zeros((2, 8), dtype=complex)
+    # (receiving atom, index into delays, emitting atom, gain)
     for row, d, col, gain in ((0, 0, 0, a1.feedback),
                               (0, 2, 1, a1.gamma_r * a2.gamma_l),
                               (0, 3, 1, -a1.gamma_l * a2.gamma_l),
                               (1, 1, 1, a2.feedback),
                               (1, 2, 0, a1.gamma_l * a2.gamma_r),
                               (1, 3, 0, -a1.gamma_r * a2.gamma_r)):
-        table[row, 2 * at[d] + col] += gain * np.exp(1j * config.omega_a * taus[d])
+        table[row, 2 * d + col] = gain * np.exp(1j * config.omega_a * delays[d])
     return np.array([a1.damping, a2.damping]), delays, table
 
 

@@ -73,7 +73,8 @@ class NetworkConfig:
 
     @property
     def delays(self) -> tuple[float, ...]:
-        """All distinct propagation delays entering the amplitude equations."""
+        """2 z_1, then 2 z_2, z_1 + z_2, z_2 - z_1 for two atoms; two may
+        coincide (z_2 = 3 z_1 gives 2 z_1 = z_2 - z_1 up to rounding)."""
         if len(self.atoms) == 1:
             return (2.0 * self.atoms[0].position,)
         z1, z2 = self.atoms[0].position, self.atoms[1].position
@@ -137,8 +138,8 @@ class KGrid:
         """Grid of n modes on [center - half_width, center + half_width]."""
         if n < 2:
             raise InvalidGrid(f"need at least 2 modes, got {n}")
-        if half_width <= 0.0:
-            raise InvalidGrid(f"half_width must be > 0, got {half_width!r}")
+        if not (math.isfinite(half_width) and half_width > 0.0):
+            raise InvalidGrid(f"need finite half_width > 0, got {half_width!r}")
         k = np.linspace(center - half_width, center + half_width, n)
         return cls(k_values=k, dk=float(k[1] - k[0]), center=float(center))
 

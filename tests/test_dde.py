@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wqsim import DelaySystem, NonFiniteState, OutOfRange, StepTooLarge, integrate
-from wqsim.dde import (HistoryBuffer, _hermite_weights, dedupe_delays,
-                       integrate_linear, resolve_taps)
+from wqsim import (AtomParams, DelaySystem, NetworkConfig, NonFiniteState,
+                   OutOfRange, StepTooLarge, integrate)
+from wqsim import dde
+from wqsim.dde import HistoryBuffer, _hermite_weights, integrate_linear, resolve_taps
+from wqsim.frequency import exchange_table
+from wqsim.spatial import solve_two_atom_single_excitation
 
 
 def exp_decay_system():
@@ -95,13 +101,17 @@ class TestGuards:
                 integrate(exp_decay_system(), prehistory=1.0,
                           t_span=(0.0, t_end), dt=dt)
 
-    def test_distinct_delays_required(self):
-        with pytest.raises(ValueError):
-            DelaySystem(dim=1, delays=(0.5, 0.5), rhs=lambda t, y, yd: -y)
-
-    def test_ascending_delays_required(self):
-        with pytest.raises(ValueError):
-            DelaySystem(dim=1, delays=(0.5, 0.2), rhs=lambda t, y, yd: -y)
+    @pytest.mark.parametrize("tau", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("build", [
+        lambda tau: DelaySystem(dim=1, delays=(0.5, tau),
+                                rhs=lambda t, y, yd: -y),
+        lambda tau: integrate_linear(np.zeros((1, 1)), np.zeros((1, 1)),
+                                     np.zeros((1, 2)), (0.5, tau),
+                                     lambda h: 0.0, 0.01, 10),
+    ], ids=["integrate", "integrate_linear"])
+    def test_non_finite_delay_refused(self, build, tau):
+        with pytest.raises(ValueError, match="finite"):
+            build(tau)
 
     def test_tap_reading_an_unfinished_node_raises(self):
         dt = 0.1
@@ -126,11 +136,6 @@ class TestGuards:
         system = DelaySystem(dim=1, delays=(0.0, 0.25), rhs=rhs)
         integrate(system, prehistory=1.0, t_span=(0.0, 0.1), dt=0.01)
         assert seen and set(seen) == {((2, 1), False)}
-
-    def test_dedupe_delays(self):
-        unique, idx = dedupe_delays((0.2, 0.4, 0.3, 0.2))
-        assert unique == (0.2, 0.3, 0.4)
-        assert idx == [0, 2, 1, 0]
 
 
 class TestProperties:
@@ -295,16 +300,16 @@ class TestHistoryPush:
     """`HistoryBuffer.push` writes every Hermite row of an interval at once."""
 
     # the two-atom point 2 of the seed-1 benchmark sweep: its four loop
-    # delays are off the dt grid and give seven distinct tap fractions
+    # delays are off the dt grid; z1 + z2 and z2 - z1 lie 64 steps apart,
+    # so their taps share fractions (up to rounding): five, not seven
     Z1, Z2 = 0.05473439699423947, 0.1992946755240927
     DT = 2.0 * Z1 / 64
 
     def buffer(self):
         z1, z2 = self.Z1, self.Z2
-        delays, _ = dedupe_delays((2 * z1, 2 * z2, z1 + z2, z2 - z1))
-        taps = resolve_taps(delays, self.DT)
+        taps = resolve_taps((2 * z1, 2 * z2, z1 + z2, z2 - z1), self.DT)
         fractions = sorted({s for row in taps for _, s in row if s > 0.0})
-        assert len(fractions) == 7
+        assert len(fractions) == 5
         return HistoryBuffer(taps, self.DT, np.zeros(2, dtype=complex)), fractions
 
     @pytest.mark.parametrize("old", [0, 2])
@@ -364,3 +369,86 @@ class TestLinearStepper:
             integrate_linear(y0, d, table, (0.0,), lambda h: 0.0, 0.01, 10)
         with pytest.raises(StepTooLarge):
             integrate_linear(y0, d, table, (0.1,), lambda h: 0.0, 0.02, 10)
+
+
+# ---------------------------------------------------------------------------
+# delay sets in any order, with repeats and rounding-level coincidences
+# ---------------------------------------------------------------------------
+
+DT = 0.01
+
+
+@st.composite
+def delay_sets(draw, allow_zero=False):
+    """Delays >= 8 dt in any order: exact repeats, and (b / dt + k) dt,
+    which reads b's Hermite fraction up to rounding, k nodes further back
+    (b's own position when k = 0); with allow_zero, maybe a zero delay."""
+    base = draw(st.lists(st.floats(8 * DT, 0.3), min_size=1, max_size=3))
+    repeats = draw(st.lists(st.sampled_from(base), max_size=2))
+    shifted = [(b / DT + k) * DT for b, k in draw(st.lists(
+        st.tuples(st.sampled_from(base), st.integers(0, 20)), max_size=2))]
+    zero = [0.0] if allow_zero and draw(st.booleans()) else []
+    return tuple(draw(st.permutations(base + repeats + shifted + zero)))
+
+
+def random_linear(delays, dim, seed):
+    """(damping, table, y0) of a random dim-component linear delay system."""
+    rng = np.random.default_rng(seed)
+    table = 0.5 * (rng.standard_normal((dim, len(delays) * dim))
+                   + 1j * rng.standard_normal((dim, len(delays) * dim)))
+    y0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return 1.0 + rng.random(dim), table, y0
+
+
+class TestDelaySets:
+    T_END = 1.0
+
+    @given(delays=delay_sets(allow_zero=True), dim=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=40)
+    def test_integrate_matches_reference(self, delays, dim, seed):
+        damping, table, y0 = random_linear(delays, dim, seed)
+        fractions = sorted({s for row in resolve_taps(delays, DT)
+                            for _, s in row})
+        # reads that coincide up to rounding were given one fraction
+        assert np.all(np.diff(fractions) >= 1e-9)
+        # a continuous start: with a jump at t = 0, a delay on the dt grid
+        # reads either side of it in the reference, as rounding falls
+        system = dde.linear_system(damping, delays, table)
+        traj = integrate(system, prehistory=y0, t_span=(0.0, self.T_END),
+                         dt=DT)
+        ref = reference_integrate(system, y0, self.T_END, DT)
+        np.testing.assert_allclose(traj.states, ref, rtol=0,
+                                   atol=1e-12 * np.abs(ref).max())
+
+    @given(delays=delay_sets(), dim=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=20)
+    def test_integrate_linear_matches_integrate(self, delays, dim, seed):
+        damping, table, y0 = random_linear(delays, dim, seed)
+        n_steps = round(self.T_END / DT)
+        traj = integrate(dde.linear_system(damping, delays, table),
+                         prehistory=np.zeros(dim), t_span=(0.0, self.T_END),
+                         dt=DT, initial_state=y0)
+        _, states = integrate_linear(y0[:, None], damping[:, None], table,
+                                     delays, lambda h: 0.0, DT, n_steps)
+        np.testing.assert_allclose(states, traj.states, rtol=0,
+                                   atol=1e-12 * np.abs(traj.states).max())
+
+    def test_coinciding_loops_match_a_hand_merged_system(self):
+        # z2 = 3 z1 on binary fractions: 2 z1 == z2 - z1 exactly, so the
+        # first and last of the four loop delays are one delay
+        config = NetworkConfig(atoms=(AtomParams(0.25, 0.9, 1.1),
+                                      AtomParams(0.75, 1.2, 0.7)),
+                               omega_a=10.0)
+        damping, delays, table = exchange_table(config)
+        assert delays[0] == delays[3]
+        merged = table[:, :6].copy()
+        merged[:, :2] += table[:, 6:]
+        dt, t_end = 0.5 / 64, 4.0
+        want = integrate(dde.linear_system(damping, delays[:3], merged),
+                         prehistory=np.zeros(2), t_span=(0.0, t_end), dt=dt,
+                         initial_state=np.array([1.0, 0.0]))
+        got = solve_two_atom_single_excitation(config, t_end, dt)
+        np.testing.assert_allclose(got.states, want.states, rtol=0,
+                                   atol=1e-13 * np.abs(want.states).max())

@@ -69,7 +69,7 @@ class TestCouplingAmplitude:
 
     @given(k=st.floats(0.1, 200.0), t=st.floats(0.0, 50.0),
            gamma=st.floats(0.0, 2.0), z=st.floats(1e-3, 5.0))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_nonchiral_reduces_to_sine(self, k, t, gamma, z):
         atom = AtomParams(z, gamma, gamma)
         omega_a = 50.0
@@ -87,7 +87,7 @@ class TestCouplingAmplitude:
     @given(k=st.floats(0.1, 200.0), t=st.floats(0.0, 50.0),
            gl=st.floats(0.0, 2.0), gr=st.floats(0.0, 2.0),
            z=st.floats(1e-3, 5.0))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_modulus_bound(self, k, t, gl, gr, z):
         atom = AtomParams(z, gl, gr)
         assert abs(coupling_g(k, t, atom, 50.0)) <= gl + gr + 1e-12
@@ -95,7 +95,7 @@ class TestCouplingAmplitude:
     @given(k=st.floats(0.1, 200.0), t=st.floats(0.0, 20.0),
            gl=st.floats(0.0, 2.0), gr=st.floats(0.0, 2.0),
            z=st.floats(1e-3, 2.0))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_phase_factorization(self, k, t, gl, gr, z):
         atom = AtomParams(z, gl, gr)
         omega_a = 50.0
@@ -128,10 +128,10 @@ class TestKGrid:
         with pytest.raises(InvalidGrid):
             KGrid.centered(5.0, 10.0, 11)
 
+    @pytest.mark.filterwarnings("error")
     def test_rejects_non_finite_width(self):
         for half_width in (math.nan, math.inf):
-            with np.errstate(invalid="ignore"), \
-                    pytest.raises(InvalidGrid, match="finite"):
+            with pytest.raises(InvalidGrid, match="finite"):
                 KGrid.centered(50.0, half_width, 11)
 
     def test_rejects_decreasing(self):
