@@ -36,6 +36,8 @@ _PHASE_BLOCK = 128
 # record nodes per chunk of the two-photon GEMM (2 * 128 stacked rows) and
 # of the population sums
 _RECORD_CHUNK = 128
+# steps per block of the oracle's two-photon update
+_ORACLE_BLOCK = 4
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +338,19 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
     k-integrals become plain-dk sums, no delay reduction anywhere.
 
     The two-photon sector runs on (full grid) x (every ckk_stride-th mode) to
-    bound memory; checkpoints report its symmetric square restriction.
+    bound memory; checkpoints report its symmetric square restriction, one
+    per distinct step, in time order, nearest each of `checkpoint_times`
+    (default [t_end]), which must lie within half a step of [0, t_end].
 
     The stages are low rank.  d c_kk/dt = -i (c_egk g1s^T + g1 c_egk[sub]^T
     + c_gek g2s^T + g2 c_gek[sub]^T) is rank 4 and free of c_kk, and c_kk
     enters the other equations only through the projections c_kk conj(g1s)
-    and c_kk conj(g2s).  Stage j's c_kk is thus C + a_j K_{j-1}: a step is
-    one (n x m) @ (m x 6) projection of C on the couplings at t, t + dt/2 and
-    t + dt, an O(n + m) correction per stage, and one rank-12 update of C.
+    and c_kk conj(g2s).  Stage j's c_kk is thus C + a_j K_{j-1}, and a step
+    adds a rank-12 term to C.  The couplings are known in advance, so a
+    block of B = `_ORACLE_BLOCK` steps (cut short at checkpoints) is one
+    (6B x m) @ C^T projection on their values at t, t + dt/2 and t + dt,
+    per step a correction by the block's earlier terms and O(n + m) work
+    per stage, and one rank-12B update of C, `_RECORD_CHUNK` rows at a time.
     """
     if len(config.atoms) != 2:
         raise InvalidGeometry("the two-excitation oracle needs two atoms")
@@ -351,36 +358,40 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
     sub = kgrid.subsample(ckk_stride)
     sub_idx = np.arange(0, n, ckk_stride)
     dk, dks = kgrid.dk, sub.dk
-    det = kgrid.k_values - config.omega_a
+    idet = 1j * (kgrid.k_values - config.omega_a)
     g_0 = np.stack([coupling_row(kgrid, a) for a in config.atoms])
 
     if checkpoint_times is None:
         checkpoint_times = [t_end]
+    for t in checkpoint_times:
+        if not -0.5 * dt <= t <= t_end + 0.5 * dt:   # NaN fails it too
+            raise ValueError(f"checkpoint time {t!r} outside [0, {t_end!r}]")
     n_steps = int(np.ceil(t_end / dt - 1e-9))
-    chk_steps = sorted({min(n_steps, max(0, int(round(t / dt))))
-                        for t in checkpoint_times})
+    chk_steps = {min(n_steps, max(0, round(t / dt))) for t in checkpoint_times}
+    edges = sorted({n_steps, *chk_steps, *range(0, n_steps, _ORACLE_BLOCK)})
 
-    # y = (c_ee, c_egk, c_gek); the two-photon block c_kk is kept apart
+    # y = (c_ee, c_egk, c_gek); C = c_kk and a block's pending U @ V apart
     y = np.zeros(1 + 2 * n, dtype=complex)
     y[0] = 1.0
     ckk = np.zeros((n, len(sub)), dtype=complex)
-    k_bufs = [np.empty_like(y) for _ in range(4)]
+    ut = np.empty((12 * _ORACLE_BLOCK, n), dtype=complex)
+    v = np.empty((12 * _ORACLE_BLOCK, len(sub)), dtype=complex)
+    ks = [np.empty_like(y) for _ in range(4)]
     stages = [y] + [np.empty_like(y) for _ in range(3)]
 
     def rhs(state: np.ndarray, g: np.ndarray, proj: np.ndarray,
             out: np.ndarray) -> None:
-        """(c_ee, c_egk, c_gek) derivative; proj = c_kk @ conj(g1s, g2s)."""
-        cee, ce, cg = state[0], state[1:1 + n], state[1 + n:]
-        out[0] = -1j * dk * (ce @ np.conj(g[1]) + cg @ np.conj(g[0]))
-        out[1:1 + n] = -1j * cee * g[1] - 1j * dks * proj[:, 0]
-        out[1 + n:] = -1j * cee * g[0] - 1j * dks * proj[:, 1]
+        """(c_ee, c_egk, c_gek) derivative; proj's rows c_kk conj(g1s, g2s)."""
+        out[0] = -1j * dk * np.vdot(g[::-1], state[1:])
+        out[1:].reshape(2, n)[:] = -1j * state[0] * g[::-1] - 1j * dks * proj
 
     def factors(state: np.ndarray, g: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
-        """(U, V) with d c_kk/dt = -i U @ V: U's columns c_egk, g1, c_gek,
-        g2, and V's rows their partners on the c_kk modes."""
-        u = np.stack([state[1:1 + n], g[0], state[1 + n:], g[1]], axis=1)
-        return u, u[sub_idx][:, [1, 0, 3, 2]].T
+        """(U^T, V), d c_kk/dt = -i U @ V, of one stage or a stack: U^T's rows
+        c_egk, g1, c_gek, g2 per stage, V's their partners on the c_kk modes."""
+        u = np.concatenate([state[..., 1:].reshape(-1, 2, 1, n),
+                            g.reshape(-1, 2, 1, n)], axis=2)
+        return u.reshape(-1, n), u[..., ::-1, ::ckk_stride].reshape(-1, len(sub))
 
     times = dt * np.arange(n_steps + 1)
     cee_rec = np.empty(n_steps + 1, dtype=complex)
@@ -397,36 +408,41 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
 
     if 0 in chk_steps:
         snapshot(0)
-    for step in range(n_steps):
-        t = step * dt
-        # couplings at t, t + dt/2, t + dt, and C projected onto all three
-        g = [g_0 * np.exp(1j * det * s) for s in (t, t + 0.5 * dt, t + dt)]
-        w = np.conj(np.concatenate([gi[:, sub_idx] for gi in g])).T
-        proj = ckk @ w
-        # stage j runs on g[i]; stage j + 1 (on g[nxt]) has c_kk = C + a K_j,
-        # so its projection is proj's column pair plus a K_j conj(w)
-        p = proj[:, 0:2]
-        for j, (a, i, nxt) in enumerate(((0.5 * dt, 0, 1), (0.5 * dt, 1, 1),
-                                         (dt, 1, 2))):
-            rhs(stages[j], g[i], p, k_bufs[j])
-            np.multiply(k_bufs[j], a, out=stages[j + 1])
-            stages[j + 1] += y
-            u, v = factors(stages[j], g[i])
-            c = slice(2 * nxt, 2 * nxt + 2)
-            p = proj[:, c] + (-1j * a) * (u @ (v @ w[:, c]))
-        rhs(stages[3], g[2], p, k_bufs[3])
-        # C += dt/6 (K_1 + 2 K_2 + 2 K_3 + K_4); K is linear in the stage
-        # amplitudes, and stages 2 and 3 share their couplings
-        u, v = zip(factors(stages[0], g[0]),
-                   factors(2.0 * (stages[1] + stages[2]), g[1]),
-                   factors(stages[3], g[2]))
-        ckk += np.concatenate(u, axis=1) @ (np.concatenate(v) * (-1j * dt / 6.0))
-        y += ((k_bufs[1] + k_bufs[2]) * 2.0 + k_bufs[0] + k_bufs[3]) * (dt / 6.0)
-        cee_rec[step + 1] = y[0]
-        if (step + 1) % 512 == 0 and not np.isfinite(y).all():
-            raise NonFiniteState(f"oracle state non-finite at t={(step + 1) * dt}")
-        if (step + 1) in chk_steps:
-            snapshot(step + 1)
+    for b0, b1 in zip(edges, edges[1:]):
+        # C projected on each step's conj(g1s, g2s) at t, t + dt/2, t + dt
+        s = dt * np.arange(b0, b1)[:, None] + np.array([0.0, 0.5 * dt, dt])
+        w = np.conj(g_0[:, sub_idx] * np.exp(idet[sub_idx] * s[..., None, None]))
+        proj = w.reshape(-1, len(sub)) @ ckk.T
+        for q, sq in enumerate(s):
+            gq = g_0 * np.exp(idet * sq[:, None, None])
+            wq, pq = w[q].reshape(6, -1), proj[6 * q:6 * q + 6]
+            pq += (wq @ v[:12 * q].T) @ ut[:12 * q]
+            # stage j runs on gq[i]; stage j + 1 (on gq[nxt]) has c_kk =
+            # C + a K_j, so its projection is pq's row pair plus a K_j conj(w)
+            p = pq[0:2]
+            for j, (a, i, nxt) in enumerate(((0.5 * dt, 0, 1), (0.5 * dt, 1, 1),
+                                             (dt, 1, 2))):
+                rhs(stages[j], gq[i], p, ks[j])
+                np.multiply(ks[j], a, out=stages[j + 1])
+                stages[j + 1] += y
+                u, vj = factors(stages[j], gq[i])
+                c = slice(2 * nxt, 2 * nxt + 2)
+                p = pq[c] + ((-1j * a) * (wq[c] @ vj.T)) @ u
+            rhs(stages[3], gq[2], p, ks[3])
+            # the step's term dt/6 (K_1 + 2 K_2 + 2 K_3 + K_4); K is linear in
+            # the stage amplitudes, and stages 2 and 3 share their couplings
+            ut[12 * q:12 * q + 12], vq = factors(np.stack(
+                [stages[0], 2.0 * (stages[1] + stages[2]), stages[3]]), gq)
+            v[12 * q:12 * q + 12] = vq * (-1j * dt / 6.0)
+            y += ((ks[1] + ks[2]) * 2.0 + ks[0] + ks[3]) * (dt / 6.0)
+            cee_rec[b0 + q + 1] = y[0]
+        k = 12 * len(s)
+        for r in range(0, n, _RECORD_CHUNK):   # C += U @ V, chunk by chunk
+            ckk[r:r + _RECORD_CHUNK] += ut[:k, r:r + _RECORD_CHUNK].T @ v[:k]
+        if b1 // 512 > b0 // 512 and not np.isfinite(y).all():
+            raise NonFiniteState(f"oracle state non-finite at t={b1 * dt}")
+        if b1 in chk_steps:
+            snapshot(b1)
 
     if not (np.isfinite(y).all() and np.isfinite(ckk).all()):
         raise NonFiniteState("oracle state non-finite at end")

@@ -196,12 +196,14 @@ def reference_integrate(system, prehistory, t_end, dt, initial_state=None):
     count = 0
 
     def sample(t):
-        if t < 0.0:
-            return pre
+        # snap to a node first, as `resolve_taps` does, so that a read within
+        # rounding of node 0 takes the node, not the pre-history
         x = t / dt
         nearest = round(x)
         if abs(x - nearest) < 1e-9 and 0 <= nearest <= count - 1:
             x = float(nearest)
+        if x < 0.0:
+            return pre
         i = min(int(np.floor(x)), count - 1)
         s = x - i
         if s == 0.0:
@@ -275,6 +277,15 @@ class TestEngineEquivalence:
         states, ref = self.check(system, dt, 4.0, np.zeros(3),
                                  initial_state=np.array([1.0, 0.0, -0.5j]))
         np.testing.assert_array_equal(states, ref)
+
+    def test_jump_initial_state_with_a_delay_on_a_non_binary_grid(self):
+        # t - tau falls within rounding of 0 (0.1 / 0.01 is not exact), so
+        # both engines must read the post-jump node 0, not the pre-history
+        dt = 0.01
+        system = linear_system((0.1,), seed=3)
+        states, ref = self.check(system, dt, 1.0, np.zeros(3),
+                                 initial_state=np.array([1.0, 0.5j, -0.2]))
+        np.testing.assert_allclose(states, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
     def test_zero_delay_alone_is_exact(self):
         # no off-node fraction: the history holds no Hermite rows at all
@@ -412,8 +423,7 @@ class TestDelaySets:
                             for _, s in row})
         # reads that coincide up to rounding were given one fraction
         assert np.all(np.diff(fractions) >= 1e-9)
-        # a continuous start: with a jump at t = 0, a delay on the dt grid
-        # reads either side of it in the reference, as rounding falls
+        # a continuous start; TestEngineEquivalence checks jumps at t = 0
         system = dde.linear_system(damping, delays, table)
         traj = integrate(system, prehistory=y0, t_span=(0.0, self.T_END),
                          dt=DT)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from wqsim import (PRESETS, AtomParams, DelaySystem, InvalidGrid, KGrid,
                    populations, solve_cee, solve_spectral_pair,
                    solve_two_photon, total_norm, two_photon_norm)
 from wqsim.dde import resolve_taps
-from wqsim.frequency import (TWO_PHOTON_SCALE, _pair_record_stride,
-                             exchange_table, markov_exponent)
+from wqsim.frequency import (_ORACLE_BLOCK, TWO_PHOTON_SCALE,
+                             _pair_record_stride, exchange_table,
+                             markov_exponent)
 from wqsim.model import MODE_MEASURE, coupling_g, coupling_row
 
 WA = 50.0
@@ -386,6 +388,19 @@ class TestOracle:
         for state in res.checkpoints:
             assert total_norm(state) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan, -3.0, 7.0])
+    def test_checkpoint_outside_the_run_is_refused(self, t):
+        kg = KGrid.centered(WA, 5.0, 21)
+        with pytest.raises(ValueError, match=re.escape(repr(t))):
+            oracle_full_grid(FIG2, kg, 0.1, 0.004, ckk_stride=4,
+                             checkpoint_times=[0.05, t])
+
+    def test_checkpoint_within_half_a_step_of_the_run_is_kept(self):
+        kg = KGrid.centered(WA, 5.0, 21)
+        res = oracle_full_grid(FIG2, kg, 0.1, 0.004, ckk_stride=4,
+                               checkpoint_times=[0.1 + 0.0019, -0.0019])
+        assert [s.t for s in res.checkpoints] == [0.0, 25 * 0.004]
+
     def test_matches_cascade_on_coarse_grid(self):
         kg = KGrid.centered(WA, 20.0, 241)
         dt = 0.004
@@ -490,6 +505,38 @@ class TestOracleEquivalence:
             self.close(state.c_egk, egk)
             self.close(state.c_gek, gek)
             self.close(state.c_kk, ckk)
+
+    B = _ORACLE_BLOCK
+
+    @pytest.mark.parametrize("config, n_steps, steps", [
+        # the last block is short
+        (FIG2, 3 * B + 1, [3 * B + 1]),
+        # unsorted and repeated
+        (FIG2, 3 * B + 1, [2 * B + 1, 1, 2 * B + 1, B]),
+        # the start, inside a block, on a block edge and the end
+        (FIG2, 3 * B + 1, [0, B + B // 2, 2 * B, 3 * B + 1]),
+        # atom 2 decoupled: nothing feeds c_egk, so c_kk stays 0
+        (NetworkConfig(atoms=(AtomParams(0.1, 0.25, 0.5),
+                              AtomParams(0.2, 0.0, 0.0)), omega_a=WA),
+         2 * B + 3, [B + 1, 2 * B + 3]),
+    ], ids=["short-last-block", "unsorted-repeated", "block-edges",
+            "atom2-decoupled"])
+    def test_block_edges(self, config, n_steps, steps):
+        kg = KGrid.centered(WA, 20.0, 41)
+        dt = 0.004
+        res = oracle_full_grid(config, kg, n_steps * dt, dt, ckk_stride=2,
+                               checkpoint_times=[k * dt for k in steps])
+        distinct = sorted(set(steps))
+        cee, snaps = reference_oracle(config, kg, n_steps * dt, dt, 2, distinct)
+        self.close(res.cee, cee)
+        assert [s.t for s in res.checkpoints] == [k * dt for k in distinct]
+        for state, (egk, gek, ckk) in zip(res.checkpoints, snaps, strict=True):
+            self.close(state.c_egk, egk)
+            self.close(state.c_gek, gek)
+            self.close(state.c_kk, ckk)
+            if config.atoms[1].gamma_l == config.atoms[1].gamma_r == 0.0:
+                assert np.all(state.c_kk == 0.0)
+                assert np.abs(state.c_gek).max() > 0.0
 
     def test_stride_off_the_grid_endpoints_is_refused(self):
         with pytest.raises(InvalidGrid):
