@@ -1,4 +1,4 @@
-"""Fixed-step method-of-steps integrator for complex delay systems.
+"""Fixed-step method-of-steps integrators for complex delay systems.
 
 Classical RK4 on a uniform grid with constant delays, so every delayed read
 c(t_n + c dt - tau) of a stage at offset c (1/2 for k2 and k3, 1 for k4 and
@@ -14,11 +14,15 @@ pre-history (zero by default: the field does not exist before t = 0).  The
 tap table keeps the explicit scheme honest by refusing dt > min(positive
 delay)/8, so no tap reads a node the current step has not produced yet.
 
-`integrate` calls an rhs closure at every stage; `linear_system` builds the
-one of a linear system with constant coefficients.  `integrate_linear` runs
-the same RK4 scheme in closed form for linear systems whose delayed part
-and drive do not depend on the step's own stages (the per-mode pair
-equations): one gather of ring rows per tap set and step, no rhs calls.
+Three engines run this scheme.  `integrate` calls an rhs closure at every
+stage (`linear_system` builds the one of a linear system) and serves any
+`DelaySystem`: the one-atom and doubly excited solves and user systems.
+`integrate_linear` runs it in closed form for linear systems whose delayed
+part and drive do not depend on the step's own stages, one ring gather per
+tap set and step: the wide, driven pair equations.  `integrate_block` runs
+that closed form a block of steps at a time, one gather of the kept nodes
+per tap set and block, without a ring: the narrow two-atom
+single-excitation solve.
 """
 from __future__ import annotations
 
@@ -37,6 +41,8 @@ _STAGE_OFFSETS = (0.5, 1.0)
 _SNAP = 1e-9
 # steps between finiteness checks of the state (and at the last step)
 _CHECK_EVERY = 64
+# longest block of steps `integrate_block` advances at once
+_MAX_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,15 @@ def _hermite_weights(s):
 def _snap(x: float) -> float:
     nearest = round(x)
     return float(nearest) if abs(x - nearest) < _SNAP else x
+
+
+def step_count(t_end: float, dt: float) -> int:
+    """Number of dt steps that reach t_end: the last node is the first at
+    or past t_end (up to 1e-9 of a step).  Raises ValueError unless both
+    are finite and positive."""
+    if not (0.0 < t_end < np.inf and 0.0 < dt < np.inf):
+        raise ValueError(f"need finite T > 0 and dt > 0, got {t_end!r}, {dt!r}")
+    return int(np.ceil(t_end / dt - 1e-9))
 
 
 def resolve_taps(delays: Sequence[float], dt: float
@@ -196,15 +211,16 @@ class Trajectory:
     def sample_grid(self, ts: np.ndarray) -> np.ndarray:
         """States at an array of times -> (len(ts), dim): prehistory for
         t < 0, node-exact at grid points, cubic Hermite between nodes.
-        Raises OutOfRange beyond t_end.
+        Raises OutOfRange beyond t_end or at NaN.
         """
         ts = np.asarray(ts, dtype=float)
         tol = 1e-12 * max(1.0, abs(self.t_end))
-        if np.any(ts > self.t_end + tol):
-            bad = float(ts[np.argmax(ts)])
-            raise OutOfRange(f"t={bad!r} beyond trajectory end {self.t_end!r}")
+        bad = ~(ts <= self.t_end + tol)          # NaN fails it too
+        if np.any(bad):
+            raise OutOfRange(f"t={float(ts[bad][0])!r} not within trajectory "
+                             f"end {self.t_end!r}")
         h = self.dt
-        x = (ts - self.times[0]) / h
+        x = (np.maximum(ts, self.times[0]) - self.times[0]) / h
         nearest = np.round(x)
         snap = np.abs(x - nearest) < _SNAP
         x = np.where(snap, nearest, x)
@@ -239,8 +255,7 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
     t0, t_final = t_span
     if t0 != 0.0:
         raise ValueError("t_span must start at 0")
-    if not (0.0 < t_final < np.inf and 0.0 < dt < np.inf):
-        raise ValueError(f"need finite T > 0 and dt > 0, got {t_span}, {dt!r}")
+    n_steps = step_count(t_final, dt)
     taps = resolve_taps(system.delays, dt)
 
     dim = system.dim
@@ -270,7 +285,6 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
     dy = rhs(0.0, y, 1, -1)
     hist.ring[0] = y
 
-    n_steps = int(np.ceil(t_final / dt - 1e-9))
     times = dt * np.arange(n_steps + 1)
     nodes = np.empty((n_steps + 1, 2, dim), dtype=complex)
     nodes[0, 0], nodes[0, 1] = y, dy
@@ -333,11 +347,7 @@ def integrate_linear(y0: np.ndarray, damping: np.ndarray, table: np.ndarray,
     rows, cols = y.shape
     hist = HistoryBuffer(resolve_taps(delays, dt), dt,
                          np.zeros(y.size, dtype=complex))
-    z = -dt * np.asarray(damping, dtype=float)
-    r = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
-    p_a = dt / 6.0 * (1.0 + z + z**2 / 2.0 + z**3 / 4.0)
-    p_b = dt / 6.0 * (4.0 + 2.0 * z + z**2 / 2.0)
-    p_c = dt / 6.0
+    r, p_a, p_b, p_c = _rk4_coefficients(damping, dt)
     ydel = np.empty((len(delays), y.size), dtype=complex)
     stacked = ydel.reshape(len(delays) * rows, cols)
 
@@ -374,3 +384,106 @@ def integrate_linear(y0: np.ndarray, damping: np.ndarray, table: np.ndarray,
             states[rec] = y_new.reshape(-1)
             rec += 1
     return dt * steps, states
+
+
+def _rk4_coefficients(damping: np.ndarray, dt: float) -> tuple:
+    """(R, P_a, P_b, P_c) of the closed-form RK4 step (`integrate_linear`)."""
+    z = -dt * np.asarray(damping, dtype=float)
+    return (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0,
+            dt / 6.0 * (1.0 + z + z**2 / 2.0 + z**3 / 4.0),
+            dt / 6.0 * (4.0 + 2.0 * z + z**2 / 2.0), dt / 6.0)
+
+
+def _block_size(taps: list[list[tuple[int, float]]]) -> int:
+    """Most steps from node n0 on that read only nodes <= n0 and intervals
+    closed before it, capped at `_MAX_BLOCK`."""
+    return min([_MAX_BLOCK] + [1 - m if s == 0.0 else -m
+                               for row in taps for m, s in row])
+
+
+def _node_reads(taps: list[tuple[int, float]], table: np.ndarray, dt: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One tap set as (offsets, lags, weights): at step n, read r is row
+    2 n + offsets[r] of the stacked (y_0, dy_0, y_1, ...), zero while
+    n + lags[r] < 0, and the delayed part is the reads @ weights.  Reads
+    that coincide share one weight block."""
+    dim = table.shape[0]
+    merged: dict[tuple[int, int], np.ndarray] = {}
+    for u, (m, s) in enumerate(taps):
+        h00, h10, h01, h11 = _hermite_weights(s)
+        terms = [(0, 1.0)] if s == 0.0 else \
+            [(0, h00), (1, h10 * dt), (2, h01), (3, h11 * dt)]
+        for off, w in terms:
+            key = (2 * m + off, m)
+            merged[key] = merged.get(key, 0.0) + w * table[:, u * dim:
+                                                           (u + 1) * dim].T
+    offsets, lags = np.array(list(merged)).T
+    return offsets, lags, np.concatenate(list(merged.values()))
+
+
+def integrate_block(y0: np.ndarray, damping: np.ndarray, table: np.ndarray,
+                    delays: Sequence[float], dt: float, n_steps: int
+                    ) -> Trajectory:
+    """`integrate_linear`'s closed form for y' = -D y + table @ Y, y(0) = y0
+    and zero before, with no drive and y, D = `damping` of shape (dim,),
+    advanced a block of steps at a time.
+
+    No step of a block reads a node or interval the block produces
+    (`_block_size`: 8 to 64 steps under the dt <= min(delay)/8 bound), so
+    the block's a, b, c come from one gather and one table product per tap
+    set, and y_{n+1} = R y_n + P_a a + P_b b + P_c c is one product with a
+    triangular table of powers of R.  Node 0 reads y0, as in `integrate`,
+    whose values these are up to rounding.  Delays must be positive; raises
+    StepTooLarge, and NonFiniteState naming the first non-finite node.
+    """
+    if not all(math.isfinite(tau) and tau > 0.0 for tau in delays):
+        raise ValueError(f"delays must be finite and > 0, got {tuple(delays)}")
+    if not (0.0 < dt < np.inf and n_steps >= 0):
+        raise ValueError(f"need finite dt > 0 and n_steps >= 0, got {dt!r}, "
+                         f"{n_steps!r}")
+    taps = resolve_taps(delays, dt)
+    y = np.array(y0, dtype=complex)
+    damping = np.asarray(damping, dtype=float)
+    r, p_a, p_b, p_c = _rk4_coefficients(damping, dt)
+    size = _block_size(taps)
+    reads = [_node_reads(row, table, dt) for row in taps]
+    pows = r ** np.arange(size + 1)[:, None]          # row j: R^j
+    e = np.subtract.outer(np.arange(size), np.arange(size))
+    # node n0 + k + 1 is R^(k + 1) y_n0 + power[:, k] @ u
+    power = np.where(e >= 0, pows.T[:, np.maximum(e, 0)], 0.0)
+
+    nodes = np.empty((n_steps + 1, 2, y.size), dtype=complex)
+    stacked = nodes.reshape(-1, y.size)
+
+    def delayed(steps, offsets, lags, weights):
+        rows = np.take(stacked, 2 * steps + offsets, axis=0, mode="clip")
+        if steps[0, 0] + lags.min() < 0:    # reads before t = 0 are zero
+            rows[steps + lags < 0] = 0.0
+        return rows.reshape(len(steps), -1) @ weights
+
+    # every read of the step before node 0 lies before t = 0: c_{-1} = 0
+    nodes[0] = y, -damping * y
+    c_last = np.zeros(y.size, dtype=complex)
+    for n0 in range(0, n_steps, size):
+        steps = n0 + np.arange(min(size, n_steps - n0))[:, None]
+        k = len(steps)
+        b, c = (delayed(steps, *tap_set) for tap_set in reads)
+        u = p_a * np.concatenate([c_last[None], c[:-1]]) + p_b * b + p_c * c
+        c_last = c[-1]
+        # the real power table times u's real and imaginary parts at once
+        parts = np.ascontiguousarray(u.T).view(float).reshape(y.size, k, 2)
+        swept = (power[:, :k, :k] @ parts).reshape(y.size, 2 * k)
+        block = nodes[n0 + 1:n0 + k + 1]
+        block[:, 0] = swept.view(complex).T + pows[1:k + 1] * nodes[n0, 0]
+        block[:, 1] = c - damping * block[:, 0]
+        if not np.isfinite(block[:, 0]).all():
+            # the table spreads an overflow over the block: step through it
+            y = nodes[n0, 0]
+            for n, u_n in enumerate(u, start=n0 + 1):
+                y = r * y + u_n
+                if not np.isfinite(y).all():
+                    break
+            raise NonFiniteState(f"non-finite state at t={n * dt!r}")
+    return Trajectory(times=dt * np.arange(n_steps + 1), states=nodes[:, 0],
+                      derivatives=nodes[:, 1], dt=dt,
+                      prehistory=np.zeros(y.size, dtype=complex))

@@ -22,7 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .dde import Trajectory, integrate, integrate_linear, linear_system
+from .dde import (Trajectory, integrate, integrate_linear, linear_system,
+                  step_count)
 from .errors import InvalidGeometry, NonFiniteState, OutsideMarkovRegimeWarning
 from .model import KGrid, NetworkConfig, coupling_row
 
@@ -61,12 +62,12 @@ def exchange_table(config: NetworkConfig
                    ) -> tuple[np.ndarray, tuple[float, ...], np.ndarray]:
     """Delay equations of the two-atom single-excitation amplitudes.
 
-    Returns (damping, delays, table) for `dde.linear_system`: the per-atom
-    dampings (gamma_jR^2 + gamma_jL^2)/2, `config.delays`, and the (2, 8)
-    table of delayed couplings, one column pair per delay (coinciding delays
-    keep theirs; the tap table merges their reads).  Each atom is fed back
-    by its own mirror round trip and exchanges excitation with the other
-    over the mirror path (z1 + z2) and the direct path (z2 - z1).
+    Returns (damping, delays, table) for `dde.integrate_block`: the
+    per-atom dampings (gamma_jR^2 + gamma_jL^2)/2, `config.delays`, and the
+    (2, 8) table of delayed couplings, one column pair per delay (coinciding
+    delays keep theirs; the tap table merges their reads).  Each atom is
+    fed back by its own mirror round trip and exchanges excitation with the
+    other over the mirror path (z1 + z2) and the direct path (z2 - z1).
     """
     a1, a2 = config.atoms
     delays = config.delays
@@ -209,8 +210,9 @@ def solve_two_photon(pair: SpectralPairResult,
     (c_egk | c_gek) rows against their phase-weighted couplings.  Besides
     the results it holds two N x N buffers and one chunk.
 
-    Matrices are exactly symmetric and returned in the normalized
-    convention (see module docstring).
+    Each time is taken at its nearest recorded node; a time that is not
+    finite raises ValueError.  Matrices are exactly symmetric and returned
+    in the normalized convention (see module docstring).
     """
     cfg = pair.config
     g1 = coupling_row(pair.kgrid, cfg.atoms[0])
@@ -219,6 +221,9 @@ def solve_two_photon(pair: SpectralPairResult,
     times = pair.times
     if at_times is None:
         at_times = [float(times[-1])]
+    for t in at_times:
+        if not math.isfinite(t):
+            raise ValueError(f"two-photon time {t!r} is not finite")
     idx = [pair.index_at(t) for t in at_times]
 
     n = len(pair.kgrid)
@@ -340,7 +345,9 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
     The two-photon sector runs on (full grid) x (every ckk_stride-th mode) to
     bound memory; checkpoints report its symmetric square restriction, one
     per distinct step, in time order, nearest each of `checkpoint_times`
-    (default [t_end]), which must lie within half a step of [0, t_end].
+    (default: the last step), which must lie within half a step of the
+    run [0, n_steps dt]; n_steps = `dde.step_count(t_end, dt)`, so the run
+    ends past t_end when dt does not divide it.
 
     The stages are low rank.  d c_kk/dt = -i (c_egk g1s^T + g1 c_egk[sub]^T
     + c_gek g2s^T + g2 c_gek[sub]^T) is rank 4 and free of c_kk, and c_kk
@@ -361,12 +368,13 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
     idet = 1j * (kgrid.k_values - config.omega_a)
     g_0 = np.stack([coupling_row(kgrid, a) for a in config.atoms])
 
+    n_steps = step_count(t_end, dt)
+    t_last = n_steps * dt
     if checkpoint_times is None:
-        checkpoint_times = [t_end]
+        checkpoint_times = [t_last]
     for t in checkpoint_times:
-        if not -0.5 * dt <= t <= t_end + 0.5 * dt:   # NaN fails it too
-            raise ValueError(f"checkpoint time {t!r} outside [0, {t_end!r}]")
-    n_steps = int(np.ceil(t_end / dt - 1e-9))
+        if not -0.5 * dt <= t <= t_last + 0.5 * dt:   # NaN fails it too
+            raise ValueError(f"checkpoint time {t!r} outside [0, {t_last!r}]")
     chk_steps = {min(n_steps, max(0, round(t / dt))) for t in checkpoint_times}
     edges = sorted({n_steps, *chk_steps, *range(0, n_steps, _ORACLE_BLOCK)})
 

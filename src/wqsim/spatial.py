@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dde import Trajectory, integrate, linear_system
-from .errors import InvalidGeometry, MissingOrigin
+# not called here: bench/tracing.py wraps wqsim.spatial.integrate by name
+from .dde import Trajectory, integrate, integrate_block, step_count  # noqa: F401
+from .errors import InvalidGeometry, MissingOrigin, OutOfRange
 from .model import AtomParams, NetworkConfig
 from .frequency import exchange_table, solve_cee
 
@@ -52,10 +53,9 @@ def solve_two_atom_single_excitation(config: NetworkConfig, t_end: float,
     """
     if len(config.atoms) != 2:
         raise InvalidGeometry("two atoms required")
-    return integrate(linear_system(*exchange_table(config)),
-                     prehistory=np.zeros(2, complex),
-                     t_span=(0.0, t_end), dt=dt,
-                     initial_state=np.array([1.0 + 0j, 0.0 + 0j]))
+    damping, delays, table = exchange_table(config)
+    return integrate_block(np.array([1.0, 0.0]), damping, table, delays, dt,
+                           step_count(t_end, dt))
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +124,14 @@ def field_snapshot(config: NetworkConfig, traj: Trajectory, t: float,
 
     Default grid: spacing ~ the trajectory step over [0, z_outer + t], so
     retarded arguments land near trajectory nodes.  Raises InvalidGeometry
-    unless `traj` has one component per atom of `config`.
+    unless `traj` has one component per atom of `config`, and OutOfRange
+    where the field needs the trajectory past its end or t is not finite.
     """
     if traj.dim != len(config.atoms):
         raise InvalidGeometry(f"trajectory has {traj.dim} components for "
                               f"{len(config.atoms)} atom(s)")
+    if not np.isfinite(t):
+        raise OutOfRange(f"snapshot time t={t!r} is not finite")
     if z_values is None:
         z_end = config.atoms[-1].position + t
         z_values = np.linspace(0.0, z_end, int(np.ceil(z_end / traj.dt)) + 1)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from wqsim import (AtomParams, DelaySystem, NetworkConfig, NonFiniteState,
                    OutOfRange, StepTooLarge, integrate)
 from wqsim import dde
-from wqsim.dde import HistoryBuffer, _hermite_weights, integrate_linear, resolve_taps
+from wqsim.dde import (HistoryBuffer, _block_size, _hermite_weights,
+                       integrate_block, integrate_linear, resolve_taps)
 from wqsim.frequency import exchange_table
 from wqsim.spatial import solve_two_atom_single_excitation
 
@@ -70,6 +72,17 @@ class TestSampling:
                          dt=1e-3)
         with pytest.raises(OutOfRange):
             traj.sample(1.0 + 1e-6)
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_is_out_of_range(self):
+        traj = integrate(exp_decay_system(), prehistory=1.0, t_span=(0.0, 1.0),
+                         dt=1e-3)
+        with pytest.raises(OutOfRange, match="t=nan"):
+            traj.sample(math.nan)
+        with pytest.raises(OutOfRange, match="t=nan"):
+            traj.sample_grid(np.array([0.5, math.nan]))
+        # -inf lies before t = 0: the prehistory, without a warning
+        assert traj.sample(-math.inf)[0] == 1.0
 
     def test_sample_grid_matches_scalar(self):
         traj = integrate(exp_decay_system(), prehistory=1.0, t_span=(0.0, 1.0),
@@ -445,6 +458,18 @@ class TestDelaySets:
         np.testing.assert_allclose(states, traj.states, rtol=0,
                                    atol=1e-12 * np.abs(traj.states).max())
 
+    @given(delays=delay_sets(), dim=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=20)
+    def test_integrate_block_matches_integrate(self, delays, dim, seed):
+        damping, table, y0 = random_linear(delays, dim, seed)
+        want = integrate(dde.linear_system(damping, delays, table),
+                         prehistory=np.zeros(dim), t_span=(0.0, self.T_END),
+                         dt=DT, initial_state=y0)
+        got = integrate_block(y0, damping, table, delays, DT,
+                              round(self.T_END / DT))
+        assert_same_trajectory(got, want)
+
     def test_coinciding_loops_match_a_hand_merged_system(self):
         # z2 = 3 z1 on binary fractions: 2 z1 == z2 - z1 exactly, so the
         # first and last of the four loop delays are one delay
@@ -462,3 +487,80 @@ class TestDelaySets:
         got = solve_two_atom_single_excitation(config, t_end, dt)
         np.testing.assert_allclose(got.states, want.states, rtol=0,
                                    atol=1e-13 * np.abs(want.states).max())
+
+
+def assert_same_trajectory(got, want):
+    """Identical times; states and derivatives within 1e-12 of each one's
+    maximum."""
+    assert got.times.tobytes() == want.times.tobytes()
+    for name in ("states", "derivatives"):
+        ref = getattr(want, name)
+        np.testing.assert_allclose(getattr(got, name), ref, rtol=0,
+                                   atol=1e-12 * np.abs(ref).max(),
+                                   err_msg=name)
+
+
+class TestBlockEngine:
+    """`integrate_block` against `integrate` where the block length bites:
+    a block may not read a node or interval it produces itself."""
+
+    def compare(self, delays, n_steps, dim=2, seed=5):
+        """Compare the two engines; return the block length."""
+        damping, table, y0 = random_linear(delays, dim, seed)
+        want = integrate(dde.linear_system(damping, delays, table),
+                         prehistory=np.zeros(dim),
+                         t_span=(0.0, n_steps * DT), dt=DT, initial_state=y0)
+        got = integrate_block(y0, damping, table, delays, DT, n_steps)
+        assert len(got.times) == n_steps + 1
+        assert_same_trajectory(got, want)
+        return _block_size(resolve_taps(delays, DT))
+
+    def test_steps_not_a_multiple_of_the_block(self):
+        # 30-step delay: 30-step blocks; 1 s: capped at 64
+        assert self.compare((0.3,), 100) == 30
+        assert self.compare((1.0, 0.7 + DT / 3), 150, dim=3) == 64
+
+    @pytest.mark.parametrize("shortest", [8 * DT, 8 * DT * (1 + 1e-6),
+                                          8.5 * DT, 8.7 * DT])
+    def test_shortest_delay_near_eight_steps(self, shortest):
+        assert self.compare((0.237, shortest), 120) == 8
+
+    def test_on_and_off_grid_fractions_and_coinciding_delays(self):
+        # on the grid, off it, an exact repeat, and the off-grid fraction
+        # again five nodes further back
+        delays = (0.25, 0.13 + DT / 3, 0.25, 0.18 + DT / 3, 0.2 + 0.5 * DT)
+        self.compare(delays, 140, dim=2, seed=11)
+
+    def test_default_plan_block(self):
+        config = NetworkConfig(atoms=(AtomParams(0.05, 0.3, 0.2),
+                                      AtomParams(0.17, 0.1, 0.4)),
+                               omega_a=50.0)
+        dt = min(config.delays) / 64
+        assert _block_size(resolve_taps(config.delays, dt)) == 64
+
+    @pytest.mark.parametrize("tau", [0.0, -0.1, math.inf, math.nan])
+    def test_non_positive_or_non_finite_delay_refused(self, tau):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            integrate_block(np.ones(1), np.ones(1), np.ones((1, 2)),
+                            (0.5, tau), DT, 10)
+
+    def test_step_too_large(self):
+        with pytest.raises(StepTooLarge):
+            integrate_block(np.ones(1), np.ones(1), np.ones((1, 1)),
+                            (8 * DT,), 1.01 * DT, 10)
+
+    def test_growth_names_the_first_non_finite_node(self):
+        # y' = 300 y: R = 16.375 a step, so R^n first overflows at n = 254
+        with np.errstate(all="ignore"), pytest.raises(
+                NonFiniteState, match=re.escape(f"t={254 * DT!r}")):
+            integrate_block(np.ones(1), np.array([-300.0]), np.zeros((1, 1)),
+                            (0.1,), DT, 400)
+
+    def test_overflow_through_a_delayed_read_names_its_node(self):
+        # y' = 1e300 y(t - 0.1), y(0) = 1: step 9 first reads node 0, so
+        # y_10 ~ 1e297, and step 19 reads 1e300 y_10: y_20 overflows.  The
+        # power table spreads that over the block's earlier nodes.
+        with np.errstate(all="ignore"), pytest.raises(
+                NonFiniteState, match=re.escape(f"t={20 * DT!r}")):
+            integrate_block(np.ones(1), np.zeros(1), np.array([[1e300]]),
+                            (0.1,), DT, 40)

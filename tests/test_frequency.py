@@ -329,6 +329,13 @@ class TestTwoPhotonQuadrature:
         got = solve_two_photon(pair, at)
         self.check(got, [(t, trapezoid_two_photon(pair, t)) for t in at])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_refused(self, t):
+        pair, _ = small_pair(FIG2, 0.5, n=21, half=6.0)
+        with pytest.raises(ValueError, match=re.escape(repr(t))):
+            solve_two_photon(pair, [0.25, t])
+
     def test_working_memory_is_bounded(self):
         # N = 401 modes, 2000 records: besides its results the quadrature
         # may hold three N x N matrices and one chunk (stacked rows,
@@ -400,6 +407,19 @@ class TestOracle:
         res = oracle_full_grid(FIG2, kg, 0.1, 0.004, ckk_stride=4,
                                checkpoint_times=[0.1 + 0.0019, -0.0019])
         assert [s.t for s in res.checkpoints] == [0.0, 25 * 0.004]
+
+    def test_default_checkpoint_is_the_last_step(self):
+        # dt does not divide t_end: 4 steps, so the run ends at 0.12
+        kg = KGrid.centered(WA, 5.0, 21)
+        res = oracle_full_grid(FIG2, kg, 0.1, 0.03, ckk_stride=4)
+        assert res.times[-1] == 4 * 0.03
+        assert [s.t for s in res.checkpoints] == [4 * 0.03]
+        res = oracle_full_grid(FIG2, kg, 0.1, 0.03, ckk_stride=4,
+                               checkpoint_times=[0.12, 0.1])
+        assert [s.t for s in res.checkpoints] == [3 * 0.03, 4 * 0.03]
+        with pytest.raises(ValueError, match="0.14"):
+            oracle_full_grid(FIG2, kg, 0.1, 0.03, ckk_stride=4,
+                             checkpoint_times=[0.14])
 
     def test_matches_cascade_on_coarse_grid(self):
         kg = KGrid.centered(WA, 20.0, 241)

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import wqsim
-from wqsim import (InvalidGrid, ParseError, PRESETS, VerificationCheck,
-                   VerificationReport, parse_config_text, format_config)
+from wqsim import (AtomParams, InvalidGrid, NetworkConfig, ParseError, PRESETS,
+                   VerificationCheck, VerificationReport, parse_config_text,
+                   format_config)
 from wqsim.cli import main
 from wqsim.model import default_halfwidth
 from wqsim.runio import RunSettings, fmt, parse_config_file, write_csv
@@ -35,7 +37,36 @@ k_halfwidth = 8.0
 """
 
 
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+COUPLING = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def plans(draw):
+    """(config, settings) of one or two atoms, with any run fields set."""
+    z1 = draw(POSITIVE)
+    atoms = [AtomParams(z1, draw(COUPLING), draw(COUPLING))]
+    if draw(st.booleans()):
+        atoms.append(AtomParams(
+            draw(st.floats(min_value=z1, exclude_min=True,
+                           allow_infinity=False)),
+            draw(COUPLING), draw(COUPLING)))
+    config = NetworkConfig(atoms=tuple(atoms), omega_a=draw(POSITIVE),
+                           label=draw(st.text("abcxyz019_-.", max_size=8)))
+    settings = RunSettings(
+        t_end=draw(st.none() | POSITIVE), dt=draw(st.none() | POSITIVE),
+        k_points=draw(st.none() | st.integers(2, 10**9)),
+        k_halfwidth=draw(st.none() | st.floats(allow_nan=False,
+                                               allow_infinity=False)))
+    return config, settings
+
+
 class TestConfigParsing:
+    @given(plan=plans())
+    def test_format_parse_round_trip(self, plan):
+        config, settings = plan
+        assert parse_config_text(format_config(config, settings)) == plan
+
     def test_good_round_trip(self):
         cfg, run = parse_config_text(GOOD)
         assert cfg.omega_a == 50.0

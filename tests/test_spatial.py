@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wqsim import (AtomParams, FieldSnapshot, InvalidGeometry, MissingOrigin,
                    NetworkConfig, OutOfRange, check_mirror_boundary,
@@ -256,3 +258,45 @@ class TestSnapshots:
             field_snapshot(FIG6, solve_atom(t_end=1.0), 1.0)
         with pytest.raises(InvalidGeometry):
             field_snapshot(ONE_ATOM, solve_fig6(t_end=1.0), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# invariants over random two-atom networks
+# ---------------------------------------------------------------------------
+
+@st.composite
+def two_atom_runs(draw):
+    """(config, dt, t_end): positions in the benchmark sweep's z1 range,
+    any chirality, a step that puts no position on its grid, and a horizon
+    of 5 to 40 z1."""
+    z1 = draw(st.floats(0.02, 0.06))
+    g = st.floats(0.0, 0.5)
+    config = NetworkConfig(
+        atoms=(AtomParams(z1, draw(g), draw(g)),
+               AtomParams(z1 * draw(st.floats(1.5, 4.0)), draw(g), draw(g))),
+        omega_a=draw(st.floats(10.0, 60.0)))
+    dt = min(config.delays) / draw(st.floats(64.5, 96.0))
+    return config, dt, z1 * draw(st.floats(5.0, 40.0))
+
+
+class TestRandomTwoAtomNetworks:
+    @given(run=two_atom_runs())
+    @settings(max_examples=40)
+    def test_mirror_residual_and_norm(self, run):
+        config, dt, t_end = run
+        traj = solve_two_atom_single_excitation(config, t_end, dt)
+        for t in (t_end / 3, 2 * t_end / 3, t_end):
+            snap = field_snapshot(config, traj, t)
+            assert check_mirror_boundary(snap) == 0.0
+            # the benchmark sweep's drift bound
+            assert abs(single_excitation_norm(snap, traj) - 1.0) < 1e-3, t
+
+
+class TestNonFiniteTimes:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_snapshot_refuses(self, t):
+        traj = solve_atom(t_end=1.0)
+        for z in (None, np.array([0.0, 0.1])):
+            with pytest.raises(OutOfRange, match=re.escape(repr(t))):
+                field_snapshot(ONE_ATOM, traj, t, z_values=z)
