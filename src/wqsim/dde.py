@@ -410,13 +410,13 @@ def _node_reads(taps: list[tuple[int, float]], table: np.ndarray, dt: float
     dim = table.shape[0]
     merged: dict[tuple[int, int], np.ndarray] = {}
     for u, (m, s) in enumerate(taps):
+        block = table[:, u * dim:(u + 1) * dim].T
         h00, h10, h01, h11 = _hermite_weights(s)
         terms = [(0, 1.0)] if s == 0.0 else \
             [(0, h00), (1, h10 * dt), (2, h01), (3, h11 * dt)]
         for off, w in terms:
             key = (2 * m + off, m)
-            merged[key] = merged.get(key, 0.0) + w * table[:, u * dim:
-                                                           (u + 1) * dim].T
+            merged[key] = merged.get(key, 0.0) + w * block
     offsets, lags = np.array(list(merged)).T
     return offsets, lags, np.concatenate(list(merged.values()))
 
