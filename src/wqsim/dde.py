@@ -16,19 +16,19 @@ delay)/8, so no tap reads a node the current step has not produced yet.
 
 Three engines run this scheme.  `integrate` calls an rhs closure at every
 stage (`linear_system` builds the one of a linear system) and serves any
-`DelaySystem`: the one-atom and doubly excited solves and user systems.
+`DelaySystem`: the doubly excited solve (`solve_cee`) and user systems.
 `integrate_linear` runs it in closed form for linear systems whose delayed
 part and drive do not depend on the step's own stages, one ring gather per
 tap set and step: the wide, driven pair equations.  `integrate_block` runs
 that closed form a block of steps at a time, one gather of the kept nodes
-per tap set and block, without a ring: the narrow two-atom
-single-excitation solve.
+per tap set and block, without a ring: both narrow spatial
+single-excitation solves, with one atom and with two.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -250,7 +250,7 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
     unit initial amplitude).
 
     Raises StepTooLarge when dt exceeds min(positive delays)/8 and
-    NonFiniteState when the state leaves the finite range.
+    NonFiniteState naming the first non-finite node.
     """
     t0, t_final = t_span
     if t0 != 0.0:
@@ -303,7 +303,7 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
         hist.push(n, nodes[n:n + 2].reshape(4, dim))
         if (n + 1) % _CHECK_EVERY == 0 or n + 1 == n_steps:
             if not np.all(np.isfinite(y.view(float))):
-                raise NonFiniteState(f"non-finite state at t={t_new!r}")
+                _raise_at_first_non_finite(nodes[:n + 2, 0], 0, dt)
 
     return Trajectory(times=times, states=nodes[:, 0],
                       derivatives=nodes[:, 1], dt=dt, prehistory=pre)
@@ -362,6 +362,8 @@ def integrate_linear(y0: np.ndarray, damping: np.ndarray, table: np.ndarray,
     ends[0] = y, c - damping * y
     hist.ring[0] = y.reshape(-1)
 
+    # the ring keeps the last `depth` nodes: every unchecked one, to scan
+    check_every = min(_CHECK_EVERY, hist.depth - 1)
     steps = np.append(np.arange(0, n_steps, record_stride), n_steps)
     states = np.empty((len(steps), y.size), dtype=complex)
     states[0] = y.reshape(-1)
@@ -377,13 +379,24 @@ def integrate_linear(y0: np.ndarray, damping: np.ndarray, table: np.ndarray,
         y_new += p_c * c
         np.subtract(c, damping * y_new, out=dy_new)
         hist.push(n, ends.reshape(4, -1), 2 * (n % 2))
-        if (n + 1) % _CHECK_EVERY == 0 or n + 1 == n_steps:
+        if (n + 1) % check_every == 0 or n + 1 == n_steps:
             if not np.all(np.isfinite(y_new)):
-                raise NonFiniteState(f"non-finite state at t={(n + 1) * dt!r}")
+                first = (n // check_every) * check_every + 1
+                _raise_at_first_non_finite(
+                    hist.ring[np.arange(first, n + 2) % hist.depth], first, dt)
         if n + 1 == steps[rec]:
             states[rec] = y_new.reshape(-1)
             rec += 1
     return dt * steps, states
+
+
+def _raise_at_first_non_finite(states: np.ndarray, first: int,
+                               dt: float) -> NoReturn:
+    """Raise NonFiniteState naming the first non-finite row of `states`,
+    whose row 0 is node `first`."""
+    bad = ~np.isfinite(states).all(axis=1)
+    node = first + int(np.argmax(bad))
+    raise NonFiniteState(f"non-finite state at t={node * dt!r}")
 
 
 def _rk4_coefficients(damping: np.ndarray, dt: float) -> tuple:

@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# not called here: bench/tracing.py wraps wqsim.spatial.integrate by name
+# integrate and solve_cee are not called here: bench/tracing.py wraps
+# wqsim.spatial.integrate and wqsim.spatial.solve_cee by name
 from .dde import Trajectory, integrate, integrate_block, step_count  # noqa: F401
 from .errors import InvalidGeometry, MissingOrigin, OutOfRange
 from .model import AtomParams, NetworkConfig
-from .frequency import exchange_table, solve_cee
+from .frequency import cee_equation, exchange_table, solve_cee  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -36,11 +37,14 @@ def solve_single_atom(atom: AtomParams, omega_a: float, t_end: float,
     """Excited-state amplitude of one atom in front of the mirror,
     c_e(0) = 1:  dc/dt = -(gr^2+gl^2)/2 c + gl gr e^{2i omega_a z} c(t - 2z).
 
-    This is the same delay equation, equation coefficients and integrator as
-    the frequency-domain doubly-excited solve with the second atom removed.
+    This is the same delay equation and coefficients as the frequency-domain
+    doubly excited solve with the second atom removed (`cee_equation`), run
+    on the block engine (`dde.integrate_block`).
     """
     config = NetworkConfig(atoms=(atom,), omega_a=omega_a)
-    return solve_cee(config, t_end, dt)
+    damping, delays, table = cee_equation(config)
+    return integrate_block(np.array([1.0]), damping, table, delays, dt,
+                           step_count(t_end, dt))
 
 
 def solve_two_atom_single_excitation(config: NetworkConfig, t_end: float,

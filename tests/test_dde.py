@@ -107,6 +107,25 @@ class TestGuards:
         with np.errstate(all="ignore"), pytest.raises(NonFiniteState):
             integrate(blow, prehistory=10.0, t_span=(0.0, 10.0), dt=0.05)
 
+    @pytest.mark.parametrize("solve, node", [
+        (lambda growth, zero: integrate(
+            dde.linear_system(growth, (0.1,), zero), prehistory=0.0,
+            t_span=(0.0, 4.0), dt=0.01, initial_state=1.0), 252),
+        (lambda growth, zero: integrate_linear(
+            np.ones((1, 1)), growth[:, None], zero, (0.1,), lambda h: 0.0,
+            0.01, 400), 254),
+        (lambda growth, zero: integrate_block(
+            np.ones(1), growth, zero, (0.1,), 0.01, 400), 254),
+    ], ids=["integrate", "integrate_linear", "integrate_block"])
+    def test_overflow_names_the_first_non_finite_node(self, solve, node):
+        # y' = 300 y at dt = 0.01 overflows between two finiteness checks.
+        # The closed forms step y_{n+1} = 16.375 y_n: node 254 overflows
+        # first.  integrate's k4 stage, 4575 y_n, overflows in the step
+        # from node 251: node 252 overflows first.
+        with np.errstate(all="ignore"), pytest.raises(
+                NonFiniteState, match=re.escape(f"t={node * 0.01!r}")):
+            solve(np.array([-300.0]), np.zeros((1, 1)))
+
     def test_non_finite_horizon_or_step_refused(self):
         for t_end, dt in ((np.inf, 0.01), (np.nan, 0.01), (1.0, np.nan),
                           (1.0, np.inf)):

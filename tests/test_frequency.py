@@ -3,13 +3,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wqsim import (PRESETS, AtomParams, DelaySystem, InvalidGrid, KGrid,
-                   NetworkConfig, OutsideMarkovRegimeWarning, StepTooLarge,
-                   SteadyStateLabel, TwoExcitationState, analytic_cee_markov,
-                   classify_steady_state, integrate, oracle_full_grid,
-                   populations, solve_cee, solve_spectral_pair,
-                   solve_two_photon, total_norm, two_photon_norm)
+                   NetworkConfig, OutsideMarkovRegimeWarning, RunSettings,
+                   StepTooLarge, SteadyStateLabel, TwoExcitationState,
+                   analytic_cee_markov, classify_steady_state, integrate,
+                   oracle_full_grid, populations, solve_cee,
+                   solve_spectral_pair, solve_two_photon, total_norm,
+                   two_photon_norm)
 from wqsim.dde import resolve_taps
 from wqsim.frequency import (_ORACLE_BLOCK, TWO_PHOTON_SCALE,
                              _pair_record_stride, exchange_table,
@@ -89,6 +91,39 @@ class TestMarkovForm:
             want += atom.feedback * complex(math.cos(WA * tau),
                                             math.sin(WA * tau))
         assert abs(markov_exponent(cfg) - want) <= 1e-15
+
+
+@st.composite
+def networks(draw, z1=st.floats(0.02, 0.5), omega_a=st.floats(1.0, 100.0)):
+    """One or two atoms with any chirality; the second, if any, at 1.5 to 4
+    times z1."""
+    g = st.floats(0.0, 1.0)
+    atoms = [AtomParams(draw(z1), draw(g), draw(g))]
+    if draw(st.booleans()):
+        atoms.append(AtomParams(atoms[0].position * draw(st.floats(1.5, 4.0)),
+                                draw(g), draw(g)))
+    return NetworkConfig(atoms=tuple(atoms), omega_a=draw(omega_a))
+
+
+class TestRandomNetworks:
+    @given(config=networks(z1=st.floats(1e-3, 10.0),
+                           omega_a=st.floats(0.1, 1e3)))
+    @settings(max_examples=200)
+    def test_markov_exponent_decays(self, config):
+        # sum_j gamma_jL gamma_jR cos(omega_a tau_j) - gamma_RL is at most
+        # -sum_j (gamma_jR - gamma_jL)^2 / 2 <= 0, up to rounding
+        bound = -sum((a.gamma_r - a.gamma_l) ** 2 for a in config.atoms) / 2
+        rounding = 1e-15 * (1.0 + config.gamma_rl)
+        assert markov_exponent(config).real <= bound + rounding
+
+    @given(config=networks(), horizon=st.floats(1.0, 3.0))
+    @settings(max_examples=40)
+    def test_cee_modulus_at_most_one(self, config, horizon):
+        # default plan, over one to three round trips of the outer atom
+        plan = RunSettings(
+            t_end=horizon * config.round_trip_delays[-1]).resolved(config)
+        traj = solve_cee(config, plan.t_end, plan.dt)
+        assert np.abs(traj.states[:, 0]).max() <= 1.0 + 1e-9
 
 
 def small_pair(config, t_end, n=101, half=8.0, dt_div=32):

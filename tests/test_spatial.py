@@ -52,8 +52,8 @@ class TestSingleAtomAmplitude:
         assert abs(traj.states[-1, 0]) ** 2 >= 0.95
 
     def test_cross_domain_identity(self):
-        # one atom plus a fully decoupled second atom: same delay equation,
-        # same engine, same coefficients
+        # one atom plus a fully decoupled second atom: same delay equation
+        # and coefficients, solved by the generic and the block engine
         cfg = NetworkConfig(atoms=(ATOM, AtomParams(1.0, 0.0, 0.0)),
                             omega_a=WA)
         dt = 2 * ATOM.position / 64
@@ -290,6 +290,46 @@ class TestRandomTwoAtomNetworks:
             assert check_mirror_boundary(snap) == 0.0
             # the benchmark sweep's drift bound
             assert abs(single_excitation_norm(snap, traj) - 1.0) < 1e-3, t
+
+
+@st.composite
+def one_atom_runs(draw):
+    """(atom, omega_a, dt, t_end): a position in the benchmark sweep's z1
+    range, any chirality, a step on or off the round trip's grid, and a
+    horizon of 5 to 40 z1."""
+    z1 = draw(st.floats(0.02, 0.06))
+    g = st.floats(0.0, 0.5)
+    div = draw(st.one_of(st.integers(64, 96).map(float),
+                         st.floats(64.5, 96.0)))
+    return (AtomParams(z1, draw(g), draw(g)), draw(st.floats(10.0, 60.0)),
+            2.0 * z1 / div, z1 * draw(st.floats(5.0, 40.0)))
+
+
+class TestRandomOneAtomNetworks:
+    @given(run=one_atom_runs())
+    @settings(max_examples=40)
+    def test_mirror_residual_and_norm(self, run):
+        atom, omega_a, dt, t_end = run
+        config = NetworkConfig(atoms=(atom,), omega_a=omega_a)
+        traj = solve_single_atom(atom, omega_a, t_end, dt)
+        for t in (t_end / 3, 2 * t_end / 3, t_end):
+            snap = field_snapshot(config, traj, t)
+            assert check_mirror_boundary(snap) == 0.0
+            # the benchmark sweep's drift bound
+            assert abs(single_excitation_norm(snap, traj) - 1.0) < 1e-3, t
+
+    @given(run=one_atom_runs())
+    @settings(max_examples=40)
+    def test_matches_solve_cee(self, run):
+        # the same delay equation as c_ee with one atom, on another engine
+        atom, omega_a, dt, t_end = run
+        traj = solve_single_atom(atom, omega_a, t_end, dt)
+        ref = solve_cee(NetworkConfig(atoms=(atom,), omega_a=omega_a),
+                        t_end, dt)
+        assert np.array_equal(traj.times, ref.times)
+        for got, want in ((traj.states, ref.states),
+                          (traj.derivatives, ref.derivatives)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestNonFiniteTimes:
