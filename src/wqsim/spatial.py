@@ -37,9 +37,8 @@ def solve_single_atom(atom: AtomParams, omega_a: float, t_end: float,
     """Excited-state amplitude of one atom in front of the mirror,
     c_e(0) = 1:  dc/dt = -(gr^2+gl^2)/2 c + gl gr e^{2i omega_a z} c(t - 2z).
 
-    This is the same delay equation and coefficients as the frequency-domain
-    doubly excited solve with the second atom removed (`cee_equation`), run
-    on the block engine (`dde.integrate_block`).
+    The same delay equation and coefficients as the doubly excited solve
+    with the second atom removed (`cee_equation`), on the block engine.
     """
     config = NetworkConfig(atoms=(atom,), omega_a=omega_a)
     damping, delays, table = cee_equation(config)
