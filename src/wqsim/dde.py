@@ -362,7 +362,7 @@ def integrate_linear(y0: np.ndarray, damping: np.ndarray, table: np.ndarray,
     ends[0] = y, c - damping * y
     hist.ring[0] = y.reshape(-1)
 
-    # the ring keeps the last `depth` nodes: every unchecked one, to scan
+    # a failed check scans the ring: check before it drops a node unchecked
     check_every = min(_CHECK_EVERY, hist.depth - 1)
     steps = np.append(np.arange(0, n_steps, record_stride), n_steps)
     states = np.empty((len(steps), y.size), dtype=complex)
