@@ -12,6 +12,8 @@ Data files carry no timestamps; the run manifest does.
 from __future__ import annotations
 
 import datetime as _dt
+import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -33,10 +35,15 @@ class RunSettings:
     k_halfwidth: float | None = None
 
     def __post_init__(self) -> None:
-        floor = {"t_end": 0, "dt": 0, "k_points": 1}  # KGrid: k_halfwidth > 0
-        for name, x in asdict(self).items():
-            low = floor.get(name, -np.inf)
-            if x is not None and not (np.isfinite(x) and x > low):
+        # k_points: a mode count numpy can index; KGrid: k_halfwidth > 0
+        k = self.k_points
+        if k is not None and not (isinstance(k, numbers.Integral)
+                                  and 1 < k < 2**63):
+            raise ValueError(f"run setting 'k_points' must be an integer "
+                             f"> 1 and < 2**63, got {k!r}")
+        for name, low in (("t_end", 0), ("dt", 0), ("k_halfwidth", -math.inf)):
+            x = getattr(self, name)
+            if x is not None and not (math.isfinite(x) and x > low):
                 raise ValueError(f"run setting {name!r} must be a finite "
                                  f"number > {low}, got {x!r}")
 
@@ -75,6 +82,7 @@ def parse_config_text(text: str, origin: str = "<string>"
     atoms: dict[str, dict[str, float]] = {}
     run: dict[str, float | int] = {}
     section: str | None = None
+    sections: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -84,12 +92,18 @@ def parse_config_text(text: str, origin: str = "<string>"
             section = line[1:-1].strip()
             if section not in ("atom.1", "atom.2", "run"):
                 raise ParseError(f"{origin}:{lineno}: unknown section [{section}]")
+            if section in sections:
+                raise ParseError(f"{origin}:{lineno}: repeated section [{section}]")
+            sections.add(section)
             if section.startswith("atom."):
-                atoms.setdefault(section, {})
+                atoms[section] = {}
             continue
         if "=" not in line:
             raise ParseError(f"{origin}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = (s.strip() for s in line.partition("="))
+        if key in (top if section is None else run if section == "run"
+                   else atoms[section]):
+            raise ParseError(f"{origin}:{lineno}: repeated field {key!r}")
         if section is None:
             if key not in _TOP_KEYS:
                 raise ParseError(f"{origin}:{lineno}: unknown top-level field {key!r}")

@@ -41,9 +41,7 @@ def solve_single_atom(atom: AtomParams, omega_a: float, t_end: float,
     with the second atom removed (`cee_equation`), on the block engine.
     """
     config = NetworkConfig(atoms=(atom,), omega_a=omega_a)
-    damping, delays, table = cee_equation(config)
-    return integrate_block(np.array([1.0]), damping, table, delays, dt,
-                           step_count(t_end, dt))
+    return _trajectory(np.array([1.0]), *cee_equation(config), t_end, dt)
 
 
 def solve_two_atom_single_excitation(config: NetworkConfig, t_end: float,
@@ -56,9 +54,20 @@ def solve_two_atom_single_excitation(config: NetworkConfig, t_end: float,
     """
     if len(config.atoms) != 2:
         raise InvalidGeometry("two atoms required")
-    damping, delays, table = exchange_table(config)
-    return integrate_block(np.array([1.0, 0.0]), damping, table, delays, dt,
-                           step_count(t_end, dt))
+    return _trajectory(np.array([1.0, 0.0]), *exchange_table(config), t_end,
+                       dt)
+
+
+def _trajectory(y0, damping, delays, table, t_end, dt) -> Trajectory:
+    """y' = -damping y + table @ Y, y(0) = y0 and zero before, on the block
+    engine, keeping every node and its derivative."""
+    n = step_count(t_end, dt)
+    nodes = np.empty((n + 1, 2, len(y0)), dtype=complex)
+    for first, y, dy in integrate_block(y0[:, None], damping, table, delays,
+                                        dt, n):
+        nodes[first:first + y.shape[1]] = np.moveaxis([y, dy], 2, 0)[..., 0]
+    return Trajectory(dt * np.arange(n + 1), nodes[:, 0], nodes[:, 1], dt,
+                      np.zeros(len(y0), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +137,14 @@ def field_snapshot(config: NetworkConfig, traj: Trajectory, t: float,
     Default grid: spacing ~ the trajectory step over [0, z_outer + t], so
     retarded arguments land near trajectory nodes.  Raises InvalidGeometry
     unless `traj` has one component per atom of `config`, and OutOfRange
-    where the field needs the trajectory past its end or t is not finite.
+    where the field needs the trajectory past its end or t is negative or
+    not finite.
     """
     if traj.dim != len(config.atoms):
         raise InvalidGeometry(f"trajectory has {traj.dim} components for "
                               f"{len(config.atoms)} atom(s)")
-    if not np.isfinite(t):
-        raise OutOfRange(f"snapshot time t={t!r} is not finite")
+    if not 0.0 <= t < np.inf:                     # NaN fails it too
+        raise OutOfRange(f"snapshot time t={t!r} is not finite and >= 0")
     if z_values is None:
         z_end = config.atoms[-1].position + t
         z_values = np.linspace(0.0, z_end, int(np.ceil(z_end / traj.dt)) + 1)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wqsim import (AtomParams, DelaySystem, NetworkConfig, NonFiniteState,
-                   OutOfRange, StepTooLarge, integrate)
+                   OutOfRange, StepTooLarge, Trajectory, integrate)
 from wqsim import dde
 from wqsim.dde import (HistoryBuffer, _block_size, _hermite_weights,
-                       integrate_block, integrate_linear, resolve_taps)
+                       integrate_block, resolve_taps)
 from wqsim.frequency import exchange_table
 from wqsim.spatial import solve_two_atom_single_excitation
 
@@ -111,15 +111,15 @@ class TestGuards:
         (lambda growth, zero: integrate(
             dde.linear_system(growth, (0.1,), zero), prehistory=0.0,
             t_span=(0.0, 4.0), dt=0.01, initial_state=1.0), 252),
-        (lambda growth, zero: integrate_linear(
-            np.ones((1, 1)), growth[:, None], zero, (0.1,), lambda h: 0.0,
-            0.01, 400), 254),
-        (lambda growth, zero: integrate_block(
+        (lambda growth, zero: run_block(
             np.ones(1), growth, zero, (0.1,), 0.01, 400), 254),
-    ], ids=["integrate", "integrate_linear", "integrate_block"])
+        (lambda growth, zero: run_block(
+            np.ones((1, 3)), growth, zero, (0.1,), 0.01, 400,
+            lambda h: np.zeros((1, len(h), 3))), 254),
+    ], ids=["integrate", "integrate_block", "integrate_block-driven"])
     def test_overflow_names_the_first_non_finite_node(self, solve, node):
         # y' = 300 y at dt = 0.01 overflows between two finiteness checks.
-        # The closed forms step y_{n+1} = 16.375 y_n: node 254 overflows
+        # The closed form steps y_{n+1} = 16.375 y_n: node 254 overflows
         # first.  integrate's k4 stage, 4575 y_n, overflows in the step
         # from node 251: node 252 overflows first.
         with np.errstate(all="ignore"), pytest.raises(
@@ -137,10 +137,10 @@ class TestGuards:
     @pytest.mark.parametrize("build", [
         lambda tau: DelaySystem(dim=1, delays=(0.5, tau),
                                 rhs=lambda t, y, yd: -y),
-        lambda tau: integrate_linear(np.zeros((1, 1)), np.zeros((1, 1)),
-                                     np.zeros((1, 2)), (0.5, tau),
-                                     lambda h: 0.0, 0.01, 10),
-    ], ids=["integrate", "integrate_linear"])
+        lambda tau: integrate_block(np.zeros((1, 1)), np.zeros(1),
+                                    np.zeros((1, 2)), (0.5, tau), 0.01, 10,
+                                    lambda h: np.zeros((1, len(h), 1))),
+    ], ids=["integrate", "integrate_block"])
     def test_non_finite_delay_refused(self, build, tau):
         with pytest.raises(ValueError, match="finite"):
             build(tau)
@@ -323,7 +323,7 @@ class TestEngineEquivalence:
         # no off-node fraction: the history holds no Hermite rows at all
         dt = 0.01
         assert HistoryBuffer(resolve_taps((0.0,), dt), dt,
-                             np.zeros(3)).weights[0].shape == (0, 4)
+                             np.zeros(3)).weights.shape == (0, 4)
         system = linear_system((0.0,), seed=4)
         states, ref = self.check(system, dt, 1.0, np.array([1.0, 0.5j, -0.2]))
         np.testing.assert_array_equal(states, ref)
@@ -355,17 +355,15 @@ class TestHistoryPush:
         assert len(fractions) == 5
         return HistoryBuffer(taps, self.DT, np.zeros(2, dtype=complex)), fractions
 
-    @pytest.mark.parametrize("old", [0, 2])
-    def test_one_push_writes_the_node_and_every_hermite_row(self, old):
+    # the ring's first slot, and its last, whose node n+1 wraps to slot 0
+    @pytest.mark.parametrize("slot", [0, -1])
+    def test_one_push_writes_the_node_and_every_hermite_row(self, slot):
         hist, fractions = self.buffer()
-        rng = np.random.default_rng(old)
+        rng = np.random.default_rng(slot % 7)
         y_old, dy_old, y, dy = (rng.standard_normal((4, 2))
                                 + 1j * rng.standard_normal((4, 2)))
-        # node n's rows at old, old + 1, node n+1's in the other two
-        ends = np.array([y_old, dy_old, y, dy] if old == 0 else
-                        [y, dy, y_old, dy_old])
-        n = 11
-        hist.push(n, ends, old)
+        n = 11 * hist.depth + slot % hist.depth
+        hist.push(n, np.array([y_old, dy_old, y, dy]))
         assert np.array_equal(hist.ring[(n + 1) % hist.depth], y)
         for f, s in enumerate(fractions):
             h00, h10, h01, h11 = _hermite_weights(s)
@@ -377,41 +375,92 @@ class TestHistoryPush:
 
 
 class TestLinearStepper:
-    """`integrate_linear` against `integrate` on the same linear system."""
+    """`integrate_block` with a drive and a (rows, cols) state against
+    `integrate` on the same linear system."""
 
     def test_matches_generic_engine_from_a_jump(self):
         dt = 0.01
         delays = (0.13 + dt / 3, 0.3 + 0.6 * dt)
         rng = np.random.default_rng(3)
         table = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
-        damping = np.array([[0.7], [0.2]])
+        damping = np.array([0.7, 0.2])
         force = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         y0 = np.array([[1.0, 0.5j, 0.0], [-0.3, 0.0, 2.0]])
-
-        def f(t):
-            return force * np.exp(1j * np.array([0.0, 5.0, -9.0]) * t)
-
-        def rhs(t, y, ydel):
-            y = y.reshape(2, 3)
-            return (table @ ydel.reshape(-1, 3) - damping * y + f(t)).ravel()
-
-        ref = integrate(DelaySystem(dim=6, delays=delays, rhs=rhs),
-                        prehistory=np.zeros(6), t_span=(0.0, 2.0), dt=dt,
-                        initial_state=y0.ravel())
-        times, states = integrate_linear(y0, damping, table, delays,
-                                         lambda h: f(0.5 * dt * h), dt, 200, 3)
-        # every third step, then the final step: 3 does not divide 200
-        steps = list(range(0, 200, 3)) + [200]
-        np.testing.assert_array_equal(times, ref.times[steps])
-        np.testing.assert_allclose(states, ref.states[steps], rtol=0,
-                                   atol=1e-12 * np.abs(ref.states).max())
+        # 200 steps: 13-step blocks (the shortest delay), the last one short
+        assert _block_size(resolve_taps(delays, dt), y0.size) == 13
+        want, got = driven_pair(y0, damping, table, delays, force,
+                                np.array([0.0, 5.0, -9.0]), dt, 200)
+        assert_same_trajectory(got, want)
 
     def test_guards(self):
-        y0, d, table = np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 1))
+        y0, d, table = np.zeros((1, 2)), np.zeros(1), np.zeros((1, 1))
         with pytest.raises(ValueError):
-            integrate_linear(y0, d, table, (0.0,), lambda h: 0.0, 0.01, 10)
+            integrate_block(y0, d, table, (0.0,), 0.01, 10)
         with pytest.raises(StepTooLarge):
-            integrate_linear(y0, d, table, (0.1,), lambda h: 0.0, 0.02, 10)
+            integrate_block(y0, d, table, (0.1,), 0.02, 10)
+        # one damping per row of a two-dimensional state
+        with pytest.raises(ValueError, match="rows"):
+            integrate_block(np.zeros(2), np.zeros(2), table, (0.1,), 0.01, 10)
+        with pytest.raises(ValueError, match="rows"):
+            integrate_block(y0, np.zeros((1, 1)), table, (0.1,), 0.01, 10)
+
+    def test_window_wraps_with_reads_across_it(self):
+        # a 30.33-step delay reads 30 steps back at fractions 1/6 and 2/3,
+        # and a state of 2 x 1024 values caps the block at 16 steps: the
+        # window holds 32 nodes, so 400 steps wrap it 12 times, and every
+        # other block (the first from node 16) reads the Hermite rows in
+        # window slots 18 to 33, across the wrap
+        dt = 0.01
+        delays = (0.3 + dt / 3,)
+        rng = np.random.default_rng(8)
+        y0 = rng.standard_normal((2, 1024)) + 1j * rng.standard_normal((2, 1024))
+        assert resolve_taps(delays, dt)[0][0][0] == -30
+        assert _block_size(resolve_taps(delays, dt), y0.size) == 16
+        table = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        want, got = driven_pair(y0, np.array([1.0, 0.3]), table, delays,
+                                np.ones((2, 1024)), np.linspace(-3, 3, 1024),
+                                dt, 400)
+        assert_same_trajectory(got, want)
+
+
+def run_block(y0, damping, table, delays, dt, n_steps, drive=None):
+    """Every node of an `integrate_block` run as a Trajectory whose component
+    r * cols + j is y[r, j]; a y0 of shape (rows,) is one column."""
+    y0 = np.asarray(y0, dtype=complex)
+    y0 = y0[:, None] if y0.ndim == 1 else y0
+    nodes = []
+    for first, y, dy in integrate_block(y0, damping, table, delays, dt,
+                                        n_steps, drive):
+        assert first == sum(map(len, nodes))     # in order, without gaps
+        # (rows, k, cols) twice -> (k, 2, rows * cols)
+        nodes.append(np.stack([y, dy]).transpose(2, 0, 1, 3)
+                     .reshape(y.shape[1], 2, -1))
+    nodes = np.concatenate(nodes)
+    assert len(nodes) == n_steps + 1
+    return Trajectory(times=dt * np.arange(n_steps + 1), states=nodes[:, 0],
+                      derivatives=nodes[:, 1], dt=dt,
+                      prehistory=np.zeros(y0.size, dtype=complex))
+
+
+def driven_pair(y0, damping, table, delays, force, freq, dt, n_steps):
+    """(`integrate`, `integrate_block`) trajectories of y' = -D y + table @ Y
+    + force e^{i freq t} from y0 (rows, cols); force is None for no drive."""
+    rows, cols = y0.shape
+
+    def f(t):
+        if force is None:
+            return np.zeros((rows, np.size(t), cols))
+        return force[:, None] * np.exp(1j * np.multiply.outer(t, freq))
+
+    def rhs(t, y, ydel):
+        return (table @ ydel.reshape(-1, cols) - damping[:, None]
+                * y.reshape(rows, cols) + f(t)[:, 0]).ravel()
+
+    want = integrate(DelaySystem(dim=y0.size, delays=delays, rhs=rhs),
+                     prehistory=np.zeros(y0.size), dt=dt,
+                     t_span=(0.0, n_steps * dt), initial_state=y0.ravel())
+    drive = None if force is None else (lambda h: f(0.5 * dt * h))
+    return want, run_block(y0, damping, table, delays, dt, n_steps, drive)
 
 
 # ---------------------------------------------------------------------------
@@ -463,30 +512,19 @@ class TestDelaySets:
         np.testing.assert_allclose(traj.states, ref, rtol=0,
                                    atol=1e-12 * np.abs(ref).max())
 
-    @given(delays=delay_sets(), dim=st.integers(1, 3),
-           seed=st.integers(0, 2**16))
-    @settings(max_examples=20)
-    def test_integrate_linear_matches_integrate(self, delays, dim, seed):
-        damping, table, y0 = random_linear(delays, dim, seed)
-        n_steps = round(self.T_END / DT)
-        traj = integrate(dde.linear_system(damping, delays, table),
-                         prehistory=np.zeros(dim), t_span=(0.0, self.T_END),
-                         dt=DT, initial_state=y0)
-        _, states = integrate_linear(y0[:, None], damping[:, None], table,
-                                     delays, lambda h: 0.0, DT, n_steps)
-        np.testing.assert_allclose(states, traj.states, rtol=0,
-                                   atol=1e-12 * np.abs(traj.states).max())
-
-    @given(delays=delay_sets(), dim=st.integers(1, 3),
-           seed=st.integers(0, 2**16))
-    @settings(max_examples=20)
-    def test_integrate_block_matches_integrate(self, delays, dim, seed):
-        damping, table, y0 = random_linear(delays, dim, seed)
-        want = integrate(dde.linear_system(damping, delays, table),
-                         prehistory=np.zeros(dim), t_span=(0.0, self.T_END),
-                         dt=DT, initial_state=y0)
-        got = integrate_block(y0, damping, table, delays, DT,
-                              round(self.T_END / DT))
+    @given(delays=delay_sets(), rows=st.integers(1, 3), cols=st.integers(1, 3),
+           driven=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=30)
+    def test_integrate_block_matches_integrate(self, delays, rows, cols,
+                                               driven, seed):
+        damping, table, _ = random_linear(delays, rows, seed)
+        rng = np.random.default_rng(seed + 1)
+        y0, force = (rng.standard_normal((2, rows, cols))
+                     + 1j * rng.standard_normal((2, rows, cols)))
+        want, got = driven_pair(y0, damping, table, delays,
+                                force if driven else None,
+                                rng.uniform(-10, 10, cols), DT,
+                                round(self.T_END / DT))
         assert_same_trajectory(got, want)
 
     def test_coinciding_loops_match_a_hand_merged_system(self):
@@ -521,7 +559,8 @@ def assert_same_trajectory(got, want):
 
 class TestBlockEngine:
     """`integrate_block` against `integrate` where the block length bites:
-    a block may not read a node or interval it produces itself."""
+    a block may not read a node or interval it produces itself, and a wide
+    state's block stays within the cache."""
 
     def compare(self, delays, n_steps, dim=2, seed=5):
         """Compare the two engines; return the block length."""
@@ -529,15 +568,20 @@ class TestBlockEngine:
         want = integrate(dde.linear_system(damping, delays, table),
                          prehistory=np.zeros(dim),
                          t_span=(0.0, n_steps * DT), dt=DT, initial_state=y0)
-        got = integrate_block(y0, damping, table, delays, DT, n_steps)
-        assert len(got.times) == n_steps + 1
+        got = run_block(y0, damping, table, delays, DT, n_steps)
         assert_same_trajectory(got, want)
-        return _block_size(resolve_taps(delays, DT))
+        return _block_size(resolve_taps(delays, DT), dim)
 
     def test_steps_not_a_multiple_of_the_block(self):
         # 30-step delay: 30-step blocks; 1 s: capped at 64
         assert self.compare((0.3,), 100) == 30
         assert self.compare((1.0, 0.7 + DT / 3), 150, dim=3) == 64
+
+    def test_deepest_read_a_node_whole_blocks_back(self):
+        # a 30.5-step delay reads node n - 30 and interval n - 30 in
+        # 30-step blocks: the window must hold 31 nodes, two blocks
+        assert resolve_taps((0.305,), DT) == [[(-30, 0.0)], [(-30, 0.5)]]
+        assert self.compare((0.305,), 200) == 30
 
     @pytest.mark.parametrize("shortest", [8 * DT, 8 * DT * (1 + 1e-6),
                                           8.5 * DT, 8.7 * DT])
@@ -555,25 +599,29 @@ class TestBlockEngine:
                                       AtomParams(0.17, 0.1, 0.4)),
                                omega_a=50.0)
         dt = min(config.delays) / 64
-        assert _block_size(resolve_taps(config.delays, dt)) == 64
+        assert _block_size(resolve_taps(config.delays, dt), 2) == 64
+        # the fig2 pair solve: 2 x 1001 modes
+        fig2 = NetworkConfig(atoms=(AtomParams(0.1, 0.25, 0.5),
+                                    AtomParams(0.2, 0.25, 0.5)), omega_a=50.0)
+        assert _block_size(resolve_taps(fig2.delays, 0.1 / 64), 2002) == 16
 
     @pytest.mark.parametrize("tau", [0.0, -0.1, math.inf, math.nan])
     def test_non_positive_or_non_finite_delay_refused(self, tau):
         with pytest.raises(ValueError, match="finite and > 0"):
-            integrate_block(np.ones(1), np.ones(1), np.ones((1, 2)),
+            integrate_block(np.ones((1, 1)), np.ones(1), np.ones((1, 2)),
                             (0.5, tau), DT, 10)
 
     def test_step_too_large(self):
         with pytest.raises(StepTooLarge):
-            integrate_block(np.ones(1), np.ones(1), np.ones((1, 1)),
+            integrate_block(np.ones((1, 1)), np.ones(1), np.ones((1, 1)),
                             (8 * DT,), 1.01 * DT, 10)
 
     def test_growth_names_the_first_non_finite_node(self):
         # y' = 300 y: R = 16.375 a step, so R^n first overflows at n = 254
         with np.errstate(all="ignore"), pytest.raises(
                 NonFiniteState, match=re.escape(f"t={254 * DT!r}")):
-            integrate_block(np.ones(1), np.array([-300.0]), np.zeros((1, 1)),
-                            (0.1,), DT, 400)
+            run_block(np.ones(1), np.array([-300.0]), np.zeros((1, 1)),
+                      (0.1,), DT, 400)
 
     def test_overflow_through_a_delayed_read_names_its_node(self):
         # y' = 1e300 y(t - 0.1), y(0) = 1: step 9 first reads node 0, so
@@ -581,5 +629,5 @@ class TestBlockEngine:
         # power table spreads that over the block's earlier nodes.
         with np.errstate(all="ignore"), pytest.raises(
                 NonFiniteState, match=re.escape(f"t={20 * DT!r}")):
-            integrate_block(np.ones(1), np.zeros(1), np.array([[1e300]]),
-                            (0.1,), DT, 40)
+            run_block(np.ones(1), np.zeros(1), np.array([[1e300]]),
+                      (0.1,), DT, 40)

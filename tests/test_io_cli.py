@@ -67,6 +67,17 @@ class TestConfigParsing:
         config, settings = plan
         assert parse_config_text(format_config(config, settings)) == plan
 
+    @pytest.mark.parametrize("text, line, what", [
+        (GOOD.replace("label = demo", "label = demo\nomega_a = 20"), 4,
+         "'omega_a'"),
+        (GOOD.replace("z = 0.1", "z = 0.1\nz = 0.3"), 6, "'z'"),
+        (GOOD + "dt = 0.001\n", 17, "'dt'"),
+        (GOOD + "[atom.1]\nz = 0.3\n", 17, r"section \[atom.1\]"),
+    ], ids=["top-level", "atom", "run", "section"])
+    def test_repeats_refused(self, text, line, what):
+        with pytest.raises(ParseError, match=rf":{line}: repeated .*{what}"):
+            parse_config_text(text)
+
     def test_good_round_trip(self):
         cfg, run = parse_config_text(GOOD)
         assert cfg.omega_a == 50.0
@@ -353,9 +364,17 @@ class TestRunPlan:
         with pytest.raises(ParseError, match=r":13: .*'t_end'"):
             parse_config_text(GOOD.replace("t_end = 0.5", "t_end = nan"))
         for bad in ({"t_end": -1.0}, {"dt": 0.0}, {"k_points": 1},
-                    {"k_halfwidth": math.inf}):
+                    {"k_halfwidth": math.inf}, {"k_points": 3.5},
+                    {"k_points": 2**64}):
             with pytest.raises(ValueError, match=repr(next(iter(bad)))):
                 RunSettings(**bad)
+        # a mode count past numpy's integers, from a config and a flag
+        with pytest.raises(ParseError, match=r":15: .*'k_points'"):
+            parse_config_text(GOOD.replace("k_points = 41", "k_points = 1e30"))
+        rc = main(["preset", "fig5", "--out", str(tmp_path / "c"),
+                   "--k-points", "1000000000000000000000"])
+        assert rc == 2
+        self.one_error_line(capsys, "k_points")
 
     def test_preset_plans_are_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

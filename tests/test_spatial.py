@@ -334,7 +334,7 @@ class TestRandomOneAtomNetworks:
 
 class TestNonFiniteTimes:
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -0.5])
     def test_snapshot_refuses(self, t):
         traj = solve_atom(t_end=1.0)
         for z in (None, np.array([0.0, 0.1])):
