@@ -512,11 +512,26 @@ class TestDelaySets:
         np.testing.assert_allclose(traj.states, ref, rtol=0,
                                    atol=1e-12 * np.abs(ref).max())
 
+    @given(delays=delay_sets(), dim=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=20)
+    def test_integrate_block_matches_integrate(self, delays, dim, seed):
+        # the spatial solves' shape: one column, no drive
+        damping, table, y0 = random_linear(delays, dim, seed)
+        want = integrate(dde.linear_system(damping, delays, table),
+                         prehistory=np.zeros(dim), t_span=(0.0, self.T_END),
+                         dt=DT, initial_state=y0)
+        got = run_block(y0, damping, table, delays, DT,
+                        round(self.T_END / DT))
+        assert_same_trajectory(got, want)
+
     @given(delays=delay_sets(), rows=st.integers(1, 3), cols=st.integers(1, 3),
            driven=st.booleans(), seed=st.integers(0, 2**16))
     @settings(max_examples=30)
-    def test_integrate_block_matches_integrate(self, delays, rows, cols,
-                                               driven, seed):
+    def test_integrate_linear_matches_integrate(self, delays, rows, cols,
+                                                driven, seed):
+        # the pair solve's linear system on the block engine: a
+        # (rows, cols) state with an optional drive
         damping, table, _ = random_linear(delays, rows, seed)
         rng = np.random.default_rng(seed + 1)
         y0, force = (rng.standard_normal((2, rows, cols))
