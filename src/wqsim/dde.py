@@ -3,25 +3,23 @@
 Classical RK4 on a uniform grid with constant delays, so every delayed read
 c(t_n + c dt - tau) of a stage at offset c (1/2 for k2 and k3, 1 for k4 and
 the next node's derivative) lands at the same node offset and the same
-cubic-Hermite fraction at every step.  `integrate` resolves these taps once
-into a table and keeps the history in a ring (`HistoryBuffer`): one row per
-node state plus, for each distinct off-node fraction, one Hermite row per node
-interval, all written by one product as the interval closes.  Every delayed
-read is then a row copy.  Delays may come in any order and may repeat: the
-tap table alone decides which reads coincide (up to rounding), and those
-share one ring row.  Reads before the initial instant return the constant
-pre-history (zero by default: the field does not exist before t = 0).  The
-tap table keeps the explicit scheme honest by refusing dt > min(positive
-delay)/8, so no tap reads a node the current step has not produced yet.
+cubic-Hermite fraction at every step.  `resolve_taps` resolves these taps
+once into a table, which alone decides which reads coincide (up to
+rounding), so delays may come in any order and may repeat.  It refuses
+dt > min(positive delay)/8, so no tap reads a node the current step has not
+produced yet.
 
-Two engines run this scheme.  `integrate` calls an rhs closure at every
-stage (`linear_system` builds the one of a linear system) and serves any
-`DelaySystem`: the doubly excited solve (`solve_cee`) and user systems.
-`integrate_block` runs it in closed form for linear systems whose delayed
-part and drive do not depend on the step's own stages, a block of steps at
-a time, and hands each block to its caller: the wide, driven pair
-equations and both narrow spatial single-excitation solves, with one atom
-and with two.
+Two engines run this scheme on one history ring (`HistoryBuffer`) of node
+states and, per distinct off-node fraction, Hermite rows of the closed node
+intervals.  No step of a block (`_block_size`) reads a node or interval the
+block produces, so both write the ring once per block, and every read is a
+ring row or slice.  Reads before t = 0 return the constant pre-history.
+`integrate` calls an rhs closure at every stage (`linear_system` builds the
+one of a linear system) and serves any `DelaySystem`: the doubly excited
+solve (`solve_cee`) and user systems.  `integrate_block` runs the scheme in
+closed form for linear systems whose delayed part and drive do not depend
+on the step's own stages, a block at a time: the wide, driven pair
+equations and both narrow spatial single-excitation solves.
 """
 from __future__ import annotations
 
@@ -39,10 +37,8 @@ RhsFunc = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 # stage offsets (in units of dt past the current node) that read the history
 _STAGE_OFFSETS = (0.5, 1.0)
 _SNAP = 1e-9
-# steps between finiteness checks of the state (and at the last step)
-_CHECK_EVERY = 64
-# longest block of steps `integrate_block` advances at once, and the bytes
-# of the block's states that keep its arrays in the cache
+# longest block of steps an engine advances at once, and the bytes of the
+# block's states that keep its arrays in the cache
 _MAX_BLOCK = 64
 _BLOCK_BYTES = 2**19
 
@@ -136,42 +132,55 @@ def resolve_taps(delays: Sequence[float], dt: float
 
 
 class HistoryBuffer:
-    """The integrator's working history for a tap table (`resolve_taps`).
+    """The history ring both engines read, for a tap table (`resolve_taps`),
+    a constant (rows, cols) pre-history and a block of `size` steps.
 
-    A ring of `depth` slots per block: block 0 holds node states, block
-    1 + f the Hermite rows at the f-th distinct off-node fraction of each
-    closed node interval.  Node i and interval [i, i+1] live in slot
-    i % depth; slots of nodes and intervals before t = 0 hold the
-    pre-history until overwritten, which one slot past the deepest read
-    keeps from happening too early.
+    `ring[kind, :, j]` is a (rows, cols) state: kind 0 holds node states,
+    kind 1 + f the Hermite rows at the f-th distinct off-node fraction of
+    each closed node interval.  Node i and interval [i, i+1] live in column
+    i % period, and columns period + j copy columns j < size, so every read
+    of a block is one slice.  The period is the longest reach in whole
+    blocks, which keeps each column, the pre-history before t = 0 included,
+    while a read needs it.  `taps` holds the (kind, node lag) of each tap.
     """
 
     def __init__(self, taps: list[list[tuple[int, float]]], dt: float,
-                 prehistory: np.ndarray) -> None:
+                 prehistory: np.ndarray, size: int) -> None:
         fractions = sorted({s for row in taps for _, s in row if s > 0.0})
         h00, h10, h01, h11 = _hermite_weights(np.array(fractions))
-        self.weights = np.stack([h00, h10 * dt, h01, h11 * dt],
-                                axis=1).astype(complex)
-        self.depth = 1 - min((m for row in taps for m, _ in row), default=0)
-        self.ring = np.empty(((1 + len(fractions)) * self.depth,
-                              len(prehistory)), dtype=complex)
-        self.ring[:] = prehistory
-        self.hermite = self.ring.reshape(-1, self.depth, len(prehistory))[1:]
-        # (first slot of the block, node lag) of each tap
-        self.taps = [[(0 if s == 0.0 else (1 + fractions.index(s)) * self.depth,
-                       m) for m, s in row] for row in taps]
+        self.weights = [w[:, None, None, None]
+                        for w in (h00, h10 * dt, h01, h11 * dt)]
+        self.size = size
+        self.period = size * -(-max(_reaches(taps), default=size) // size)
+        rows, cols = prehistory.shape
+        self.ring = np.empty((1 + len(fractions), rows, self.period + size,
+                              cols), dtype=complex)
+        self.ring[:] = prehistory[:, None]
+        self.taps = [[(0 if s == 0.0 else 1 + fractions.index(s), m)
+                      for m, s in row] for row in taps]
 
     def sample(self, k: int, i: int, n: int) -> np.ndarray:
-        """The state delay i reads in tap set k during step n: a ring row."""
-        base, lag = self.taps[k][i]
-        return self.ring[base + (n + lag) % self.depth]
+        """The state delay i reads in tap set k during step n."""
+        kind, lag = self.taps[k][i]
+        return self.ring[kind, :, (n + lag) % self.period]
 
-    def push(self, n: int, ends: np.ndarray) -> None:
-        """Close the interval [n, n+1]: store node n+1, then write every
-        Hermite row of the interval with one product.  ends (4, dim) holds
-        node n's (y, dy), then node n+1's."""
-        self.ring[(n + 1) % self.depth] = ends[2]
-        np.matmul(self.weights, ends, out=self.hermite[:, n % self.depth])
+    def write(self, n0: int, dy: np.ndarray) -> None:
+        """Close the intervals [n0, n0 + k] of a block (n0 a multiple of
+        size, k = dy.shape[1] - 1 <= size), whose end nodes are already in
+        the ring: write their Hermite rows at every fraction at once, then
+        refresh the copy columns.  dy (rows, k + 1, cols) holds the
+        derivatives of nodes n0, ..., n0 + k."""
+        k, p0, ring = dy.shape[1] - 1, n0 % self.period, self.ring
+        y, h = ring[0, :, p0:p0 + k + 1], ring[1:, :, p0:p0 + k]
+        w00, w10, w01, w11 = self.weights
+        np.multiply(w00, y[:, :-1], out=h)
+        h += w10 * dy[:, :-1]
+        h += w01 * y[:, 1:]
+        h += w11 * dy[:, 1:]
+        if p0 + k == self.period:
+            ring[0, :, 0] = ring[0, :, self.period]
+        if p0 == 0:
+            ring[:, :, self.period:] = ring[:, :, :self.size]
 
 
 @dataclass
@@ -237,7 +246,9 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
     The state before t = 0 is the constant `prehistory`; the state AT t = 0
     is `initial_state` (defaults to prehistory), which allows the jump
     initial conditions used by the amplitude equations (zero field history,
-    unit initial amplitude).
+    unit initial amplitude).  RK4 steps across the kinks such a jump leaves
+    at every sum of delays, so the solution is then first order in dt, not
+    fourth.
 
     Raises StepTooLarge when dt exceeds min(positive delays)/8 and
     NonFiniteState naming the first non-finite node.
@@ -257,7 +268,8 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
     if y.shape != (dim,):
         raise ValueError(f"initial_state must have shape ({dim},)")
 
-    hist = HistoryBuffer(taps, dt, pre)
+    size = _block_size(taps, dim)
+    hist = HistoryBuffer(taps, dt, pre[None], size)
     lagged = [i for i, d in enumerate(system.delays) if d > 0.0]
     zero_idx = [i for i, d in enumerate(system.delays) if d == 0.0]
     buf = np.empty((len(system.delays), dim), dtype=complex)
@@ -273,29 +285,31 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
         return np.array(system.rhs(t, yy, ydel), dtype=complex)
 
     dy = rhs(0.0, y, 1, -1)
-    hist.ring[0] = y
+    hist.ring[0, 0, 0] = y
 
     times = dt * np.arange(n_steps + 1)
     nodes = np.empty((n_steps + 1, 2, dim), dtype=complex)
     nodes[0, 0], nodes[0, 1] = y, dy
 
     half = 0.5 * dt
-    for n in range(n_steps):
-        t = n * dt
-        k1 = dy                       # rhs at the node, reused from last step
-        k2 = rhs(t + half, y + half * k1, 0, n)   # k2, k3: half-step taps
-        k3 = rhs(t + half, y + half * k2, 0, n)
-        k4 = rhs(t + dt, y + dt * k3, 1, n)       # k4, next dy: full-step taps
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t_new = (n + 1) * dt
-        dy = rhs(t_new, y, 1, n)
-        nodes[n + 1, 0], nodes[n + 1, 1] = y, dy
-        hist.push(n, nodes[n:n + 2].reshape(4, dim))
-        if (n + 1) % _CHECK_EVERY == 0 or n + 1 == n_steps:
-            if not np.all(np.isfinite(y.view(float))):
-                bad = ~np.isfinite(nodes[:n + 2, 0]).all(axis=1)
-                raise NonFiniteState(
-                    f"non-finite state at t={int(np.argmax(bad)) * dt!r}")
+    for n0 in range(0, n_steps, size):
+        n1 = min(n0 + size, n_steps)
+        for n in range(n0, n1):
+            t = n * dt
+            k1 = dy                   # rhs at the node, reused from last step
+            k2 = rhs(t + half, y + half * k1, 0, n)   # k2, k3: half-step taps
+            k3 = rhs(t + half, y + half * k2, 0, n)
+            k4 = rhs(t + dt, y + dt * k3, 1, n)       # k4, next dy: full-step
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            dy = rhs((n + 1) * dt, y, 1, n)
+            nodes[n + 1, 0], nodes[n + 1, 1] = y, dy
+        bad = ~np.isfinite(nodes[n0:n1 + 1, 0]).all(axis=1)
+        if bad.any():
+            raise NonFiniteState(
+                f"non-finite state at t={(n0 + int(np.argmax(bad))) * dt!r}")
+        p0 = n0 % hist.period
+        hist.ring[0, 0, p0 + 1:p0 + n1 - n0 + 1] = nodes[n0 + 1:n1 + 1, 0]
+        hist.write(n0, nodes[None, n0:n1 + 1, 1])
 
     return Trajectory(times=times, states=nodes[:, 0],
                       derivatives=nodes[:, 1], dt=dt, prehistory=pre)
@@ -311,8 +325,9 @@ def _rk4_coefficients(damping: np.ndarray, dt: float) -> tuple:
 
 def _reaches(taps: list[list[tuple[int, float]]]) -> list[int]:
     """Per tap (m, s), the steps from node n0 on whose reads lie at or
-    before n0: 1 - m for a node read, -m for an interval read."""
-    return [1 - m if s == 0.0 else -m for row in taps for m, s in row]
+    before n0: 1 - m for a node read, -m for an interval read.  A zero
+    delay, the only tap with m = 0, reads the stage state, not the ring."""
+    return [1 - m if s == 0.0 else -m for row in taps for m, s in row if m]
 
 
 def _block_size(taps: list[list[tuple[int, float]]], width: int) -> int:
@@ -372,26 +387,15 @@ def integrate_block(y0: np.ndarray, damping: np.ndarray, table: np.ndarray,
 def _blocks(y0, damping, table, taps, dt, n_steps, drive):
     rows, cols = y0.shape
     size = _block_size(taps, y0.size)
-    fractions = sorted({s for row in taps for _, s in row if s > 0.0})
-    h00, h10, h01, h11 = _hermite_weights(np.array(fractions))
-    w00, w10, w01, w11 = (w[:, None, None, None]
-                          for w in (h00, h10 * dt, h01, h11 * dt))
-    # node i and interval [i, i+1] live in column i % period of their kind
-    # (0: nodes, 1 + f: Hermite rows at fractions[f]), columns period + j
-    # copy columns j < size, so every read of a block is one slice.  The
-    # longest reach in whole blocks keeps each column, the zero history
-    # before t = 0 included, while a read needs it.
-    period = size * -(-max(_reaches(taps)) // size)
-    ring = np.zeros((1 + len(fractions), rows, period + size, cols),
-                    dtype=complex)
+    hist = HistoryBuffer(taps, dt, np.zeros((rows, cols)), size)
+    ring, period = hist.ring, hist.period
     nodes = ring[0]
     # per tap set, the nonzero couplings (row, kind, lag, source row, gain)
     # of the distinct reads; reads that coincide add their table blocks
     reads = []
-    for row in taps:
+    for row in hist.taps:
         merged: dict[tuple[int, int], np.ndarray] = {}
-        for u, (m, s) in enumerate(row):
-            key = (0 if s == 0.0 else 1 + fractions.index(s), m)
+        for u, key in enumerate(row):
             merged[key] = merged.get(key, 0.0) + table[:, u * rows:(u + 1) * rows]
         reads.append([(i, kind, lag, q, gain)
                       for (kind, lag), block in merged.items()
@@ -458,16 +462,7 @@ def _blocks(y0, damping, table, taps, dt, n_steps, drive):
             raise NonFiniteState(f"non-finite state at t={n * dt!r}")
         np.multiply(minus_d, new, out=dy[:, 1:k + 1])
         dy[:, 1:k + 1] += c
-        # the Hermite rows of the block's intervals, every fraction at once
-        y, d, h = nodes[:, p0:p0 + k + 1], dy[:, :k + 1], ring[1:, :, p0:p0 + k]
-        np.multiply(w00, y[:, :-1], out=h)
-        h += w10 * d[:, :-1]
-        h += w01 * y[:, 1:]
-        h += w11 * d[:, 1:]
-        if p0 + k == period:
-            nodes[:, 0] = nodes[:, period]
-        if p0 == 0:
-            ring[:, :, period:] = ring[:, :, :size]
+        hist.write(n0, dy[:, :k + 1])
         yield n0 + 1, new, dy[:, 1:k + 1]
         dy[:, 0] = dy[:, k]
         c_last = c[:, -1]

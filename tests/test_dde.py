@@ -322,11 +322,18 @@ class TestEngineEquivalence:
     def test_zero_delay_alone_is_exact(self):
         # no off-node fraction: the history holds no Hermite rows at all
         dt = 0.01
-        assert HistoryBuffer(resolve_taps((0.0,), dt), dt,
-                             np.zeros(3)).weights.shape == (0, 4)
+        assert HistoryBuffer(resolve_taps((0.0,), dt), dt, np.zeros((1, 3)),
+                             64).ring.shape[0] == 1
         system = linear_system((0.0,), seed=4)
         states, ref = self.check(system, dt, 1.0, np.array([1.0, 0.5j, -0.2]))
         np.testing.assert_array_equal(states, ref)
+
+    def test_zero_delay_keeps_a_full_block(self):
+        # a zero delay reads the stage state, not the ring, so it does not
+        # shorten the block to one step
+        dt = 0.01
+        assert _block_size(resolve_taps((0.0,), dt), 3) == 64
+        assert _block_size(resolve_taps((0.0, 0.2 + dt / 3), dt), 3) == 20
 
     @pytest.mark.parametrize("row", [0, 1])
     def test_rhs_returning_a_history_row(self, row):
@@ -339,8 +346,9 @@ class TestEngineEquivalence:
         np.testing.assert_allclose(states, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
 
-class TestHistoryPush:
-    """`HistoryBuffer.push` writes every Hermite row of an interval at once."""
+class TestHistoryWrite:
+    """`HistoryBuffer.write` closes a block's intervals: every Hermite row at
+    every fraction at once, then the copy columns."""
 
     # the two-atom point 2 of the seed-1 benchmark sweep: its four loop
     # delays are off the dt grid; z1 + z2 and z2 - z1 lie 64 steps apart,
@@ -348,30 +356,42 @@ class TestHistoryPush:
     Z1, Z2 = 0.05473439699423947, 0.1992946755240927
     DT = 2.0 * Z1 / 64
 
-    def buffer(self):
+    # one step and a full 64-step block, at the ring's first column and
+    # ending at its last, whose end node wraps to column 0
+    @pytest.mark.parametrize("block, wrap", [(False, False), (False, True),
+                                             (True, False), (True, True)],
+                             ids=["step-first", "step-wrap", "block-first",
+                                  "block-wrap"])
+    def test_one_write_fills_every_hermite_row_and_the_copy_columns(
+            self, block, wrap):
         z1, z2 = self.Z1, self.Z2
         taps = resolve_taps((2 * z1, 2 * z2, z1 + z2, z2 - z1), self.DT)
         fractions = sorted({s for row in taps for _, s in row if s > 0.0})
-        assert len(fractions) == 5
-        return HistoryBuffer(taps, self.DT, np.zeros(2, dtype=complex)), fractions
-
-    # the ring's first slot, and its last, whose node n+1 wraps to slot 0
-    @pytest.mark.parametrize("slot", [0, -1])
-    def test_one_push_writes_the_node_and_every_hermite_row(self, slot):
-        hist, fractions = self.buffer()
-        rng = np.random.default_rng(slot % 7)
-        y_old, dy_old, y, dy = (rng.standard_normal((4, 2))
-                                + 1j * rng.standard_normal((4, 2)))
-        n = 11 * hist.depth + slot % hist.depth
-        hist.push(n, np.array([y_old, dy_old, y, dy]))
-        assert np.array_equal(hist.ring[(n + 1) % hist.depth], y)
+        assert len(fractions) == 5 and _block_size(taps, 2) == 64
+        size = 64 if block else 1
+        hist = HistoryBuffer(taps, self.DT, np.zeros((1, 2)), size)
+        period = hist.period
+        rng = np.random.default_rng(size + wrap)
+        hist.ring[0] = (rng.standard_normal((1, period + size, 2))
+                        + 1j * rng.standard_normal((1, period + size, 2)))
+        dy = (rng.standard_normal((1, size + 1, 2))
+              + 1j * rng.standard_normal((1, size + 1, 2)))
+        p0 = period - size if wrap else 0
+        y = hist.ring[0, :, p0:p0 + size + 1].copy()
+        hist.write(11 * period + p0, dy)
         for f, s in enumerate(fractions):
             h00, h10, h01, h11 = _hermite_weights(s)
-            want = (h00 * y_old + h10 * self.DT * dy_old + h01 * y
-                    + h11 * self.DT * dy)
-            got = hist.ring[(1 + f) * hist.depth + n % hist.depth]
+            want = (h00 * y[:, :-1] + h10 * self.DT * dy[:, :-1]
+                    + h01 * y[:, 1:] + h11 * self.DT * dy[:, 1:])
+            got = hist.ring[1 + f, :, p0:p0 + size]
             assert np.all(np.abs(got - want)
                           <= 4 * np.spacing(np.abs(want).max())), f
+        if wrap:
+            # the end node, written to the copy column period, is node 0's
+            assert np.array_equal(hist.ring[0, :, 0], y[:, -1])
+        else:
+            assert np.array_equal(hist.ring[:, :, period:],
+                                  hist.ring[:, :, :size])
 
 
 class TestLinearStepper:

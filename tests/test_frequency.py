@@ -17,6 +17,7 @@ from wqsim.frequency import (_ORACLE_BLOCK, TWO_PHOTON_SCALE,
                              _pair_record_stride, exchange_table,
                              markov_exponent)
 from wqsim.model import MODE_MEASURE, coupling_g, coupling_row
+from wqsim.verify import _DARK_STATE_TOL
 
 WA = 50.0
 
@@ -105,7 +106,36 @@ def networks(draw, z1=st.floats(0.02, 0.5), omega_a=st.floats(1.0, 100.0)):
     return NetworkConfig(atoms=tuple(atoms), omega_a=draw(omega_a))
 
 
+@st.composite
+def dark_networks(draw):
+    """Nonchiral atoms at nodes z_j = n_j pi / omega_a of the short-delay
+    regime (omega_a >= 10, z_j <= 0.25), with n_1 < n_2 <= 2 n_1: atom 2's
+    first echo comes no later than atom 1's second."""
+    omega_a = draw(st.floats(26.0, 100.0))
+    top = int(0.25 * omega_a / math.pi)
+    n1 = draw(st.integers(1, top - 1))
+    n2 = draw(st.integers(n1 + 1, min(2 * n1, top)))
+    g = st.floats(0.0, 0.5)
+    return NetworkConfig(atoms=tuple(
+        AtomParams(n * math.pi / omega_a, gamma, gamma)
+        for n, gamma in ((n1, draw(g)), (n2, draw(g)))), omega_a=omega_a)
+
+
 class TestRandomNetworks:
+    @given(config=dark_networks())
+    @settings(max_examples=20)
+    def test_nonchiral_nodes_follow_the_dark_state_law(self, config):
+        # every delay phase is 1 at a node; the method of steps gives
+        # c = e^{-gamma t} on [0, tau_1] and, until the next echo at tau_2,
+        # c = e^{-gamma t}[1 + a_1 e^{gamma tau_1}(t - tau_1)]
+        t1, t2 = config.round_trip_delays
+        plan = RunSettings(t_end=t2).resolved(config)
+        traj = solve_cee(config, plan.t_end, plan.dt)
+        t, rate, a1 = traj.times, config.gamma_rl, config.atoms[0].feedback
+        law = np.exp(-rate * t) * np.where(
+            t <= t1, 1.0, 1.0 + a1 * math.exp(rate * t1) * (t - t1))
+        assert np.abs(traj.states[:, 0] - law).max() < _DARK_STATE_TOL
+
     @given(config=networks(z1=st.floats(1e-3, 10.0),
                            omega_a=st.floats(0.1, 1e3)))
     @settings(max_examples=200)

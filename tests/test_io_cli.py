@@ -365,7 +365,7 @@ class TestRunPlan:
             parse_config_text(GOOD.replace("t_end = 0.5", "t_end = nan"))
         for bad in ({"t_end": -1.0}, {"dt": 0.0}, {"k_points": 1},
                     {"k_halfwidth": math.inf}, {"k_points": 3.5},
-                    {"k_points": 2**64}):
+                    {"k_points": 2**64}, {"t_end": 10**400}, {"dt": "0.1"}):
             with pytest.raises(ValueError, match=repr(next(iter(bad)))):
                 RunSettings(**bad)
         # a mode count past numpy's integers, from a config and a flag
