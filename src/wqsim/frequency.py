@@ -4,9 +4,11 @@ The cascade solves, in order: the closed delay equation for the doubly
 excited amplitude, the per-mode pair equations for the single-photon
 amplitudes (vectorized over the whole mode grid and advanced a block of
 steps at a time by the closed-form RK4 of `dde.integrate_block`), and the
-two-photon amplitudes by time quadrature.  `oracle_full_grid` integrates
-the raw discretized integro-differential system instead - no delay
-reduction - and serves as the brute-force cross-check for everything above.
+two-photon amplitudes by time quadrature, its phase kernel interpolated on
+Chebyshev points over each block of record nodes.  `oracle_full_grid`
+integrates the raw discretized integro-differential system instead - no
+delay reduction - and serves as the brute-force cross-check for everything
+above.
 
 Two-photon amplitudes are stored in the normalized convention in which the
 plain quadrature  sum |c_kk|^2 dk^2  is the physical two-photon probability;
@@ -34,9 +36,11 @@ TWO_PHOTON_SCALE = 1.0 / math.sqrt(2.0)
 _MAX_PHASE_PER_NODE = 0.15
 # half-steps per coarse row of the pair solve's two-level phase table
 _PHASE_BLOCK = 128
-# record nodes per chunk of the two-photon GEMM (2 * 128 stacked rows) and
-# of the population sums
+# record nodes per chunk of the population sums, and interpolation points
+# per chunk of the two-photon GEMM (2 * 128 stacked rows)
 _RECORD_CHUNK = 128
+# record nodes per block of the two-photon quadrature's phase interpolant
+_QUAD_BLOCK = 4 * _RECORD_CHUNK
 # steps per block of the oracle's two-photon update
 _ORACLE_BLOCK = 4
 
@@ -137,11 +141,13 @@ class SpectralPairResult:
             self.cee, self.cegk, self.cgek, self.kgrid.dk))
 
 
-def _pair_record_stride(kgrid: KGrid, dt: float) -> int:
-    half_width = float(np.max(np.abs(kgrid.k_values - kgrid.center)))
-    if half_width <= 0.0:
-        return 1
-    return max(1, int(_MAX_PHASE_PER_NODE / (half_width * dt)))
+def _phase_width(kgrid: KGrid, omega_a: float) -> float:
+    """W = max |k - omega_a|, the fastest phase rate of the pair record."""
+    return float(np.max(np.abs(kgrid.k_values - omega_a)))
+
+
+def _pair_record_stride(kgrid: KGrid, omega_a: float, dt: float) -> int:
+    return max(1, int(_MAX_PHASE_PER_NODE / (_phase_width(kgrid, omega_a) * dt)))
 
 
 def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
@@ -182,7 +188,7 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
         ph *= cee_half[h, None]
         return drive_row[:, None] * ph
 
-    record_stride = _pair_record_stride(kgrid, dt)
+    record_stride = _pair_record_stride(kgrid, config.omega_a, dt)
     steps = np.append(np.arange(0, n_steps, record_stride), n_steps)
     record = np.empty((len(steps), 2, n), dtype=complex)
     for first, y, _ in integrate_block(np.zeros((2, n)), damping, table,
@@ -201,6 +207,52 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
 # two-photon sector by time quadrature
 # ---------------------------------------------------------------------------
 
+def _phase_interpolant(t: np.ndarray, width: float
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Points s and a real (len(s), len(t)) basis l with e^{i w t_j} =
+    sum_q l_qj e^{i w s_q} for |w| <= width: the barycentric Lagrange basis
+    of the p Chebyshev points of the first kind on [t_0, t_-1], p the least
+    count with 2 (width a / 2)^p / p! <= 2^-53, a the half-length (the
+    error bound of the real and of the imaginary part; Trefethen,
+    Approximation Theory and Approximation Practice, ch. 8).  When no p
+    below len(t) meets it: s = t and l = I."""
+    centre, half = 0.5 * (t[-1] + t[0]), 0.5 * (t[-1] - t[0])
+    x = 0.5 * width * half
+    p, bound = 1, 2.0 * x
+    while bound > 2.0 ** -53 and p < len(t):
+        p += 1
+        bound *= x / p
+    if p == len(t):
+        return t, np.eye(p)
+    theta = (np.arange(p) + 0.5) * (np.pi / p)
+    points = centre + half * np.cos(theta)
+    # from the rounded points: l interpolates where the caller's phases are
+    diff = np.subtract.outer(points, t)
+    hit = diff == 0.0   # a node on a point: its basis column is exact
+    diff[hit] = 1.0
+    basis = ((-1.0) ** np.arange(p) * np.sin(theta))[:, None] / diff
+    basis /= basis.sum(axis=0)
+    on_point = hit.any(axis=0)
+    basis[:, on_point] = hit[:, on_point]
+    return points, basis
+
+
+def _phases(s: np.ndarray, det: np.ndarray, out: np.ndarray) -> None:
+    """out = e^{i s (x) det}, with the rounding of s det added back by
+    Dekker's exact product: it would move the phase by up to |s det| 2^-53,
+    5e-14 at `fig3`'s end."""
+    def halves(a):   # a = hi + lo exactly, hi of 26 bits (Veltkamp)
+        hi = 134217729.0 * a
+        hi -= hi - a
+        return hi, a - hi
+    (s1, s2), (d1, d2) = halves(s), halves(det)
+    arg = np.multiply.outer(s, det)
+    low = (np.multiply.outer(s1, d1) - arg + np.multiply.outer(s1, d2)
+           + np.multiply.outer(s2, d1) + np.multiply.outer(s2, d2))
+    np.exp(1j * arg, out=out)
+    out *= 1.0 + 1j * low
+
+
 def solve_two_photon(pair: SpectralPairResult,
                      at_times: list[float] | None = None
                      ) -> list[tuple[float, np.ndarray]]:
@@ -209,25 +261,34 @@ def solve_two_photon(pair: SpectralPairResult,
     symmetrized pair sources over the recorded nodes t_j <= t:
     c_kk = -i/sqrt(2) (S + S^T), S = sum_j w_j (c_egk(t_j) (x) g_1 +
     c_gek(t_j) (x) g_2) e^{i(k_2 - omega_a) t_j}, w the trapezoid weights.
-    Checkpoints are taken in time order; S gains the integral since the
-    previous one as one GEMM per `_RECORD_CHUNK` nodes, stacked
-    (c_egk | c_gek) rows against their phase-weighted couplings.  Besides
-    the results it holds two N x N buffers and one chunk.
 
-    Each time is taken at its nearest recorded node; a time that is not
-    finite raises ValueError.  Matrices are exactly symmetric and returned
-    in the normalized convention (see module docstring).
+    Checkpoints are taken in time order; S gains the integral since the
+    previous one in blocks of at most `_QUAD_BLOCK` nodes, over each of
+    which the phase is `_phase_interpolant`'s sum over p points (77 per
+    512 nodes on `fig2`).  A block is then one real (p x nodes) product of
+    the weighted basis with the c_egk and c_gek rows, and one GEMM of the
+    2p stacked sums against their phase-weighted couplings, `_RECORD_CHUNK`
+    points at a time.  Besides the results it holds two N x N buffers and
+    one chunk.
+
+    Each time is taken at its nearest recorded node; a time outside the
+    record by more than half its longest interval, or not finite, raises
+    ValueError.  Matrices are exactly symmetric and returned in the
+    normalized convention (see module docstring).
     """
     cfg = pair.config
     g1 = coupling_row(pair.kgrid, cfg.atoms[0])
     g2 = coupling_row(pair.kgrid, cfg.atoms[1])
     det = pair.kgrid.k_values - cfg.omega_a
+    width = _phase_width(pair.kgrid, cfg.omega_a)
     times = pair.times
     if at_times is None:
         at_times = [float(times[-1])]
+    slack = 0.5 * float(np.diff(times).max(initial=0.0))
     for t in at_times:
-        if not math.isfinite(t):
-            raise ValueError(f"two-photon time {t!r} is not finite")
+        if not -slack <= t <= times[-1] + slack:   # NaN fails it too
+            raise ValueError(
+                f"two-photon time {t!r} outside [0, {float(times[-1])!r}]")
     idx = [pair.index_at(t) for t in at_times]
 
     n = len(pair.kgrid)
@@ -241,18 +302,23 @@ def solve_two_photon(pair: SpectralPairResult,
         m = idx[pos]
         half_gap = 0.5 * np.diff(times[start:m + 1])
         w = np.append(half_gap, 0.0) + np.insert(half_gap, 0, 0.0)
-        for j0 in range(start, m + 1, _RECORD_CHUNK):
-            j1 = min(m + 1, j0 + _RECORD_CHUNK)
-            r = j1 - j0
-            rows[:r] = pair.cegk[j0:j1]
-            rows[r:2 * r] = pair.cgek[j0:j1]
-            phase = coup[r:2 * r]
-            np.exp(1j * np.multiply.outer(times[j0:j1], det), out=phase)
-            phase *= w[j0 - start:j1 - start, None]
-            np.multiply(phase, g1, out=coup[:r])
-            phase *= g2
-            np.matmul(rows[:2 * r].T, coup[:2 * r], out=prod)
-            acc += prod
+        for j0 in range(start, m + 1, _QUAD_BLOCK):
+            j1 = min(m + 1, j0 + _QUAD_BLOCK)
+            points, basis = _phase_interpolant(times[j0:j1], width)
+            basis *= w[j0 - start:j1 - start]
+            for q0 in range(0, len(points), _RECORD_CHUNK):
+                q1 = min(len(points), q0 + _RECORD_CHUNK)
+                r = q1 - q0
+                # the real basis times the rows' real and imaginary parts
+                for c, dest in ((pair.cegk, rows[:r]), (pair.cgek, rows[r:2 * r])):
+                    np.matmul(basis[q0:q1], c[j0:j1].view(float),
+                              out=dest.view(float))
+                phase = coup[r:2 * r]
+                _phases(points[q0:q1], det, phase)
+                np.multiply(phase, g1, out=coup[:r])
+                phase *= g2
+                np.matmul(rows[:2 * r].T, coup[:2 * r], out=prod)
+                acc += prod
         start = m
         # x + x.T is exactly symmetric in floating point, and so is any
         # multiple of it

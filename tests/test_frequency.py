@@ -13,8 +13,10 @@ from wqsim import (PRESETS, AtomParams, DelaySystem, InvalidGrid, KGrid,
                    solve_spectral_pair, solve_two_photon, total_norm,
                    two_photon_norm)
 from wqsim.dde import resolve_taps
-from wqsim.frequency import (_ORACLE_BLOCK, TWO_PHOTON_SCALE,
-                             _pair_record_stride, exchange_table,
+from wqsim.frequency import (_MAX_PHASE_PER_NODE, _ORACLE_BLOCK,
+                             _QUAD_BLOCK, TWO_PHOTON_SCALE,
+                             SpectralPairResult, _pair_record_stride,
+                             _phase_interpolant, exchange_table,
                              markov_exponent)
 from wqsim.model import MODE_MEASURE, coupling_g, coupling_row
 from wqsim.verify import _DARK_STATE_TOL
@@ -256,7 +258,7 @@ class TestPairStepper:
                      for _, s in row}
         if config is OFF_GRID:
             assert len(fractions) == 8 and not fractions & {0.0, 0.5}
-        assert _pair_record_stride(kg, dt) == stride
+        assert _pair_record_stride(kg, WA, dt) == stride
         cee = solve_cee(config, n_steps * dt, dt)
         pair = solve_spectral_pair(config, cee, kg)
         assert pair.stride == stride
@@ -267,6 +269,16 @@ class TestPairStepper:
         got = np.hstack([pair.cegk, pair.cgek])
         np.testing.assert_allclose(got, ref, rtol=0,
                                    atol=1e-12 * np.abs(ref).max())
+
+    def test_off_centre_grid_keeps_the_phase_bound(self):
+        # the grid's half-width is 5 but its modes lie up to 15 from
+        # omega_a: the stride follows the phase e^{i(k - omega_a) t}
+        dt = min(FIG2.delays) / 32
+        cee = solve_cee(FIG2, 0.5, dt)
+        pair = solve_spectral_pair(FIG2, cee, KGrid.centered(WA + 10.0, 5.0, 21))
+        assert pair.stride == 3
+        assert pair.stride * dt * 15.0 <= _MAX_PHASE_PER_NODE
+        assert _pair_record_stride(KGrid.centered(WA, 15.0, 21), WA, dt) == 3
 
     def test_step_above_the_pair_delay_bound_raises(self):
         # dt = 0.02 is within the c_ee bound 2 z1 / 8 = 0.025 but above the
@@ -349,9 +361,41 @@ def trapezoid_two_photon(pair, t):
     return -1j * TWO_PHOTON_SCALE * (s + s.T)
 
 
+@st.composite
+def records(draw):
+    """A random record of 1 to 1300 nodes on an off-centre grid, its
+    last interval short or not, and 1 to 6 checkpoints (unsorted,
+    repeated, at 0, on block edges); at most 0.5 rad per node and 400
+    rad over the record, where rounding the trapezoid reference's phase
+    arguments stays well below the tolerance."""
+    theta = draw(st.floats(1e-3, 0.5))
+    n_rec = min(int(400 / theta), draw(
+        st.integers(1, 1300) | st.sampled_from([1, 2, 513, 1025, 1300])))
+    kgrid = KGrid.centered(WA + draw(st.floats(-15.0, 15.0)),
+                           draw(st.floats(1.0, 20.0)),
+                           draw(st.integers(2, 9)))
+    h = theta / float(np.abs(kgrid.k_values - WA).max())
+    times = h * np.arange(n_rec)
+    if n_rec > 1 and draw(st.booleans()):
+        times[-1] = times[-2] + h * draw(st.floats(0.01, 0.99))
+    edges = [i for i in (0, _QUAD_BLOCK - 1, _QUAD_BLOCK, _QUAD_BLOCK + 1,
+                         2 * _QUAD_BLOCK, n_rec - 1) if i < n_rec]
+    picks = draw(st.lists(st.integers(0, n_rec - 1) | st.sampled_from(edges),
+                          min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cegk, cgek = (rng.standard_normal((n_rec, len(kgrid)))
+                  + 1j * rng.standard_normal((n_rec, len(kgrid)))
+                  for _ in range(2))
+    pair = SpectralPairResult(
+        times=times, cee=np.zeros(n_rec, complex), cegk=cegk, cgek=cgek,
+        kgrid=kgrid, config=FIG2, stride=1)
+    return pair, [float(times[i]) for i in picks]
+
+
 class TestTwoPhotonQuadrature:
-    """`solve_two_photon` (one GEMM per record chunk into one accumulator)
-    against `reference_two_photon` and explicit trapezoid weights."""
+    """`solve_two_photon` (the phase interpolated per block of record
+    nodes, one accumulator) against `reference_two_photon` and explicit
+    trapezoid weights."""
 
     @staticmethod
     def check(got, ref):
@@ -365,7 +409,7 @@ class TestTwoPhotonQuadrature:
         # 161 records: more than one chunk; checkpoints unsorted, repeated,
         # at t = 0 and at the end
         (FIG2, 2.0, [1.5, 0.0, 2.0, 0.7, 1.5]),
-        # 961 records, a checkpoint on a chunk boundary
+        # 961 records: the second segment spans two blocks
         (FIG2, 12.0, [128 * 4 * 0.1 / 32, 12.0]),
         # atom 2 decoupled: c_egk and g2 vanish, so c_kk must be exactly 0
         (NetworkConfig(atoms=(AtomParams(0.1, 0.25, 0.5),
@@ -401,6 +445,54 @@ class TestTwoPhotonQuadrature:
         with pytest.raises(ValueError, match=re.escape(repr(t))):
             solve_two_photon(pair, [0.25, t])
 
+    @given(drawn=records())
+    @settings(max_examples=60)
+    def test_matches_trapezoid_on_random_records(self, drawn):
+        pair, at = drawn
+        got = solve_two_photon(pair, at)
+        self.check(got, [(t, trapezoid_two_photon(pair, t)) for t in at])
+
+    @pytest.mark.parametrize("wa", [0.25, 3.0, 20.0, 60.0])
+    def test_phase_interpolant_meets_its_bound(self, wa):
+        # on u in [-1, 1] at width wa, for |w| <= wa: the interpolant on p
+        # exact Chebyshev points reproduces e^{i w u} within 2^-52, and the
+        # float basis on the rounded points within 2^-52 (4 + wa), as the
+        # points' own rounding moves each phase by up to wa 2^-53
+        mpmath = pytest.importorskip("mpmath")
+        u = np.linspace(-1.0, 1.0, 129)
+        points, basis = _phase_interpolant(u, wa)
+        p = len(points)
+        assert p < len(u)
+        with mpmath.workdps(40):
+            theta = [(q + mpmath.mpf(0.5)) * mpmath.pi / p for q in range(p)]
+            cheb = [mpmath.cos(th) for th in theta]
+            exact = []
+            for x in u:
+                terms = [(-1) ** q * mpmath.sin(th) / (mpmath.mpf(x) - c)
+                         for q, (th, c) in enumerate(zip(theta, cheb))]
+                total = mpmath.fsum(terms)
+                exact.append([term / total for term in terms])
+            for w in (wa, -wa, 0.6 * wa):
+                want = [mpmath.expj(w * mpmath.mpf(x)) for x in u]
+                ph = [mpmath.expj(w * c) for c in cheb]
+                err = max(abs(mpmath.fsum(l * e for l, e in zip(row, ph)) - f)
+                          for row, f in zip(exact, want))
+                assert err <= 2.0 ** -52
+                ph = np.array([complex(mpmath.expj(w * mpmath.mpf(s)))
+                               for s in points])
+                err = np.abs(basis.T @ ph - np.array(want, dtype=complex)).max()
+                assert err <= 2.0 ** -52 * (4 + wa)
+
+    def test_time_outside_the_record_refused(self):
+        pair, _ = small_pair(FIG2, 0.5, n=21, half=6.0)
+        h = pair.times[1] - pair.times[0]
+        for t in (100.0, -1.0, pair.t_end + 0.6 * h, -0.6 * h):
+            with pytest.raises(ValueError, match=re.escape(repr(t))):
+                solve_two_photon(pair, [0.25, t])
+        # within half an interval of an end: taken at that end
+        got = solve_two_photon(pair, [pair.t_end + 0.4 * h, -0.4 * h])
+        assert [t for t, _ in got] == [pair.t_end, 0.0]
+
     def test_working_memory_is_bounded(self):
         # N = 401 modes, 2000 records: besides its results the quadrature
         # may hold three N x N matrices and one chunk (stacked rows,
@@ -416,7 +508,7 @@ class TestTwoPhotonQuadrature:
             times=0.003 * np.arange(n_rec), cee=np.zeros(n_rec, complex),
             cegk=cegk, cgek=cgek, kgrid=KGrid.centered(WA, 20.0, n),
             config=FIG2, stride=1)
-        at_times = [6.0, 2.0, 4.0]
+        at_times = [float(pair.times[-1]), 2.0, 4.0]
         chunk = 6 * _RECORD_CHUNK * n * 16
         tracemalloc.start()
         try:
