@@ -24,7 +24,7 @@ equations and both narrow spatial single-excitation solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -186,22 +186,27 @@ class HistoryBuffer:
 @dataclass
 class Trajectory:
     """Immutable record of a solve: the state and its derivative at every
-    node of the integration grid on [0, t_end], and dense samples between.
+    node t_n = n dt of the integration grid on [0, t_end], and dense
+    samples between.
     """
 
-    times: np.ndarray
     states: np.ndarray
     derivatives: np.ndarray
     dt: float
     prehistory: np.ndarray
-    dim: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.dim = int(self.states.shape[1])
+    @property
+    def dim(self) -> int:
+        return int(self.states.shape[1])
+
+    @property
+    def times(self) -> np.ndarray:
+        """The node times n dt."""
+        return self.dt * np.arange(len(self.states))
 
     @property
     def t_end(self) -> float:
-        return float(self.times[-1])
+        return float(self.dt * (len(self.states) - 1))
 
     def sample(self, t: float) -> np.ndarray:
         """State at one time t; see `sample_grid`."""
@@ -213,20 +218,21 @@ class Trajectory:
         Raises OutOfRange beyond t_end or at NaN.
         """
         ts = np.asarray(ts, dtype=float)
-        tol = 1e-12 * max(1.0, abs(self.t_end))
-        bad = ~(ts <= self.t_end + tol)          # NaN fails it too
+        n, t_end = len(self.states), self.t_end
+        tol = 1e-12 * max(1.0, abs(t_end))
+        bad = ~(ts <= t_end + tol)               # NaN fails it too
         if np.any(bad):
             raise OutOfRange(f"t={float(ts[bad][0])!r} not within trajectory "
-                             f"end {self.t_end!r}")
+                             f"end {t_end!r}")
         h = self.dt
-        x = (np.maximum(ts, self.times[0]) - self.times[0]) / h
+        x = np.maximum(ts, 0.0) / h
         nearest = np.round(x)
         snap = np.abs(x - nearest) < _SNAP
         x = np.where(snap, nearest, x)
-        pre_mask = ts < self.times[0]
-        x = np.clip(x, 0.0, len(self.times) - 1)
+        pre_mask = ts < 0.0
+        x = np.clip(x, 0.0, n - 1)
         i = np.floor(x).astype(int)
-        i = np.minimum(i, len(self.times) - 2) if len(self.times) > 1 else i * 0
+        i = np.minimum(i, n - 2) if n > 1 else i * 0
         s = x - i
         # the weights are exact at s = 0 and s = 1, so node hits come out
         # bit-exact without special-casing
@@ -287,7 +293,6 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
     dy = rhs(0.0, y, 1, -1)
     hist.ring[0, 0, 0] = y
 
-    times = dt * np.arange(n_steps + 1)
     nodes = np.empty((n_steps + 1, 2, dim), dtype=complex)
     nodes[0, 0], nodes[0, 1] = y, dy
 
@@ -311,8 +316,8 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
         hist.ring[0, 0, p0 + 1:p0 + n1 - n0 + 1] = nodes[n0 + 1:n1 + 1, 0]
         hist.write(n0, nodes[None, n0:n1 + 1, 1])
 
-    return Trajectory(times=times, states=nodes[:, 0],
-                      derivatives=nodes[:, 1], dt=dt, prehistory=pre)
+    return Trajectory(states=nodes[:, 0], derivatives=nodes[:, 1], dt=dt,
+                      prehistory=pre)
 
 
 def _rk4_coefficients(damping: np.ndarray, dt: float) -> tuple:

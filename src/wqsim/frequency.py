@@ -168,7 +168,7 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
     if len(config.atoms) != 2:
         raise InvalidGeometry("the two-excitation cascade needs two atoms")
     dt = cee_traj.dt
-    n_steps = len(cee_traj.times) - 1
+    n_steps = len(cee_traj.states) - 1
     a1, a2 = config.atoms
     n = len(kgrid)
     damping, delays, table = exchange_table(config)
@@ -195,9 +195,7 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
                                        delays, dt, n_steps, drive):
         lo, hi = np.searchsorted(steps, (first, first + y.shape[1]))
         record[lo:hi] = np.moveaxis(y[:, steps[lo:hi] - first], 1, 0)
-    times = dt * steps
-    cee_rec = cee_traj.sample_grid(times)[:, 0]
-    return SpectralPairResult(times=times, cee=cee_rec,
+    return SpectralPairResult(times=dt * steps, cee=cee_half[2 * steps],
                               cegk=record[:, 0], cgek=record[:, 1],
                               kgrid=kgrid, config=config,
                               stride=record_stride)
@@ -425,9 +423,10 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
     and c_kk conj(g2s).  Stage j's c_kk is thus C + a_j K_{j-1}, and a step
     adds a rank-12 term to C.  The couplings are known in advance, so a
     block of B = `_ORACLE_BLOCK` steps (cut short at checkpoints) is one
-    (6B x m) @ C^T projection on their values at t, t + dt/2 and t + dt,
-    per step a correction by the block's earlier terms and O(n + m) work
-    per stage, and one rank-12B update of C, `_RECORD_CHUNK` rows at a time.
+    ((4B + 2) x m) @ C^T projection on their values at its 2B + 1 half
+    steps, per step a correction by the block's earlier terms and O(n + m)
+    work per stage, and one rank-12B update of C, `_RECORD_CHUNK` rows at a
+    time.
     """
     if len(config.atoms) != 2:
         raise InvalidGeometry("the two-excitation oracle needs two atoms")
@@ -487,14 +486,15 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
     if 0 in chk_steps:
         snapshot(0)
     for b0, b1 in zip(edges, edges[1:]):
-        # C projected on each step's conj(g1s, g2s) at t, t + dt/2, t + dt
-        s = dt * np.arange(b0, b1)[:, None] + np.array([0.0, 0.5 * dt, dt])
-        w = np.conj(g_0[:, sub_idx] * np.exp(idet[sub_idx] * s[..., None, None]))
+        # couplings at the block's half steps; step q reads rows 2q to 2q + 2
+        h = 0.5 * dt * np.arange(2 * b0, 2 * b1 + 1)
+        g = g_0 * np.exp(idet * h[:, None])[:, None]
+        w = np.conj(g[:, :, sub_idx])
         proj = w.reshape(-1, len(sub)) @ ckk.T
-        for q, sq in enumerate(s):
-            gq = g_0 * np.exp(idet * sq[:, None, None])
-            wq, pq = w[q].reshape(6, -1), proj[6 * q:6 * q + 6]
-            pq += (wq @ v[:12 * q].T) @ ut[:12 * q]
+        for q in range(b1 - b0):
+            gq, wq = g[2 * q:2 * q + 3], w[2 * q:2 * q + 3].reshape(6, -1)
+            pq = (wq @ v[:12 * q].T) @ ut[:12 * q]
+            pq += proj[4 * q:4 * q + 6]
             # stage j runs on gq[i]; stage j + 1 (on gq[nxt]) has c_kk =
             # C + a K_j, so its projection is pq's row pair plus a K_j conj(w)
             p = pq[0:2]
@@ -514,7 +514,7 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
             v[12 * q:12 * q + 12] = vq * (-1j * dt / 6.0)
             y += ((ks[1] + ks[2]) * 2.0 + ks[0] + ks[3]) * (dt / 6.0)
             cee_rec[b0 + q + 1] = y[0]
-        k = 12 * len(s)
+        k = 12 * (b1 - b0)
         for r in range(0, n, _RECORD_CHUNK):   # C += U @ V, chunk by chunk
             ckk[r:r + _RECORD_CHUNK] += ut[:k, r:r + _RECORD_CHUNK].T @ v[:k]
         if b1 // 512 > b0 // 512 and not np.isfinite(y).all():

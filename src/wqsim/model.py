@@ -112,16 +112,14 @@ class KGrid:
     """Uniform grid of waveguide modes k > 0 with plain-dk quadrature."""
 
     k_values: np.ndarray = field(repr=False)
-    dk: float
-    center: float
 
     def __post_init__(self) -> None:
         k = np.asarray(self.k_values, dtype=float)
         object.__setattr__(self, "k_values", k)
         if k.ndim != 1 or k.size < 2:
             raise InvalidGrid("k_values must be a 1-d array with >= 2 points")
-        if not (np.all(np.isfinite(k)) and math.isfinite(self.dk)):
-            raise InvalidGrid(f"k_values and dk must be finite, got dk={self.dk!r}")
+        if not np.all(np.isfinite(k)):
+            raise InvalidGrid("k_values must be finite")
         diffs = np.diff(k)
         if np.any(diffs <= 0):
             raise InvalidGrid("k_values must be strictly increasing")
@@ -133,6 +131,11 @@ class KGrid:
     def __len__(self) -> int:
         return int(self.k_values.size)
 
+    @property
+    def dk(self) -> float:
+        """Mode spacing, the first interval of the grid."""
+        return float(self.k_values[1] - self.k_values[0])
+
     @classmethod
     def centered(cls, center: float, half_width: float, n: int) -> "KGrid":
         """Grid of n modes on [center - half_width, center + half_width]."""
@@ -141,7 +144,7 @@ class KGrid:
         if not (math.isfinite(half_width) and half_width > 0.0):
             raise InvalidGrid(f"need finite half_width > 0, got {half_width!r}")
         k = np.linspace(center - half_width, center + half_width, n)
-        return cls(k_values=k, dk=float(k[1] - k[0]), center=float(center))
+        return cls(k)
 
     def subsample(self, stride: int) -> "KGrid":
         """Every stride-th mode; requires the endpoint to stay on the grid."""
@@ -149,8 +152,7 @@ class KGrid:
             raise InvalidGrid(
                 f"stride {stride} does not preserve the grid endpoints (n={len(self)})"
             )
-        k = self.k_values[::stride]
-        return KGrid(k_values=k, dk=float(k[1] - k[0]), center=self.center)
+        return KGrid(self.k_values[::stride])
 
 
 def default_halfwidth(config: NetworkConfig, t_end: float) -> float:
@@ -175,6 +177,6 @@ def coupling_g(k, t: float, atom: AtomParams, omega_a: float):
 
 
 def coupling_row(kgrid: KGrid, atom: AtomParams) -> np.ndarray:
-    """Per-mode coupling at t = 0 in the discrete-mode normalization,
-    g(k, 0)/sqrt(2 pi); the e^{i(k-omega_a)t} factor is applied by solvers."""
-    return MODE_MEASURE * coupling_g(kgrid.k_values, 0.0, atom, kgrid.center)
+    """Per-mode coupling g(k, 0)/sqrt(2 pi) in the discrete-mode normalization;
+    solvers apply the e^{i(k-omega_a)t} factor, which is 1 at t = 0."""
+    return MODE_MEASURE * coupling_g(kgrid.k_values, 0.0, atom, 0.0)

@@ -77,37 +77,37 @@ def _preset_table() -> dict[str, Preset]:
         atoms=(AtomParams(1.0, 0.25, 0.25), AtomParams(10.0, 0.1, 0.5)),
         omega_a=_WA, label="fig6")
 
-    table = {
-        "fig2": Preset(
+    presets = [
+        Preset(
             "fig2", fig2_cfg,
             _plan(fig2_cfg, t_end=16.0, k_points=1001, k_halfwidth=45.0),
             "cascade",
             "both atoms chirally coupled: full decay into a two-photon state"),
-        "fig3": Preset(
+        Preset(
             "fig3", fig3_cfg,
             _plan(fig3_cfg, t_end=25.0, k_points=1001, k_halfwidth=20.0),
             "cascade",
             "atom 1 nonchiral at a node, atom 2 left-coupled only: "
             "one photon emitted, atom 1 stays excited"),
-        "fig4_solid": Preset(
+        Preset(
             "fig4_solid", fig4s_cfg,
             _plan(fig4s_cfg),
             "cee", "nonchiral atoms at node positions: dark state"),
-        "fig4_dashed": Preset(
+        Preset(
             "fig4_dashed", fig4d_cfg,
             _plan(fig4d_cfg),
             "cee", "nonchiral atoms off node: fast decay contrast"),
-        "fig5": Preset(
+        Preset(
             "fig5", fig5_cfg,
             _plan(fig5_cfg),
             "spatial", "single chirally coupled atom: emitted packet profile"),
-        "fig6": Preset(
+        Preset(
             "fig6", fig6_cfg,
             _plan(fig6_cfg),
             "spatial",
             "distant atoms, one excitation: hopping after the direct delay"),
-    }
-    return table
+    ]
+    return {p.name: p for p in presets}
 
 
 PRESETS = _preset_table()
@@ -181,24 +181,13 @@ def _checkpoint_times(t_end: float) -> np.ndarray:
     return np.linspace(0.0, t_end, _N_CHECKPOINTS + 1)[1:]
 
 
-def _write_table(path: Path, columns: list[tuple[str, np.ndarray]]) -> None:
-    """`write_csv` of named columns, each complex one split into
-    `{name}_re`, `{name}_im`."""
-    header, values = [], []
-    for name, col in columns:
-        split = np.iscomplexobj(col)
-        header += [f"{name}_re", f"{name}_im"] if split else [name]
-        values += [col.real, col.imag] if split else [col]
-    write_csv(path, header, values)
-
-
 def _write_cee_csv(out: Path, cee: Trajectory, markov: np.ndarray
                    ) -> np.ndarray:
     """cee.csv: c_ee with its short-delay closed form alongside and
     |c_ee|^2; returns the last column."""
     sq = np.abs(cee.states[:, 0]) ** 2
-    _write_table(out / "cee.csv", [("t", cee.times), ("cee", cee.states[:, 0]),
-                                   ("cee_markov", markov), ("cee_abs2", sq)])
+    write_csv(out / "cee.csv", ["t", "cee", "cee_markov", "cee_abs2"],
+              [cee.times, cee.states[:, 0], markov, sq])
     return sq
 
 
@@ -219,10 +208,10 @@ def _run_cascade(config: NetworkConfig, s: RunSettings, out: Path,
               [times, p1, p2, pee])
 
     # spectra at the final time
-    cols = [("k", kgrid.k_values)]
-    for nm, vals in (("cegk", pair.cegk[-1]), ("cgek", pair.cgek[-1])):
-        cols += [(nm, vals), (f"{nm}_abs", np.abs(vals))]
-    _write_table(out / "spectra.csv", cols)
+    cegk, cgek = pair.cegk[-1], pair.cgek[-1]
+    write_csv(out / "spectra.csv",
+              ["k", "cegk", "cegk_abs", "cgek", "cgek_abs"],
+              [kgrid.k_values, cegk, np.abs(cegk), cgek, np.abs(cgek)])
 
     # two-photon magnitude grid at the final time, at most 126 modes a side
     ckk = matrices[-1][1]
@@ -282,20 +271,20 @@ def _run_spatial(config: NetworkConfig, s: RunSettings, out: Path,
     else:
         traj = solve_two_atom_single_excitation(config, s.t_end, s.dt)
         names = ["c1", "c2"]
-    cols = [("t", traj.times)]
+    header, cols = ["t"], [traj.times]
     for j, nm in enumerate(names):
-        cols += [(nm, traj.states[:, j]),
-                 (f"{nm}_abs2", np.abs(traj.states[:, j]) ** 2)]
-    _write_table(out / "amplitudes.csv", cols)
+        header += [nm, f"{nm}_abs2"]
+        cols += [traj.states[:, j], np.abs(traj.states[:, j]) ** 2]
+    write_csv(out / "amplitudes.csv", header, cols)
 
     # the last checkpoint is t_end, whose snapshot field_snapshot.csv shows
     snaps = [field_snapshot(config, traj, t)
              for t in _checkpoint_times(traj.t_end)]
     snap = snaps[-1]
-    cols = [("z", snap.z_values)]
-    for nm, vals in (("phi_r", snap.phi_r), ("phi_l", snap.phi_l)):
-        cols += [(nm, vals), (f"{nm}_abs2", np.abs(vals) ** 2)]
-    _write_table(out / "field_snapshot.csv", cols)
+    write_csv(out / "field_snapshot.csv",
+              ["z", "phi_r", "phi_r_abs2", "phi_l", "phi_l_abs2"],
+              [snap.z_values, snap.phi_r, np.abs(snap.phi_r) ** 2,
+               snap.phi_l, np.abs(snap.phi_l) ** 2])
 
     rows = [(sn.t, single_excitation_norm(sn, traj), check_mirror_boundary(sn))
             for sn in snaps]

@@ -199,17 +199,22 @@ def fmt(x: float) -> str:
 
 def write_csv(path: str | Path, header: list[str],
               columns: list[np.ndarray]) -> Path:
-    """Deterministic CSV: given identical arrays, the bytes are identical."""
+    """Deterministic CSV: given identical arrays, the bytes are identical.
+    A complex column `name` is written as `name_re`, `name_im`."""
     if len(header) != len(columns):
         raise ValueError("header/column count mismatch")
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("columns must share a length")
+    names, values = [], []
+    for name, col in zip(header, map(np.asarray, columns)):
+        split = np.iscomplexobj(col)
+        names += [f"{name}_re", f"{name}_im"] if split else [name]
+        values += [col.real, col.imag] if split else [col]
     # "%.17g" % x gives the bytes of fmt(x), special values included
-    row = ",".join(["%.17g"] * len(columns))
-    out = [",".join(header)]
-    out += [row % values
-            for values in zip(*(np.asarray(c).tolist() for c in columns))]
+    row = ",".join(["%.17g"] * len(values))
+    out = [",".join(names)]
+    out += [row % v for v in zip(*(c.tolist() for c in values))]
     p = Path(path)
     p.write_text("\n".join(out) + "\n", encoding="utf-8")
     return p

@@ -66,7 +66,7 @@ def _trajectory(y0, damping, delays, table, t_end, dt) -> Trajectory:
     for first, y, dy in integrate_block(y0[:, None], damping, table, delays,
                                         dt, n):
         nodes[first:first + y.shape[1]] = np.moveaxis([y, dy], 2, 0)[..., 0]
-    return Trajectory(dt * np.arange(n + 1), nodes[:, 0], nodes[:, 1], dt,
+    return Trajectory(nodes[:, 0], nodes[:, 1], dt,
                       np.zeros(len(y0), dtype=complex))
 
 

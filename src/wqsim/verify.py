@@ -11,6 +11,7 @@ that idealization; see README notes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ from .model import AtomParams, KGrid, NetworkConfig
 from .presets import PRESETS
 from .runio import RunSettings
 
-SCOPES = ("theorem1", "theorem2", "theorem3", "theorem4", "markov", "oracle")
+_RELATIONS = {"<": operator.lt, ">=": operator.ge, "==": operator.eq}
 
 
 @dataclass
@@ -30,8 +31,11 @@ class VerificationCheck:
     name: str
     measured: float | str
     bound: float | str
-    relation: str            # "<", "<=", ">=", "=="
-    passed: bool
+    relation: str            # "<", ">=" or "=="; a NaN fails each
+
+    @property
+    def passed(self) -> bool:
+        return bool(_RELATIONS[self.relation](self.measured, self.bound))
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -66,19 +70,11 @@ class VerificationReport:
         self.checks.extend(other.checks)
 
 
-def _check_lt(name, measured, bound) -> VerificationCheck:
-    return VerificationCheck(name, float(measured), float(bound), "<",
-                             bool(measured < bound))
-
-
-def _check_ge(name, measured, bound) -> VerificationCheck:
-    return VerificationCheck(name, float(measured), float(bound), ">=",
-                             bool(measured >= bound))
-
-
-def _check_label(name, got: SteadyStateLabel, want: SteadyStateLabel
-                 ) -> VerificationCheck:
-    return VerificationCheck(name, got.value, want.value, "==", got is want)
+def _check(name, measured, relation, bound) -> VerificationCheck:
+    """A check of a number, or of a steady-state label by its value."""
+    if isinstance(measured, SteadyStateLabel):
+        return VerificationCheck(name, measured.value, bound.value, relation)
+    return VerificationCheck(name, float(measured), float(bound), relation)
 
 
 def _scaled(config: NetworkConfig, s: float) -> NetworkConfig:
@@ -95,12 +91,12 @@ def verify_theorem1() -> VerificationReport:
         rate = markov_exponent(cfg).real
         t_end = math.log(200.0) / (2.0 * abs(rate))
         traj = solve_cee(cfg, t_end, RunSettings().resolved(cfg).dt)
-        rep.checks.append(_check_lt(
+        rep.checks.append(_check(
             f"|c_ee(T)|^2 decays ({cfg.label})",
-            abs(traj.states[-1, 0]) ** 2, 0.01))
-        rep.checks.append(_check_label(
+            abs(traj.states[-1, 0]) ** 2, "<", 0.01))
+        rep.checks.append(_check(
             f"classifier ({cfg.label})", classify_steady_state(cfg).label,
-            SteadyStateLabel.TWO_PHOTON))
+            "==", SteadyStateLabel.TWO_PHOTON))
     return rep
 
 
@@ -116,23 +112,24 @@ def verify_theorem2() -> VerificationReport:
     pair = solve_spectral_pair(cfg, cee, kgrid)
     times, p1, p2 = pair.populations_series()
 
-    rep.checks.append(_check_label(
-        "classifier (fig3)", classify_steady_state(cfg).label,
+    rep.checks.append(_check(
+        "classifier (fig3)", classify_steady_state(cfg).label, "==",
         SteadyStateLabel.ONE_PHOTON_TRAPPED))
-    rep.checks.append(_check_lt("|c_ee(T)|^2 decays (fig3)",
-                                abs(pair.cee[-1]) ** 2, 0.01))
-    rep.checks.append(_check_ge("P_e1(T) trapped significantly (fig3)",
-                                p1[-1], 0.5))
-    rep.checks.append(_check_lt("P_e2(T) decays (fig3)", p2[-1], 0.02))
+    rep.checks.append(_check("|c_ee(T)|^2 decays (fig3)",
+                             abs(pair.cee[-1]) ** 2, "<", 0.01))
+    rep.checks.append(_check("P_e1(T) trapped significantly (fig3)",
+                             p1[-1], ">=", 0.5))
+    rep.checks.append(_check("P_e2(T) decays (fig3)", p2[-1], "<", 0.02))
     window = (times >= 20 * z1) & (times <= 40 * z1)
-    rep.checks.append(_check_lt("P_e1 flat on [20 z1, 40 z1] (fig3)",
-                                p1[window].max() - p1[window].min(), 0.01 * 2))
+    rep.checks.append(_check("P_e1 flat on [20 z1, 40 z1] (fig3)",
+                             p1[window].max() - p1[window].min(), "<",
+                             0.01 * 2))
     k_at_max = kgrid.k_values[np.argmax(np.abs(pair.cegk[-1]))]
-    rep.checks.append(_check_lt("spectral bump peaks at omega_a (fig3)",
-                                abs(k_at_max - cfg.omega_a), 1.5 * kgrid.dk))
+    rep.checks.append(_check("spectral bump peaks at omega_a (fig3)",
+                             abs(k_at_max - cfg.omega_a), "<", 1.5 * kgrid.dk))
     ratio = np.abs(pair.cgek[-1]).max() / np.abs(pair.cegk[-1]).max()
-    rep.checks.append(_check_lt("atom-2 photon channel empties (fig3)",
-                                ratio, 0.05))
+    rep.checks.append(_check("atom-2 photon channel empties (fig3)",
+                             ratio, "<", 0.05))
     return rep
 
 
@@ -166,23 +163,23 @@ def verify_theorem3() -> VerificationReport:
     rep = VerificationReport("theorem3")
     solid = PRESETS["fig4_solid"]
     dashed = PRESETS["fig4_dashed"]
-    rep.checks.append(_check_label(
+    rep.checks.append(_check(
         "classifier (fig4_solid)", classify_steady_state(solid.config).label,
-        SteadyStateLabel.DARK_STATE))
+        "==", SteadyStateLabel.DARK_STATE))
     traj = solve_cee(solid.config, solid.settings.t_end, solid.settings.dt)
     sq = np.abs(traj.states[:, 0]) ** 2
     dip, plateau = _node_dark_state_law(solid.config)
-    rep.checks.append(_check_ge(
+    rep.checks.append(_check(
         "min |c_ee(t)|^2 vs the exact dip at tau_2 (fig4_solid)",
-        float(sq.min()), dip - _DARK_STATE_TOL))
+        float(sq.min()), ">=", dip - _DARK_STATE_TOL))
     late = traj.times >= 20 * solid.config.atoms[0].position
-    rep.checks.append(_check_lt(
+    rep.checks.append(_check(
         f"max ||c_ee|^2 - {plateau:.6g}| on [20 z1, 40 z1] (fig4_solid)",
-        float(np.abs(sq[late] - plateau).max()), _DARK_STATE_TOL))
+        float(np.abs(sq[late] - plateau).max()), "<", _DARK_STATE_TOL))
     traj = solve_cee(dashed.config, dashed.settings.t_end, dashed.settings.dt)
-    rep.checks.append(_check_lt(
+    rep.checks.append(_check(
         "|c_ee(T)|^2 decays off node (fig4_dashed)",
-        abs(traj.states[-1, 0]) ** 2, 0.5))
+        abs(traj.states[-1, 0]) ** 2, "<", 0.5))
     return rep
 
 
@@ -194,10 +191,10 @@ def verify_theorem4() -> VerificationReport:
         label="atomic-mirror")
     plan = RunSettings().resolved(cfg)
     traj = solve_cee(cfg, plan.t_end, plan.dt)
-    rep.checks.append(_check_ge("|c_e(40 z1)|^2 trapped (atomic mirror)",
-                                abs(traj.states[-1, 0]) ** 2, 0.95))
-    rep.checks.append(_check_label(
-        "classifier (atomic mirror)", classify_steady_state(cfg).label,
+    rep.checks.append(_check("|c_e(40 z1)|^2 trapped (atomic mirror)",
+                             abs(traj.states[-1, 0]) ** 2, ">=", 0.95))
+    rep.checks.append(_check(
+        "classifier (atomic mirror)", classify_steady_state(cfg).label, "==",
         SteadyStateLabel.DARK_STATE))
     return rep
 
@@ -215,8 +212,8 @@ def verify_markov() -> VerificationReport:
         traj = solve_cee(cfg, horizons * plan.t_end, plan.dt)
         diff = np.abs(traj.states[:, 0]
                       - analytic_cee_markov(traj.times, cfg)).max()
-        rep.checks.append(_check_lt(
-            f"max |c_ee - closed form| ({cfg.label})", float(diff), 0.02))
+        rep.checks.append(_check(
+            f"max |c_ee - closed form| ({cfg.label})", float(diff), "<", 0.02))
     return rep
 
 
@@ -230,10 +227,10 @@ def verify_oracle() -> VerificationReport:
     oracle = oracle_full_grid(cfg, kgrid, t_end, dt, ckk_stride=4)
     n = min(len(cee.times), len(oracle.times))
     diff = np.abs(np.abs(cee.states[:n, 0]) - np.abs(oracle.cee[:n])).max()
-    rep.checks.append(_check_lt(
+    rep.checks.append(_check(
         f"Linf | |c_ee|_cascade - |c_ee|_direct | (fig2; N {len(kgrid)}, "
         f"dk {kgrid.dk:g}, half-width {half_width:g}, dt {dt:g})",
-        float(diff), 0.02))
+        float(diff), "<", 0.02))
     return rep
 
 
@@ -245,14 +242,15 @@ _SCOPE_FUNCS = {
     "markov": verify_markov,
     "oracle": verify_oracle,
 }
+SCOPES = tuple(_SCOPE_FUNCS)
 
 
 def verify(scope: str = "all") -> VerificationReport:
     """Run one named scope, or all of them."""
     if scope == "all":
         rep = VerificationReport("all")
-        for name in SCOPES:
-            rep.extend(_SCOPE_FUNCS[name]())
+        for scope_func in _SCOPE_FUNCS.values():
+            rep.extend(scope_func())
         return rep
     if scope not in _SCOPE_FUNCS:
         raise ValueError(

@@ -457,8 +457,7 @@ def run_block(y0, damping, table, delays, dt, n_steps, drive=None):
                      .reshape(y.shape[1], 2, -1))
     nodes = np.concatenate(nodes)
     assert len(nodes) == n_steps + 1
-    return Trajectory(times=dt * np.arange(n_steps + 1), states=nodes[:, 0],
-                      derivatives=nodes[:, 1], dt=dt,
+    return Trajectory(states=nodes[:, 0], derivatives=nodes[:, 1], dt=dt,
                       prehistory=np.zeros(y0.size, dtype=complex))
 
 

@@ -150,6 +150,14 @@ class TestCsv:
         back = np.loadtxt(p, delimiter=",", skiprows=1)
         assert np.array_equal(back, vals)
 
+    def test_complex_column_split(self, tmp_path):
+        vals = np.array([1.0 / 3.0 - 2j * np.pi, -0.0 + 1e-17j, 5e-324j])
+        p = write_csv(tmp_path / "z.csv", ["t", "c"], [np.arange(3.0), vals])
+        assert p.read_text().splitlines()[0] == "t,c_re,c_im"
+        back = np.loadtxt(p, delimiter=",", skiprows=1)
+        assert back.shape == (3, 3)
+        assert np.array_equal(back[:, 1] + 1j * back[:, 2], vals)
+
     def test_special_values_bytes(self, tmp_path):
         vals = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324,
                          -1.7976931348623157e308, 0.1, 1e16, 2.0 ** 53 + 2])
@@ -279,7 +287,7 @@ class TestCli:
         # a scope whose report holds a failing check must carry a nonzero
         # exit status
         failing = VerificationReport("theorem3", [VerificationCheck(
-            "forced failure", 1.0, 0.0, "<", False)])
+            "forced failure", 1.0, 0.0, "<")])
         # the package re-exports the verify() function under the module's
         # name, so the module itself is fetched by its dotted path
         verify_module = importlib.import_module("wqsim.verify")
@@ -289,6 +297,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 1
         assert "[FAIL]" in out
+
+    def test_check_verdict_follows_relation(self):
+        def passed(measured, relation, bound):
+            return VerificationCheck("c", measured, bound, relation).passed
+
+        assert passed(1.0, "<", 2.0) and not passed(2.0, "<", 2.0)
+        assert passed(2.0, ">=", 2.0) and not passed(1.0, ">=", 2.0)
+        assert not passed(math.nan, "<", 2.0)
+        assert not passed(math.nan, ">=", 2.0)
+        # labels compare by value
+        assert passed("DarkState", "==", "".join(["Dark", "State"]))
+        assert not passed("DarkState", "==", "TwoPhoton")
+        verify_module = importlib.import_module("wqsim.verify")
+        dark = verify_module.SteadyStateLabel.DARK_STATE
+        check = verify_module._check("c", dark, "==", dark)
+        assert check.measured == "DarkState" and check.passed
+        line = VerificationCheck("c", 1.0, 0.0, "<").line()
+        assert line == "[FAIL] c: measured 1 < 0"
 
     def test_verify_unknown_scope(self, capsys):
         rc = main(["verify", "theoremX"])
