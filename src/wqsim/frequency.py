@@ -4,11 +4,12 @@ The cascade solves, in order: the closed delay equation for the doubly
 excited amplitude, the per-mode pair equations for the single-photon
 amplitudes (vectorized over the whole mode grid and advanced a block of
 steps at a time by the closed-form RK4 of `dde.integrate_block`), and the
-two-photon amplitudes by time quadrature, its phase kernel interpolated on
-Chebyshev points over each block of record nodes.  `oracle_full_grid`
-integrates the raw discretized integro-differential system instead - no
-delay reduction - and serves as the brute-force cross-check for everything
-above.
+two-photon amplitudes by Gauss quadrature of the pair amplitudes' cubic
+Hermite interpolant times a Chebyshev-interpolated phase kernel, a
+Filon-type rule (Iserles and Norsett, Proc. R. Soc. A 461, 1383 (2005)).
+`oracle_full_grid` integrates the raw discretized integro-differential
+system instead - no delay reduction - and serves as the brute-force
+cross-check for everything above.
 
 Two-photon amplitudes are stored in the normalized convention in which the
 plain quadrature  sum |c_kk|^2 dk^2  is the physical two-photon probability;
@@ -24,22 +25,24 @@ from enum import Enum
 
 import numpy as np
 
-from .dde import (Trajectory, integrate, integrate_block, linear_system,
-                  step_count)
+from .dde import (Trajectory, _hermite_weights, integrate, integrate_block,
+                  linear_system, step_count)
 from .errors import InvalidGeometry, NonFiniteState, OutsideMarkovRegimeWarning
 from .model import KGrid, NetworkConfig, coupling_row
 
 TWO_PHOTON_SCALE = 1.0 / math.sqrt(2.0)
 
-# phase advance per recorded node kept below this bound so that trapezoid
-# quadrature of e^{i(k - omega_a) t} integrands stays at the few-1e-3 level
+# phase advance (k - omega_a) h per node of the output grid (c_ee, the
+# populations and the two-photon checkpoints), and per interval of the
+# pair's Hermite record
 _MAX_PHASE_PER_NODE = 0.15
+_MAX_PHASE_PER_INTERVAL = 0.5
 # half-steps per coarse row of the pair solve's two-level phase table
 _PHASE_BLOCK = 128
-# record nodes per chunk of the population sums, and interpolation points
-# per chunk of the two-photon GEMM (2 * 128 stacked rows)
+# interpolation points per chunk of the two-photon GEMM (2 * 128 stacked
+# rows), and rows per chunk of the oracle's two-photon update
 _RECORD_CHUNK = 128
-# record nodes per block of the two-photon quadrature's phase interpolant
+# record intervals per block of the two-photon quadrature's phase interpolant
 _QUAD_BLOCK = 4 * _RECORD_CHUNK
 # steps per block of the oracle's two-photon update
 _ORACLE_BLOCK = 4
@@ -117,13 +120,16 @@ def analytic_cee_markov(t, config: NetworkConfig):
 
 @dataclass
 class SpectralPairResult:
-    """Single-photon amplitudes on the mode grid, recorded on every
-    stride-th integration node (spacing dt * stride) and the final node."""
+    """Single-photon amplitudes on the mode grid.  `times`: every stride-th
+    integration node and the final node.  `record`: (n_nodes, value |
+    derivative, c_egk | c_gek, n_modes) at `record_times`, a coarser grid
+    built the same way (c_egk: atom 1 excited and a photon)."""
 
     times: np.ndarray
-    cee: np.ndarray            # c_ee sampled at `times`
-    cegk: np.ndarray           # (n_times, n_modes): atom 1 excited + photon
-    cgek: np.ndarray           # (n_times, n_modes): atom 2 excited + photon
+    cee: np.ndarray            # c_ee at `times`
+    populations: np.ndarray    # (2, n_times): P_e1, P_e2 at `times`
+    record_times: np.ndarray
+    record: np.ndarray
     kgrid: KGrid
     config: NetworkConfig
     stride: int
@@ -132,13 +138,20 @@ class SpectralPairResult:
     def t_end(self) -> float:
         return float(self.times[-1])
 
+    @property
+    def cegk(self) -> np.ndarray:
+        return self.record[:, 0, 0]
+
+    @property
+    def cgek(self) -> np.ndarray:
+        return self.record[:, 0, 1]
+
     def index_at(self, t: float) -> int:
         return int(np.argmin(np.abs(self.times - t)))
 
     def populations_series(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(times, P_e1, P_e2): per-atom excited-state populations."""
-        return (self.times, *_excited_populations(
-            self.cee, self.cegk, self.cgek, self.kgrid.dk))
+        return (self.times, *self.populations)
 
 
 def _phase_width(kgrid: KGrid, omega_a: float) -> float:
@@ -160,10 +173,12 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
     direct inter-atom delays.  The per-mode systems share their delays,
     damping and exchange table, differ only in the drive, and are advanced
     together as one (2, N) state by `integrate_block`, 16 steps at a time
-    at N = 1001, with RK4's stages eliminated in closed form.  The record
-    keeps every stride-th node, the stride set by the phase bound
-    `_MAX_PHASE_PER_NODE`, and the final node, so its last interval is
-    shorter when the stride does not divide the step count.
+    at N = 1001, with RK4's stages eliminated in closed form.  Each block
+    adds the populations of its output nodes (stride set by the phase bound
+    `_MAX_PHASE_PER_NODE`) and the values and derivatives of its record
+    nodes (`_MAX_PHASE_PER_INTERVAL`).  Both grids end at the final node,
+    so their last interval is shorter when the stride does not divide the
+    step count.
     """
     if len(config.atoms) != 2:
         raise InvalidGeometry("the two-excitation cascade needs two atoms")
@@ -188,17 +203,25 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
         ph *= cee_half[h, None]
         return drive_row[:, None] * ph
 
-    record_stride = _pair_record_stride(kgrid, config.omega_a, dt)
-    steps = np.append(np.arange(0, n_steps, record_stride), n_steps)
-    record = np.empty((len(steps), 2, n), dtype=complex)
-    for first, y, _ in integrate_block(np.zeros((2, n)), damping, table,
-                                       delays, dt, n_steps, drive):
+    stride = _pair_record_stride(kgrid, config.omega_a, dt)
+    steps = np.append(np.arange(0, n_steps, stride), n_steps)
+    cee_out = cee_half[2 * steps]
+    pops = np.empty((2, len(steps)))
+    rec_stride = max(1, int(_MAX_PHASE_PER_INTERVAL / (
+        _phase_width(kgrid, config.omega_a) * dt)))
+    rec_steps = np.append(np.arange(0, n_steps, rec_stride), n_steps)
+    record = np.empty((len(rec_steps), 2, 2, n), dtype=complex)
+    for first, y, dy in integrate_block(np.zeros((2, n)), damping, table,
+                                        delays, dt, n_steps, drive):
         lo, hi = np.searchsorted(steps, (first, first + y.shape[1]))
-        record[lo:hi] = np.moveaxis(y[:, steps[lo:hi] - first], 1, 0)
-    return SpectralPairResult(times=dt * steps, cee=cee_half[2 * steps],
-                              cegk=record[:, 0], cgek=record[:, 1],
-                              kgrid=kgrid, config=config,
-                              stride=record_stride)
+        pops[:, lo:hi] = _excited_populations(
+            cee_out[lo:hi], *y[:, steps[lo:hi] - first], kgrid.dk)
+        lo, hi = np.searchsorted(rec_steps, (first, first + y.shape[1]))
+        for i, v in enumerate((y, dy)):
+            record[lo:hi, i] = np.moveaxis(v[:, rec_steps[lo:hi] - first], 1, 0)
+    return SpectralPairResult(times=dt * steps, cee=cee_out, populations=pops,
+                              record_times=dt * rec_steps, record=record,
+                              kgrid=kgrid, config=config, stride=stride)
 
 
 # ---------------------------------------------------------------------------
@@ -255,31 +278,35 @@ def solve_two_photon(pair: SpectralPairResult,
                      at_times: list[float] | None = None
                      ) -> list[tuple[float, np.ndarray]]:
     """Two-photon amplitude matrices c_kk(k1, k2, t) at the requested times
-    (default: the end of the pair record), by trapezoid quadrature of the
-    symmetrized pair sources over the recorded nodes t_j <= t:
-    c_kk = -i/sqrt(2) (S + S^T), S = sum_j w_j (c_egk(t_j) (x) g_1 +
-    c_gek(t_j) (x) g_2) e^{i(k_2 - omega_a) t_j}, w the trapezoid weights.
+    (default: the end of the record): c_kk = -i/sqrt(2) (S + S^T), S =
+    int_0^t (c_egk (x) g_1 + c_gek (x) g_2) e^{i(k_2 - omega_a) s} ds over
+    the cubic Hermite interpolant of the record (a Filon-type rule).
 
     Checkpoints are taken in time order; S gains the integral since the
-    previous one in blocks of at most `_QUAD_BLOCK` nodes, over each of
-    which the phase is `_phase_interpolant`'s sum over p points (77 per
-    512 nodes on `fig2`).  A block is then one real (p x nodes) product of
-    the weighted basis with the c_egk and c_gek rows, and one GEMM of the
-    2p stacked sums against their phase-weighted couplings, `_RECORD_CHUNK`
-    points at a time.  Besides the results it holds two N x N buffers and
-    one chunk.
+    previous one in blocks of at most `_QUAD_BLOCK` record intervals, cut
+    at the checkpoints.  Each piece gets G Gauss-Legendre points, G the
+    least with theta^(2G-3) / (2G-3)! <= 2^-53, theta = W h_max for W =
+    max|k - omega_a| and the longest record interval (G = 9 on `fig2`).
+    Over a block the phase is `_phase_interpolant`'s sum over p points, so
+    a block is one real (p x 2 nodes) product of the folded value and
+    derivative weights with the record, and one GEMM of the 2p sums
+    against their phase-weighted couplings, `_RECORD_CHUNK` points at a
+    time.  Besides the results it holds S, the product buffer (which
+    becomes the checkpoint's result) and one chunk.
 
-    Each time is taken at its nearest recorded node; a time outside the
-    record by more than half its longest interval, or not finite, raises
-    ValueError.  Matrices are exactly symmetric and returned in the
-    normalized convention (see module docstring).
+    Each time is taken at its nearest output node (`pair.times`); a time
+    outside the record by more than half its longest interval, or not
+    finite, raises ValueError.  Matrices are exactly symmetric and returned
+    in the normalized convention (see module docstring).
     """
+    from numpy.polynomial.legendre import leggauss   # 5 ms: not at import
+
     cfg = pair.config
     g1 = coupling_row(pair.kgrid, cfg.atoms[0])
     g2 = coupling_row(pair.kgrid, cfg.atoms[1])
     det = pair.kgrid.k_values - cfg.omega_a
     width = _phase_width(pair.kgrid, cfg.omega_a)
-    times = pair.times
+    times, nodes = pair.times, pair.record_times
     if at_times is None:
         at_times = [float(times[-1])]
     slack = 0.5 * float(np.diff(times).max(initial=0.0))
@@ -289,40 +316,60 @@ def solve_two_photon(pair: SpectralPairResult,
                 f"two-photon time {t!r} outside [0, {float(times[-1])!r}]")
     idx = [pair.index_at(t) for t in at_times]
 
+    # G = (m + 3) / 2 for the least odd m = 2G - 3 with theta^m / m! <= 2^-53
+    theta, m = width * float(np.diff(nodes).max(initial=0.0)), 1
+    while theta and m * math.log(theta) - math.lgamma(m + 1) > -53 * math.log(2):
+        m += 2
+    x, w = leggauss((m + 3) // 2)
     n = len(pair.kgrid)
+    flat = pair.record.reshape(2 * len(nodes), 2 * n).view(float)
     acc = np.zeros((n, n), dtype=complex)
-    prod = np.empty_like(acc)
     rows = np.empty((2 * _RECORD_CHUNK, n), dtype=complex)
     coup = np.empty_like(rows)
     out: list[tuple[float, np.ndarray]] = [(0.0, np.zeros((0, 0)))] * len(at_times)
-    start = 0   # acc holds the quadrature over [0, times[start]]
+    start = 0.0   # acc holds the integral over [0, start]
     for pos in np.argsort(idx):
-        m = idx[pos]
-        half_gap = 0.5 * np.diff(times[start:m + 1])
-        w = np.append(half_gap, 0.0) + np.insert(half_gap, 0, 0.0)
-        for j0 in range(start, m + 1, _QUAD_BLOCK):
-            j1 = min(m + 1, j0 + _QUAD_BLOCK)
-            points, basis = _phase_interpolant(times[j0:j1], width)
-            basis *= w[j0 - start:j1 - start]
+        stop = float(times[idx[pos]])
+        buf = np.empty_like(acc)   # the GEMM's product, then the result
+        j_lo = int(np.searchsorted(nodes, start, "right")) - 1
+        j_hi = int(np.searchsorted(nodes, stop)) if stop > start else j_lo
+        for j0 in range(j_lo, j_hi, _QUAD_BLOCK):
+            t_j = nodes[j0:min(j_hi, j0 + _QUAD_BLOCK) + 1]
+            ends = np.clip(t_j, start, stop)
+            half = 0.5 * np.diff(ends)[:, None]
+            gauss = 0.5 * (ends[1:] + ends[:-1])[:, None] + half * x
+            h = np.diff(t_j)[:, None]
+            herm = np.stack(_hermite_weights((gauss - t_j[:-1, None]) / h),
+                            axis=-1)
+            herm[..., 1::2] *= h[..., None]
+            points, basis = _phase_interpolant(gauss.ravel(), width)
+            basis = basis.reshape(len(points), *gauss.shape) * (half * w)
+            # (p, pieces, 4) folded into the weights of the (p, nodes, 2)
+            # value and derivative rows
+            part = np.einsum("qig,igc->qic", basis, herm)
+            weights = np.zeros((len(points), len(t_j), 2))
+            weights[:, :-1] = part[..., :2]
+            weights[:, 1:] += part[..., 2:]
             for q0 in range(0, len(points), _RECORD_CHUNK):
                 q1 = min(len(points), q0 + _RECORD_CHUNK)
                 r = q1 - q0
-                # the real basis times the rows' real and imaginary parts
-                for c, dest in ((pair.cegk, rows[:r]), (pair.cgek, rows[r:2 * r])):
-                    np.matmul(basis[q0:q1], c[j0:j1].view(float),
-                              out=dest.view(float))
-                phase = coup[r:2 * r]
-                _phases(points[q0:q1], det, phase)
-                np.multiply(phase, g1, out=coup[:r])
-                phase *= g2
-                np.matmul(rows[:2 * r].T, coup[:2 * r], out=prod)
-                acc += prod
-        start = m
+                # real weights times the record's real and imaginary parts:
+                # row 2q is c_egk at point q, row 2q + 1 c_gek
+                np.matmul(weights[q0:q1].reshape(r, -1),
+                          flat[2 * j0:2 * j0 + 2 * len(t_j)],
+                          out=rows[:2 * r].view(float).reshape(r, 4 * n))
+                pairs = coup[:2 * r].reshape(r, 2, n)
+                _phases(points[q0:q1], det, pairs[:, 1])
+                np.multiply(pairs[:, 1], g1, out=pairs[:, 0])
+                pairs[:, 1] *= g2
+                np.matmul(rows[:2 * r].T, coup[:2 * r], out=buf)
+                acc += buf
+        start = stop
         # x + x.T is exactly symmetric in floating point, and so is any
         # multiple of it
-        ckk = acc + acc.T
+        ckk = np.add(acc, acc.T, out=buf)
         ckk *= -1j * TWO_PHOTON_SCALE
-        out[pos] = (float(times[m]), ckk)
+        out[pos] = (stop, ckk)
     return out
 
 
@@ -365,16 +412,10 @@ class TwoExcitationState:
 
 def _excited_populations(cee, cegk: np.ndarray, cgek: np.ndarray, dk: float):
     """P_e1 = |c_ee|^2 + sum_k |c_egk|^2 dk and P_e2 likewise with c_gek:
-    plain-dk sums over the last (mode) axis, for one state or a series,
-    `_RECORD_CHUNK` rows at a time to bound the |c|^2 temporaries."""
-    def mode_sums(c: np.ndarray) -> np.ndarray:
-        rows = c.reshape(-1, c.shape[-1])
-        return np.concatenate([
-            (np.abs(rows[i:i + _RECORD_CHUNK]) ** 2).sum(axis=-1)
-            for i in range(0, len(rows), _RECORD_CHUNK)]).reshape(c.shape[:-1])
-
+    plain-dk sums over the last (mode) axis, for one state or a series."""
     pee = np.abs(cee) ** 2
-    return pee + mode_sums(cegk) * dk, pee + mode_sums(cgek) * dk
+    return (pee + (np.abs(cegk) ** 2).sum(axis=-1) * dk,
+            pee + (np.abs(cgek) ** 2).sum(axis=-1) * dk)
 
 
 def populations(state: TwoExcitationState) -> tuple[float, float]:

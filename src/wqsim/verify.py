@@ -33,6 +33,10 @@ class VerificationCheck:
     bound: float | str
     relation: str            # "<", ">=" or "=="; a NaN fails each
 
+    def __post_init__(self) -> None:
+        if self.relation not in _RELATIONS:
+            raise ValueError(f"unknown relation {self.relation!r}")
+
     @property
     def passed(self) -> bool:
         return bool(_RELATIONS[self.relation](self.measured, self.bound))

@@ -12,6 +12,7 @@ from wqsim import (PRESETS, AtomParams, DelaySystem, InvalidGrid, KGrid,
                    oracle_full_grid, populations, solve_cee,
                    solve_spectral_pair, solve_two_photon, total_norm,
                    two_photon_norm)
+from wqsim import frequency
 from wqsim.dde import resolve_taps
 from wqsim.frequency import (_MAX_PHASE_PER_NODE, _ORACLE_BLOCK,
                              _QUAD_BLOCK, TWO_PHOTON_SCALE,
@@ -170,19 +171,23 @@ class TestSpectralPair:
         cfg = NetworkConfig(atoms=(AtomParams(0.1, 0.2, 0.3),
                                    AtomParams(0.25, 0.0, 0.0)), omega_a=WA)
         pair, cee = small_pair(cfg, 2.0, n=41, half=6.0)
-        # with gamma_2 = 0, c_gek has no damping and no feedback: it is the
-        # bare quadrature of the drive -i c_ee g_1(k, t)
+        # with gamma_2 = 0, c_gek has no damping and no feedback: its
+        # derivative is the drive -i c_ee g_1(k, t), and it is the bare
+        # quadrature of that drive
         k = pair.kgrid.k_values
-        cee_vals = cee.sample_grid(pair.times)[:, 0]
-        drive = np.empty((len(pair.times), len(k)), dtype=complex)
-        for j, t in enumerate(pair.times):
-            drive[j] = -1j * cee_vals[j] * MODE_MEASURE * coupling_g(
+        drive = np.empty((len(cee.times), len(k)), dtype=complex)
+        for j, t in enumerate(cee.times):
+            drive[j] = -1j * cee.states[j, 0] * MODE_MEASURE * coupling_g(
                 k, t, cfg.atoms[0], WA)
-        # trapezoid on the record's own nodes: its last interval is short
-        half_gap = 0.5 * np.diff(pair.times)[:, None]
+        # trapezoid on every step, read at the record's nodes (its last
+        # interval is short)
         quad = np.zeros_like(drive)
-        quad[1:] = np.cumsum(half_gap * (drive[1:] + drive[:-1]), axis=0)
-        assert np.abs(pair.cgek - quad).max() < 2e-4
+        quad[1:] = np.cumsum(0.5 * cee.dt * (drive[1:] + drive[:-1]), axis=0)
+        rec = np.rint(pair.record_times / cee.dt).astype(int)
+        assert rec[-1] - rec[-2] < rec[1] - rec[0]
+        assert np.abs(pair.cgek - quad[rec]).max() < 2e-4
+        np.testing.assert_allclose(pair.record[:, 1, 1], drive[rec], rtol=0,
+                                   atol=1e-12 * np.abs(drive).max())
 
     def test_trapping_spectrum_peaks_at_resonance(self):
         pair, _ = small_pair(FIG3, 5.0)
@@ -195,6 +200,18 @@ class TestSpectralPair:
         ratio = np.abs(pair.cgek[-1]).max() / np.abs(pair.cegk[-1]).max()
         assert ratio < 0.05
 
+    def test_output_stride_longer_than_a_block(self):
+        # half-width 0.5: the output and record strides (152 and 509 steps)
+        # exceed the pair engine's blocks, so most blocks hold no node
+        pair, _ = small_pair(FIG3, 2.0, n=5, half=0.5)
+        assert pair.stride > 64
+        _, p1, p2 = pair.populations_series()
+        assert len(p1) == len(pair.times) == 8 and len(pair.record_times) == 4
+        state = TwoExcitationState(
+            c_ee=complex(pair.cee[-1]), c_egk=pair.cegk[-1],
+            c_gek=pair.cgek[-1], c_kk=np.zeros((5, 5)), kgrid=pair.kgrid)
+        assert (p1[-1], p2[-1]) == populations(state)
+
     def test_populations_start_at_one(self):
         pair, _ = small_pair(FIG3, 1.0)
         _, p1, p2 = pair.populations_series()
@@ -206,11 +223,10 @@ class TestSpectralPair:
 # closed-form pair stepper against the pair rhs on the generic engine
 # ---------------------------------------------------------------------------
 
-def reference_pair(config, cee, kgrid, dt, n_steps, record_stride):
+def reference_pair(config, cee, kgrid, dt, n_steps):
     """The pair equations as an rhs closure on the generic `integrate` (four
-    rhs calls per step, one history read per delay and call).  Returns the
-    times and (n_times, 2N) states (c_egk | c_gek) at every
-    `record_stride`-th step and at the final step."""
+    rhs calls per step, one history read per delay and call).  Returns its
+    `Trajectory`: states and derivatives (c_egk | c_gek) at every step."""
     a1, a2 = config.atoms
     n = len(kgrid)
     damping, delays, table = exchange_table(config)
@@ -225,11 +241,9 @@ def reference_pair(config, cee, kgrid, dt, n_steps, record_stride):
         out += (cee.sample(t)[0] * drive_row) * np.exp(1j * detuning * t)
         return out.reshape(-1)
 
-    traj = integrate(DelaySystem(dim=2 * n, delays=delays, rhs=rhs),
+    return integrate(DelaySystem(dim=2 * n, delays=delays, rhs=rhs),
                      prehistory=np.zeros(2 * n, complex),
                      t_span=(0.0, n_steps * dt), dt=dt)
-    steps = list(range(0, n_steps, record_stride)) + [n_steps]
-    return traj.times[steps], traj.states[steps]
 
 
 OFF_GRID = NetworkConfig(atoms=(AtomParams(0.1, 0.3, 0.45),
@@ -239,20 +253,22 @@ OFF_GRID = NetworkConfig(atoms=(AtomParams(0.1, 0.3, 0.45),
 class TestPairStepper:
     """`solve_spectral_pair` (closed-form RK4) against `reference_pair`."""
 
-    @pytest.mark.parametrize("config, half, dt, n_steps, stride", [
-        # the fig2 atoms, step and half-width: planned stride 2
-        (FIG2, 45.0, 0.1 / 64, 640, 2),
+    @pytest.mark.parametrize("config, half, dt, n_steps, stride, rec", [
+        # the fig2 atoms, step and half-width: planned stride 2, record
+        # stride 7 and a final interval of 3 steps
+        (FIG2, 45.0, 0.1 / 64, 640, 2, 7),
         # delays 0.13, 0.2, 0.33, 0.46 at dt 0.0107: eight distinct Hermite
         # fractions, none of them 0 or 1/2
-        (OFF_GRID, 6.0, 0.0107, 150, 2),
+        (OFF_GRID, 6.0, 0.0107, 150, 2, 7),
         # planned stride 11 does not divide 650 steps: 60 records on the
         # stride grid, then the final node one step after the last of them
-        (FIG2, 8.0, 0.1 / 64, 650, 11),
+        (FIG2, 8.0, 0.1 / 64, 650, 11, 40),
         # a prime step count: stride 2 and a final half interval
-        (FIG2, 45.0, 0.1 / 64, 641, 2),
+        (FIG2, 45.0, 0.1 / 64, 641, 2, 7),
     ], ids=["fig2-stride2", "off-grid-fractions", "stride-not-dividing",
             "prime-steps"])
-    def test_matches_generic_engine(self, config, half, dt, n_steps, stride):
+    def test_matches_generic_engine(self, config, half, dt, n_steps, stride,
+                                    rec):
         kg = KGrid.centered(WA, half, 41)
         fractions = {s for row in resolve_taps(exchange_table(config)[1], dt)
                      for _, s in row}
@@ -263,12 +279,20 @@ class TestPairStepper:
         pair = solve_spectral_pair(config, cee, kg)
         assert pair.stride == stride
         assert len(pair.times) == -(-n_steps // stride) + 1
-        assert pair.times[-1] == n_steps * dt
-        times, ref = reference_pair(config, cee, kg, dt, n_steps, stride)
-        np.testing.assert_array_equal(pair.times, times)
-        got = np.hstack([pair.cegk, pair.cgek])
-        np.testing.assert_allclose(got, ref, rtol=0,
-                                   atol=1e-12 * np.abs(ref).max())
+        assert pair.times[-1] == pair.record_times[-1] == n_steps * dt
+        ref = reference_pair(config, cee, kg, dt, n_steps)
+        steps = list(range(0, n_steps, stride)) + [n_steps]
+        np.testing.assert_array_equal(pair.times, ref.times[steps])
+        sums = (np.abs(ref.states[steps]) ** 2).reshape(-1, 2, 41).sum(axis=2)
+        np.testing.assert_allclose(
+            pair.populations.T, np.abs(cee.states[steps]) ** 2 + sums * kg.dk,
+            rtol=0, atol=1e-12)
+        rec_steps = list(range(0, n_steps, rec)) + [n_steps]
+        np.testing.assert_array_equal(pair.record_times, ref.times[rec_steps])
+        for got, want in ((pair.record[:, 0], ref.states[rec_steps]),
+                          (pair.record[:, 1], ref.derivatives[rec_steps])):
+            np.testing.assert_allclose(got.reshape(len(rec_steps), -1), want,
+                                       rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_off_centre_grid_keeps_the_phase_bound(self):
         # the grid's half-width is 5 but its modes lie up to 15 from
@@ -307,66 +331,59 @@ class TestTwoPhoton:
 
 
 # ---------------------------------------------------------------------------
-# two-photon quadrature against the per-segment loop it replaced
+# two-photon quadrature against an explicit Hermite-Gauss loop
 # ---------------------------------------------------------------------------
 
-def reference_two_photon(pair, at_times):
-    """Per-segment trapezoid loop on a uniform record: two accumulators fed
-    by 2048-node phase chunks, then four outer-product end corrections and
-    the coupling weights at every checkpoint."""
+def hermite_gauss_two_photon(pair, t, n_gauss=16):
+    """c_kk at the output node nearest t, interval by interval: n_gauss
+    Gauss-Legendre points on each record interval's part in [0, t], the
+    cubic Hermite interpolant of the interval's end values and derivatives
+    there, and exact phases (no interpolation)."""
     cfg = pair.config
+    t = float(pair.times[pair.index_at(t)])
     g1 = coupling_row(pair.kgrid, cfg.atoms[0])
     g2 = coupling_row(pair.kgrid, cfg.atoms[1])
     det = pair.kgrid.k_values - cfg.omega_a
-    times = pair.times
-    h = float(times[1] - times[0])
-    idx = [pair.index_at(t) for t in at_times]
+    x, w = np.polynomial.legendre.leggauss(n_gauss)
+    nodes, rec = pair.record_times, pair.record
     n = len(pair.kgrid)
-    acc_a = np.zeros((n, n), dtype=complex)
-    acc_b = np.zeros((n, n), dtype=complex)
-    out = [None] * len(at_times)
-    summed = -1
-    for pos in np.argsort(idx):
-        m = idx[pos]
-        for c0 in range(summed + 1, m + 1, 2048):
-            c1 = min(m + 1, c0 + 2048)
-            phases = np.exp(1j * np.outer(times[c0:c1], det))
-            acc_a += pair.cegk[c0:c1].T @ phases
-            acc_b += pair.cgek[c0:c1].T @ phases
-        summed = max(summed, m)
-        ph0 = np.exp(1j * times[0] * det)
-        phm = np.exp(1j * times[m] * det)
-        corr_a = 0.5 * (np.outer(pair.cegk[0], ph0) + np.outer(pair.cegk[m], phm))
-        corr_b = 0.5 * (np.outer(pair.cgek[0], ph0) + np.outer(pair.cgek[m], phm))
-        a = (acc_a - corr_a) * (h * g1)[None, :]
-        b = (acc_b - corr_b) * (h * g2)[None, :]
-        out[pos] = (float(times[m]),
-                    (-1j * TWO_PHOTON_SCALE) * ((a + a.T) + (b + b.T)))
-    return out
-
-
-def trapezoid_two_photon(pair, t):
-    """c_kk at record time t with explicit trapezoid weights on the nodes
-    [0, t], whatever their spacing."""
-    cfg = pair.config
-    m = pair.index_at(t)
-    gaps = np.diff(pair.times[:m + 1])
-    w = np.zeros(m + 1)
-    w[:-1] += 0.5 * gaps
-    w[1:] += 0.5 * gaps
-    ph = w[:, None] * np.exp(1j * np.outer(pair.times[:m + 1],
-                                           pair.kgrid.k_values - cfg.omega_a))
-    s = (pair.cegk[:m + 1].T @ (ph * coupling_row(pair.kgrid, cfg.atoms[0]))
-         + pair.cgek[:m + 1].T @ (ph * coupling_row(pair.kgrid, cfg.atoms[1])))
+    s = np.zeros((n, n), dtype=complex)
+    for j in range(len(nodes) - 1):
+        a, b = nodes[j], min(nodes[j + 1], t)
+        if b <= a:
+            break
+        h = nodes[j + 1] - a
+        tg = 0.5 * (a + b) + 0.5 * (b - a) * x
+        u = ((tg - a) / h)[:, None, None]
+        y = ((1 + 2 * u) * (1 - u) ** 2 * rec[j, 0]
+             + h * u * (1 - u) ** 2 * rec[j, 1]
+             + u * u * (3 - 2 * u) * rec[j + 1, 0]
+             + h * u * u * (u - 1) * rec[j + 1, 1])
+        ph = (0.5 * (b - a) * w)[:, None] * np.exp(1j * np.outer(tg, det))
+        s += y[:, 0].T @ (ph * g1) + y[:, 1].T @ (ph * g2)
     return -1j * TWO_PHOTON_SCALE * (s + s.T)
+
+
+def random_pair(kgrid, record_times, times, seed):
+    """A `SpectralPairResult` with a random Hermite record (values and
+    derivatives) on `record_times` and zero c_ee and populations on the
+    output grid `times`."""
+    rng = np.random.default_rng(seed)
+    shape = (len(record_times), 2, 2, len(kgrid))
+    record = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return SpectralPairResult(
+        times=times, cee=np.zeros(len(times), complex),
+        populations=np.zeros((2, len(times))), record_times=record_times,
+        record=record, kgrid=kgrid, config=FIG2, stride=1)
 
 
 @st.composite
 def records(draw):
-    """A random record of 1 to 1300 nodes on an off-centre grid, its
-    last interval short or not, and 1 to 6 checkpoints (unsorted,
-    repeated, at 0, on block edges); at most 0.5 rad per node and 400
-    rad over the record, where rounding the trapezoid reference's phase
+    """A random record of 1 to 1300 nodes on an off-centre grid, its last
+    interval short or not; an output grid of 1 to 4 nodes per record node
+    plus the record nodes on block edges; 1 to 6 checkpoints (unsorted,
+    repeated, at 0, on block edges).  At most 0.5 rad per record interval
+    and 400 rad over the record, where rounding the reference's phase
     arguments stays well below the tolerance."""
     theta = draw(st.floats(1e-3, 0.5))
     n_rec = min(int(400 / theta), draw(
@@ -375,27 +392,41 @@ def records(draw):
                            draw(st.floats(1.0, 20.0)),
                            draw(st.integers(2, 9)))
     h = theta / float(np.abs(kgrid.k_values - WA).max())
-    times = h * np.arange(n_rec)
+    nodes = h * np.arange(n_rec)
     if n_rec > 1 and draw(st.booleans()):
-        times[-1] = times[-2] + h * draw(st.floats(0.01, 0.99))
-    edges = [i for i in (0, _QUAD_BLOCK - 1, _QUAD_BLOCK, _QUAD_BLOCK + 1,
-                         2 * _QUAD_BLOCK, n_rec - 1) if i < n_rec]
-    picks = draw(st.lists(st.integers(0, n_rec - 1) | st.sampled_from(edges),
-                          min_size=1, max_size=6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    cegk, cgek = (rng.standard_normal((n_rec, len(kgrid)))
-                  + 1j * rng.standard_normal((n_rec, len(kgrid)))
-                  for _ in range(2))
-    pair = SpectralPairResult(
-        times=times, cee=np.zeros(n_rec, complex), cegk=cegk, cgek=cgek,
-        kgrid=kgrid, config=FIG2, stride=1)
+        nodes[-1] = nodes[-2] + h * draw(st.floats(0.01, 0.99))
+    edges = nodes[[i for i in (_QUAD_BLOCK - 1, _QUAD_BLOCK, _QUAD_BLOCK + 1,
+                               2 * _QUAD_BLOCK) if i < n_rec]]
+    n_out = draw(st.integers(1, 4 * n_rec))
+    times = np.unique(np.append(np.linspace(0.0, nodes[-1], n_out), edges))
+    marks = [0, len(times) - 1, *np.searchsorted(times, edges)]
+    picks = draw(st.lists(st.integers(0, len(times) - 1)
+                          | st.sampled_from(marks), min_size=1, max_size=6))
+    pair = random_pair(kgrid, nodes, times, draw(st.integers(0, 2**32 - 1)))
     return pair, [float(times[i]) for i in picks]
 
 
+def filon_moments(theta, a):
+    """int_0^a u^m e^{i theta u} du for m = 0..3, in 40-digit arithmetic:
+    M_0 = (e^{i theta a} - 1) / (i theta),
+    M_m = (a^m e^{i theta a} - m M_{m-1}) / (i theta)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        a = mpmath.mpf(a)
+        if theta == 0.0:
+            return [complex(a ** (m + 1) / (m + 1)) for m in range(4)]
+        it = 1j * mpmath.mpf(theta)
+        e = mpmath.exp(it * a)
+        moments = [(e - 1) / it]
+        for m in range(1, 4):
+            moments.append((a ** m * e - m * moments[-1]) / it)
+        return [complex(x) for x in moments]
+
+
 class TestTwoPhotonQuadrature:
-    """`solve_two_photon` (the phase interpolated per block of record
-    nodes, one accumulator) against `reference_two_photon` and explicit
-    trapezoid weights."""
+    """`solve_two_photon` (Gauss points on the Hermite record, the phase
+    interpolated per block of intervals, one accumulator) against
+    `hermite_gauss_two_photon` and closed-form Filon moments."""
 
     @staticmethod
     def check(got, ref):
@@ -406,11 +437,12 @@ class TestTwoPhotonQuadrature:
             np.testing.assert_allclose(g, r, rtol=0, atol=1e-13 * scale)
 
     @pytest.mark.parametrize("config, t_end, at_times", [
-        # 161 records: more than one chunk; checkpoints unsorted, repeated,
-        # at t = 0 and at the end
-        (FIG2, 2.0, [1.5, 0.0, 2.0, 0.7, 1.5]),
-        # 961 records: the second segment spans two blocks
-        (FIG2, 12.0, [128 * 4 * 0.1 / 32, 12.0]),
+        # 161 output nodes, 41 record nodes: checkpoints unsorted, repeated,
+        # at t = 0, inside a record interval (0.7125) and at the end
+        (FIG2, 2.0, [1.5, 0.0, 2.0, 0.7, 1.5, 0.7125]),
+        # 601 record nodes: the second segment spans two blocks, and a
+        # block's Chebyshev points more than one chunk
+        (FIG2, 30.0, [128 * 4 * 0.1 / 32, 30.0]),
         # atom 2 decoupled: c_egk and g2 vanish, so c_kk must be exactly 0
         (NetworkConfig(atoms=(AtomParams(0.1, 0.25, 0.5),
                               AtomParams(0.2, 0.0, 0.0)), omega_a=WA),
@@ -422,21 +454,65 @@ class TestTwoPhotonQuadrature:
         assert pair.stride == 4
         np.testing.assert_allclose(np.diff(pair.times), pair.times[1],
                                    rtol=1e-12)
+        np.testing.assert_allclose(np.diff(pair.record_times),
+                                   4 * pair.times[1], rtol=1e-12)
         got = solve_two_photon(pair, at_times)
-        self.check(got, reference_two_photon(pair, at_times))
+        self.check(got, [(float(pair.times[pair.index_at(t)]),
+                          hermite_gauss_two_photon(pair, t)) for t in at_times])
         if config.atoms[1].gamma_l == 0.0:
             assert all(np.all(g == 0.0) for _, g in got)
 
     def test_short_last_interval(self):
-        # 641 steps at stride 4: the final node is one step past the last
-        # stride node
+        # 641 steps at stride 4 and record stride 16: the final node is one
+        # step past the last stride node of both grids
         dt = min(FIG2.delays) / 32
         pair, _ = small_pair(FIG2, 641 * dt, n=61, half=10.0)
         assert pair.stride == 4 and len(pair.times) == 162
-        assert pair.times[-1] - pair.times[-2] == pytest.approx(dt, rel=1e-12)
+        assert len(pair.record_times) == 42
+        for t in (pair.times, pair.record_times):
+            assert t[-1] - t[-2] == pytest.approx(dt, rel=1e-12)
         at = [float(pair.times[-1]), float(pair.times[-2]), 1.0]
         got = solve_two_photon(pair, at)
-        self.check(got, [(t, trapezoid_two_photon(pair, t)) for t in at])
+        self.check(got, [(t, hermite_gauss_two_photon(pair, t)) for t in at])
+
+    @pytest.mark.parametrize("frac", [1.0, 0.37])
+    def test_one_interval_matches_filon_moments(self, frac):
+        # one record interval [0, h] with theta = (k - omega_a) h over
+        # [-1.1, 1.1]; a checkpoint at its end or inside it.  The Hermite
+        # cubic sum_m c_m u^m (u = s / h) integrates against the phase to
+        # h sum_m c_m M_m(theta, frac) exactly
+        kgrid = KGrid.centered(WA, 11.0, 9)
+        h = 0.1
+        times = np.unique([0.0, frac * h, h])
+        pair = random_pair(kgrid, np.array([0.0, h]), times, seed=3)
+        (t, got), = solve_two_photon(pair, [frac * h])
+        assert t == frac * h
+        det = kgrid.k_values - WA
+        moments = np.array([filon_moments(d * h, frac) for d in det]).T
+        y0, d0, y1, d1 = pair.record[0, 0], h * pair.record[0, 1], \
+            pair.record[1, 0], h * pair.record[1, 1]
+        coeffs = np.stack([y0, d0, -3 * y0 - 2 * d0 + 3 * y1 - d1,
+                           2 * y0 + d0 - 2 * y1 + d1])   # (4, 2, N)
+        g = np.stack([coupling_row(kgrid, a) for a in FIG2.atoms])
+        s = h * sum(coeffs[:, i].T @ (moments * g[i]) for i in range(2))
+        want = -1j * TWO_PHOTON_SCALE * (s + s.T)
+        self.check([(t, got)], [(t, want)])
+
+    def test_record_stride_error_is_small(self, monkeypatch):
+        # fig3's geometry and plan (half-width 20, dt = min delay / 64) at
+        # N = 41 over [0, 5]: record stride 25 (0.49 rad per interval)
+        # against the same rule on every step
+        at = [1.25, 2.5, 5.0]
+        pair, _ = small_pair(FIG3, 5.0, n=41, half=20.0, dt_div=64)
+        got = solve_two_photon(pair, at)
+        monkeypatch.setattr(frequency, "_MAX_PHASE_PER_INTERVAL", 1e-12)
+        fine, cee = small_pair(FIG3, 5.0, n=41, half=20.0, dt_div=64)
+        assert len(fine.record_times) == len(cee.states)
+        assert len(pair.record_times) == -(-(len(cee.states) - 1) // 25) + 1
+        want = solve_two_photon(fine, at)
+        assert [t for t, _ in got] == [t for t, _ in want]
+        for (_, g), (_, r) in zip(got, want):
+            assert np.abs(g - r).max() < 1e-7
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("t", [math.nan, math.inf])
@@ -447,10 +523,11 @@ class TestTwoPhotonQuadrature:
 
     @given(drawn=records())
     @settings(max_examples=60)
-    def test_matches_trapezoid_on_random_records(self, drawn):
+    def test_matches_hermite_gauss_on_random_records(self, drawn):
         pair, at = drawn
         got = solve_two_photon(pair, at)
-        self.check(got, [(t, trapezoid_two_photon(pair, t)) for t in at])
+        self.check(got, [(float(pair.times[pair.index_at(t)]),
+                          hermite_gauss_two_photon(pair, t)) for t in at])
 
     @pytest.mark.parametrize("wa", [0.25, 3.0, 20.0, 60.0])
     def test_phase_interpolant_meets_its_bound(self, wa):
@@ -494,20 +571,15 @@ class TestTwoPhotonQuadrature:
         assert [t for t, _ in got] == [pair.t_end, 0.0]
 
     def test_working_memory_is_bounded(self):
-        # N = 401 modes, 2000 records: besides its results the quadrature
-        # may hold three N x N matrices and one chunk (stacked rows,
-        # weighted couplings and their phase temporaries)
+        # N = 401 modes, 2000 record nodes: besides its results the
+        # quadrature may hold two N x N matrices and one chunk (stacked
+        # rows, weighted couplings and their phase temporaries)
         import tracemalloc
 
-        from wqsim.frequency import _RECORD_CHUNK, SpectralPairResult
+        from wqsim.frequency import _RECORD_CHUNK
         n, n_rec = 401, 2000
-        rng = np.random.default_rng(5)
-        cegk, cgek = (rng.standard_normal((n_rec, n))
-                      + 1j * rng.standard_normal((n_rec, n)) for _ in range(2))
-        pair = SpectralPairResult(
-            times=0.003 * np.arange(n_rec), cee=np.zeros(n_rec, complex),
-            cegk=cegk, cgek=cgek, kgrid=KGrid.centered(WA, 20.0, n),
-            config=FIG2, stride=1)
+        nodes = 0.003 * np.arange(n_rec)
+        pair = random_pair(KGrid.centered(WA, 20.0, n), nodes, nodes, seed=5)
         at_times = [float(pair.times[-1]), 2.0, 4.0]
         chunk = 6 * _RECORD_CHUNK * n * 16
         tracemalloc.start()
@@ -518,7 +590,7 @@ class TestTwoPhotonQuadrature:
         finally:
             tracemalloc.stop()
         assert len(result) == 3
-        assert peak <= (len(at_times) + 3) * n * n * 16 + chunk
+        assert peak <= (len(at_times) + 2) * n * n * 16 + chunk
 
 
 class TestStateAndNorms:
@@ -727,9 +799,8 @@ class TestNormRefinement:
         def deviation(n, half):
             pair, _ = small_pair(FIG3, 4.0, n=n, half=half)
             (_, ckk), = solve_two_photon(pair)
-            i = len(pair.times) - 1
-            st = TwoExcitationState(c_ee=complex(pair.cee[i]),
-                                    c_egk=pair.cegk[i], c_gek=pair.cgek[i],
+            st = TwoExcitationState(c_ee=complex(pair.cee[-1]),
+                                    c_egk=pair.cegk[-1], c_gek=pair.cgek[-1],
                                     c_kk=ckk, kgrid=pair.kgrid)
             return abs(total_norm(st) - 1.0)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -315,6 +316,11 @@ class TestCli:
         assert check.measured == "DarkState" and check.passed
         line = VerificationCheck("c", 1.0, 0.0, "<").line()
         assert line == "[FAIL] c: measured 1 < 0"
+
+    @pytest.mark.parametrize("relation", ["<=", ">", "", "lt"])
+    def test_check_refuses_an_unknown_relation(self, relation):
+        with pytest.raises(ValueError, match=re.escape(repr(relation))):
+            VerificationCheck("c", 1.0, 2.0, relation)
 
     def test_verify_unknown_scope(self, capsys):
         rc = main(["verify", "theoremX"])
