@@ -45,7 +45,7 @@ _RECORD_CHUNK = 128
 # record intervals per block of the two-photon quadrature's phase interpolant
 _QUAD_BLOCK = 4 * _RECORD_CHUNK
 # steps per block of the oracle's two-photon update
-_ORACLE_BLOCK = 4
+_ORACLE_BLOCK = 12
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +176,9 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
     at N = 1001, with RK4's stages eliminated in closed form.  Each block
     adds the populations of its output nodes (stride set by the phase bound
     `_MAX_PHASE_PER_NODE`) and the values and derivatives of its record
-    nodes (`_MAX_PHASE_PER_INTERVAL`).  Both grids end at the final node,
-    so their last interval is shorter when the stride does not divide the
-    step count.
+    nodes (`_MAX_PHASE_PER_INTERVAL`, and at most half the shortest delay
+    per interval).  Both grids end at the final node, so their last interval
+    is shorter when the stride does not divide the step count.
     """
     if len(config.atoms) != 2:
         raise InvalidGeometry("the two-excitation cascade needs two atoms")
@@ -207,8 +207,8 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
     steps = np.append(np.arange(0, n_steps, stride), n_steps)
     cee_out = cee_half[2 * steps]
     pops = np.empty((2, len(steps)))
-    rec_stride = max(1, int(_MAX_PHASE_PER_INTERVAL / (
-        _phase_width(kgrid, config.omega_a) * dt)))
+    rec_stride = max(1, min(int(min(delays) / (2 * dt)), int(
+        _MAX_PHASE_PER_INTERVAL / (_phase_width(kgrid, config.omega_a) * dt))))
     rec_steps = np.append(np.arange(0, n_steps, rec_stride), n_steps)
     record = np.empty((len(rec_steps), 2, 2, n), dtype=complex)
     for first, y, dy in integrate_block(np.zeros((2, n)), damping, table,
@@ -458,25 +458,31 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
     run [0, n_steps dt]; n_steps = `dde.step_count(t_end, dt)`, so the run
     ends past t_end when dt does not divide it.
 
-    The stages are low rank.  d c_kk/dt = -i (c_egk g1s^T + g1 c_egk[sub]^T
-    + c_gek g2s^T + g2 c_gek[sub]^T) is rank 4 and free of c_kk, and c_kk
-    enters the other equations only through the projections c_kk conj(g1s)
-    and c_kk conj(g2s).  Stage j's c_kk is thus C + a_j K_{j-1}, and a step
-    adds a rank-12 term to C.  The couplings are known in advance, so a
-    block of B = `_ORACLE_BLOCK` steps (cut short at checkpoints) is one
-    ((4B + 2) x m) @ C^T projection on their values at its 2B + 1 half
-    steps, per step a correction by the block's earlier terms and O(n + m)
-    work per stage, and one rank-12B update of C, `_RECORD_CHUNK` rows at a
-    time.
+    The stages are low rank.  d c_kk/dt = -i sum_a (s_a g_as^T + g_a s_as^T),
+    (s_1, s_2) = (c_egk, c_gek) and s on the c_kk modes, is rank 4 and free
+    of c_kk, which enters the other equations only through the projections
+    c_kk conj(g_as).  Stage j's c_kk is thus C + a_j K_{j-1}, and a step
+    adds one rank-4 term per half step h to C, its s summed over the stages
+    on g(t_h) (a step's K_4 and the next one's K_1 share theirs).  A block of
+    B = `_ORACLE_BLOCK` steps (cut short at checkpoints) keeps its 2B + 1
+    terms pending; each step projects C and the earlier ones.  Over a block
+    the couplings are `_phase_interpolant`'s sum over p points, within 2^-53
+    of g_a(0) e^{i (k - omega_a) t}, so the terms fold onto the points: C
+    gains one rank-4p update, `_RECORD_CHUNK` rows at a time, and the next
+    block projects C at its p points (p = 12 for B = 12 on `wqsim verify
+    oracle`'s plan).
     """
     if len(config.atoms) != 2:
         raise InvalidGeometry("the two-excitation oracle needs two atoms")
     n = len(kgrid)
     sub = kgrid.subsample(ckk_stride)
+    m = len(sub)
     sub_idx = np.arange(0, n, ckk_stride)
     dk, dks = kgrid.dk, sub.dk
-    idet = 1j * (kgrid.k_values - config.omega_a)
-    g_0 = np.stack([coupling_row(kgrid, a) for a in config.atoms])
+    det = kgrid.k_values - config.omega_a
+    width = _phase_width(kgrid, config.omega_a)
+    # (g_2, g_1) at t = 0: the order in which rhs reads them
+    g_0 = np.stack([coupling_row(kgrid, a) for a in config.atoms[::-1]])
 
     n_steps = step_count(t_end, dt)
     t_last = n_steps * dt
@@ -488,28 +494,32 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
     chk_steps = {min(n_steps, max(0, round(t / dt))) for t in checkpoint_times}
     edges = sorted({n_steps, *chk_steps, *range(0, n_steps, _ORACLE_BLOCK)})
 
-    # y = (c_ee, c_egk, c_gek); C = c_kk and a block's pending U @ V apart
+    # y = (c_ee, c_egk, c_gek); C = c_kk and a block's pending terms apart:
+    # sum_h U_h^T V_h, with U_h's rows (s_1, s_2, g_2, g_1) at half step h and
+    # V_h's (g_1s, g_2s, s_2s, s_1s) times -i dt/6, s RK4-weighted
     y = np.zeros(1 + 2 * n, dtype=complex)
     y[0] = 1.0
-    ckk = np.zeros((n, len(sub)), dtype=complex)
-    ut = np.empty((12 * _ORACLE_BLOCK, n), dtype=complex)
-    v = np.empty((12 * _ORACLE_BLOCK, len(sub)), dtype=complex)
+    ckk = np.zeros((n, m), dtype=complex)
+    offsets = 0.5 * dt * np.arange(2 * _ORACLE_BLOCK + 1)
+    ut = np.empty((len(offsets), 4, n), dtype=complex)
+    v = np.empty((len(offsets), 4, m), dtype=complex)
+    w = np.empty((len(offsets), 2, m), dtype=complex)
+    interpolants = {}   # by half-step count: basis, e^{i (k - omega_a) s}
+    # the same rows folded onto a block's p points, a full block's the most
+    p_max = len(_phase_interpolant(offsets, width)[0])
+    uc_buf = np.empty(4 * p_max * n, dtype=complex)
+    vc_buf = np.empty(4 * p_max * m, dtype=complex)
+    scale = -1j * dt / 6.0
     ks = [np.empty_like(y) for _ in range(4)]
     stages = [y] + [np.empty_like(y) for _ in range(3)]
+    amps = [s[1:].reshape(2, n) for s in stages]
 
     def rhs(state: np.ndarray, g: np.ndarray, proj: np.ndarray,
             out: np.ndarray) -> None:
-        """(c_ee, c_egk, c_gek) derivative; proj's rows c_kk conj(g1s, g2s)."""
-        out[0] = -1j * dk * np.vdot(g[::-1], state[1:])
-        out[1:].reshape(2, n)[:] = -1j * state[0] * g[::-1] - 1j * dks * proj
-
-    def factors(state: np.ndarray, g: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """(U^T, V), d c_kk/dt = -i U @ V, of one stage or a stack: U^T's rows
-        c_egk, g1, c_gek, g2 per stage, V's their partners on the c_kk modes."""
-        u = np.concatenate([state[..., 1:].reshape(-1, 2, 1, n),
-                            g.reshape(-1, 2, 1, n)], axis=2)
-        return u.reshape(-1, n), u[..., ::-1, ::ckk_stride].reshape(-1, len(sub))
+        """(c_ee, c_egk, c_gek) derivative; g = (g_2, g_1), proj's rows
+        c_kk conj(g_1s, g_2s)."""
+        out[0] = -1j * dk * np.vdot(g, state[1:])
+        out[1:].reshape(2, n)[:] = -1j * state[0] * g - 1j * dks * proj
 
     times = dt * np.arange(n_steps + 1)
     cee_rec = np.empty(n_steps + 1, dtype=complex)
@@ -527,37 +537,62 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
     if 0 in chk_steps:
         snapshot(0)
     for b0, b1 in zip(edges, edges[1:]):
-        # couplings at the block's half steps; step q reads rows 2q to 2q + 2
-        h = 0.5 * dt * np.arange(2 * b0, 2 * b1 + 1)
-        g = g_0 * np.exp(idet * h[:, None])[:, None]
-        w = np.conj(g[:, :, sub_idx])
-        proj = w.reshape(-1, len(sub)) @ ckk.T
+        nh = 2 * (b1 - b0) + 1
+        if nh not in interpolants:
+            points, basis = _phase_interpolant(offsets[:nh], width)
+            phases = np.empty((len(points), 1, n), dtype=complex)
+            _phases(points, det, phases[:, 0])
+            interpolants[nh] = basis, phases
+        basis, phases = interpolants[nh]
+        p = len(basis)
+        uc = uc_buf[:4 * p * n].reshape(2, p, 2, n)
+        vc = vc_buf[:4 * p * m].reshape(2, p, 2, m)
+        # the couplings at the p points and, interpolated, at the block's
+        # half steps (step q reads 2q to 2q + 2); C's projections at the points
+        np.multiply(g_0 * np.exp(1j * det * (b0 * dt)), phases, out=uc[1])
+        g = ut[:nh, 2:]
+        np.matmul(basis.T, uc[1].reshape(p, -1), out=g.reshape(nh, -1))
+        gs, cs = g[:, ::-1, ::ckk_stride], uc[1, :, ::-1, ::ckk_stride]
+        np.conjugate(gs, out=w[:nh])
+        np.multiply(gs, scale, out=v[:nh, :2])
+        np.multiply(cs, scale, out=vc[0])
+        proj = uc[0].reshape(p, -1)
+        np.matmul(np.conj(cs).reshape(2 * p, m), ckk.T,
+                  out=proj.reshape(2 * p, n))
+        ut[0, :2] = v[0, 2:] = 0.0   # no K_4 before the first step
         for q in range(b1 - b0):
-            gq, wq = g[2 * q:2 * q + 3], w[2 * q:2 * q + 3].reshape(6, -1)
-            pq = (wq @ v[:12 * q].T) @ ut[:12 * q]
-            pq += proj[4 * q:4 * q + 6]
-            # stage j runs on gq[i]; stage j + 1 (on gq[nxt]) has c_kk =
-            # C + a K_j, so its projection is pq's row pair plus a K_j conj(w)
-            p = pq[0:2]
+            h = 2 * q
+            pq = (basis.T[h:h + 3] @ proj).reshape(3, 2, n)
+            pq += ((w[h:h + 3].reshape(6, m) @ v[:h + 1].reshape(-1, m).T)
+                   @ ut[:h + 1].reshape(-1, n)).reshape(3, 2, n)
+            # stage j runs on g[h + i]; stage j + 1 (on g[h + nxt]) has c_kk =
+            # C + a K_j, so its projection is pq's plus a K_j conj(g_s)
+            proj_j = pq[0]
             for j, (a, i, nxt) in enumerate(((0.5 * dt, 0, 1), (0.5 * dt, 1, 1),
                                              (dt, 1, 2))):
-                rhs(stages[j], gq[i], p, ks[j])
+                rhs(stages[j], g[h + i], proj_j, ks[j])
                 np.multiply(ks[j], a, out=stages[j + 1])
                 stages[j + 1] += y
-                u, vj = factors(stages[j], gq[i])
-                c = slice(2 * nxt, 2 * nxt + 2)
-                p = pq[c] + ((-1j * a) * (wq[c] @ vj.T)) @ u
-            rhs(stages[3], gq[2], p, ks[3])
-            # the step's term dt/6 (K_1 + 2 K_2 + 2 K_3 + K_4); K is linear in
-            # the stage amplitudes, and stages 2 and 3 share their couplings
-            ut[12 * q:12 * q + 12], vq = factors(np.stack(
-                [stages[0], 2.0 * (stages[1] + stages[2]), stages[3]]), gq)
-            v[12 * q:12 * q + 12] = vq * (-1j * dt / 6.0)
+                s, wn = amps[j], w[h + nxt]
+                proj_j = (pq[nxt] + ((-1j * a) * (wn @ gs[h + i].T)) @ s
+                          + ((-1j * a) * (wn @ s[::-1, ::ckk_stride].T))
+                          @ g[h + i])
+            rhs(stages[3], g[h + 2], proj_j, ks[3])
+            # the step's terms: K_1 completes half step h, 2 (K_2 + K_3)
+            # fills h + 1, and K_4 starts h + 2
+            ut[h, :2] += amps[0]
+            ut[h + 1, :2] = 2.0 * (amps[1] + amps[2])
+            ut[h + 2, :2] = amps[3]
+            np.multiply(ut[h:h + 3, 1::-1, ::ckk_stride], scale,
+                        out=v[h:h + 3, 2:])
             y += ((ks[1] + ks[2]) * 2.0 + ks[0] + ks[3]) * (dt / 6.0)
             cee_rec[b0 + q + 1] = y[0]
-        k = 12 * (b1 - b0)
-        for r in range(0, n, _RECORD_CHUNK):   # C += U @ V, chunk by chunk
-            ckk[r:r + _RECORD_CHUNK] += ut[:k, r:r + _RECORD_CHUNK].T @ v[:k]
+        # fold the terms' phase-free rows onto the p points: C += Uc^T Vc
+        np.matmul(basis, ut[:nh, :2].reshape(nh, -1), out=proj)
+        np.matmul(basis, v[:nh, 2:].reshape(nh, -1), out=vc[1].reshape(p, -1))
+        uf, vf = uc.reshape(4 * p, n), vc.reshape(4 * p, m)
+        for r in range(0, n, _RECORD_CHUNK):   # chunk by chunk
+            ckk[r:r + _RECORD_CHUNK] += uf[:, r:r + _RECORD_CHUNK].T @ vf
         if b1 // 512 > b0 // 512 and not np.isfinite(y).all():
             raise NonFiniteState(f"oracle state non-finite at t={b1 * dt}")
         if b1 in chk_steps:

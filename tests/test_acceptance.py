@@ -13,17 +13,20 @@ for a change that also re-baselines that reference.
   0.049 on fig2 and 0.017 on fig3; the direct discretized integration, run
   in criterion 6 and in test_frequency, conserves the norm to 1e-8;
 * criterion 1, the trapped population window [0.83, 0.89]: the cascade
-  keeps P_e1 = 0.973, while direct integration of fig3 (N=801, half-width
-  20, dt 0.005) gives P_e1 0.863, P_e2 0.034 and a two-photon weight 0.105
-  at T = 25 with the norm at 1.00003.  This criterion is also at fault
+  keeps P_e1 = 0.973.  Direct integration of fig3 at T = 25 moves with its
+  k-window: P_e1 0.8631, 0.9601 and 0.9840 and a two-photon weight 0.1052,
+  0.0340 and 0.0154 at half-widths 20, 40 and 80, so a converged model
+  does not support the window either.  This criterion is also at fault
   itself: unitarity gives P_2ph = 1 - P_e1 - P_e2 + |c_ee|^2, so with
   P_e1 <= 0.89 and P_e2 < 0.02 the two-photon weight exceeds 0.09, and
   its bound < 0.05 holds for no unitary model.
 
-Criterion 3 checks the dark state against the exact finite-delay law (the
-dip 0.8307 at tau_2 and the plateau 1/(1 + sum_j gamma_jL gamma_jR
-tau_j)^2 = 0.8352), which the solver meets to 1.4e-4 and the direct
-integration approaches as its k-window widens.
+Criterion 3 checks the dark state against the finite-delay law of the
+closed c_ee equation (the dip 0.8307 at tau_2 and the plateau 1/(1 +
+sum_j gamma_jL gamma_jR tau_j)^2 = 0.8352), which the solver meets to
+1.4e-4.  The law is exact for the closed equation, not for the model it
+reduces: the direct integration, its window widened past omega_a,
+extrapolates to a dip of 0.8292 and an end value of 0.8308.
 """
 import cmath
 import math

@@ -201,12 +201,14 @@ class TestSpectralPair:
         assert ratio < 0.05
 
     def test_output_stride_longer_than_a_block(self):
-        # half-width 0.5: the output and record strides (152 and 509 steps)
-        # exceed the pair engine's blocks, so most blocks hold no node
+        # half-width 0.5: the output stride (152 steps) exceeds the pair
+        # engine's blocks, so most blocks hold no output node; the record's
+        # (509 steps by the phase) is cut to half the shortest delay, 16
         pair, _ = small_pair(FIG3, 2.0, n=5, half=0.5)
         assert pair.stride > 64
         _, p1, p2 = pair.populations_series()
-        assert len(p1) == len(pair.times) == 8 and len(pair.record_times) == 4
+        assert len(p1) == len(pair.times) == 8
+        assert len(pair.record_times) == -(-1019 // 16) + 1
         state = TwoExcitationState(
             c_ee=complex(pair.cee[-1]), c_egk=pair.cegk[-1],
             c_gek=pair.cgek[-1], c_kk=np.zeros((5, 5)), kgrid=pair.kgrid)
@@ -258,11 +260,13 @@ class TestPairStepper:
         # stride 7 and a final interval of 3 steps
         (FIG2, 45.0, 0.1 / 64, 640, 2, 7),
         # delays 0.13, 0.2, 0.33, 0.46 at dt 0.0107: eight distinct Hermite
-        # fractions, none of them 0 or 1/2
-        (OFF_GRID, 6.0, 0.0107, 150, 2, 7),
+        # fractions, none of them 0 or 1/2, and a record stride of half the
+        # shortest delay (6 steps; 7 by the phase)
+        (OFF_GRID, 6.0, 0.0107, 150, 2, 6),
         # planned stride 11 does not divide 650 steps: 60 records on the
-        # stride grid, then the final node one step after the last of them
-        (FIG2, 8.0, 0.1 / 64, 650, 11, 40),
+        # stride grid, then the final node one step after the last of them;
+        # record stride 32, half the shortest delay (40 by the phase)
+        (FIG2, 8.0, 0.1 / 64, 650, 11, 32),
         # a prime step count: stride 2 and a final half interval
         (FIG2, 45.0, 0.1 / 64, 641, 2, 7),
     ], ids=["fig2-stride2", "off-grid-fractions", "stride-not-dividing",
@@ -498,17 +502,21 @@ class TestTwoPhotonQuadrature:
         want = -1j * TWO_PHOTON_SCALE * (s + s.T)
         self.check([(t, got)], [(t, want)])
 
-    def test_record_stride_error_is_small(self, monkeypatch):
-        # fig3's geometry and plan (half-width 20, dt = min delay / 64) at
-        # N = 41 over [0, 5]: record stride 25 (0.49 rad per interval)
-        # against the same rule on every step
+    # fig3's half-width 20: stride 25 (0.49 rad per interval); narrower
+    # windows allow more phase steps, but an interval spans at most half
+    # the shortest delay (32 steps)
+    @pytest.mark.parametrize("half, stride", [(20.0, 25), (8.0, 32),
+                                              (2.0, 32), (0.5, 32)])
+    def test_record_stride_error_is_small(self, monkeypatch, half, stride):
+        # fig3's geometry and plan (dt = min delay / 64) at N = 41 over
+        # [0, 5] against the same rule on every step
         at = [1.25, 2.5, 5.0]
-        pair, _ = small_pair(FIG3, 5.0, n=41, half=20.0, dt_div=64)
+        pair, _ = small_pair(FIG3, 5.0, n=41, half=half, dt_div=64)
         got = solve_two_photon(pair, at)
         monkeypatch.setattr(frequency, "_MAX_PHASE_PER_INTERVAL", 1e-12)
-        fine, cee = small_pair(FIG3, 5.0, n=41, half=20.0, dt_div=64)
+        fine, cee = small_pair(FIG3, 5.0, n=41, half=half, dt_div=64)
         assert len(fine.record_times) == len(cee.states)
-        assert len(pair.record_times) == -(-(len(cee.states) - 1) // 25) + 1
+        assert len(pair.record_times) == -(-(len(cee.states) - 1) // stride) + 1
         want = solve_two_photon(fine, at)
         assert [t for t, _ in got] == [t for t, _ in want]
         for (_, g), (_, r) in zip(got, want):
@@ -571,16 +579,18 @@ class TestTwoPhotonQuadrature:
         assert [t for t, _ in got] == [pair.t_end, 0.0]
 
     def test_working_memory_is_bounded(self):
-        # N = 401 modes, 2000 record nodes: besides its results the
-        # quadrature may hold two N x N matrices and one chunk (stacked
-        # rows, weighted couplings and their phase temporaries)
+        # N = 1001 modes and 200 record nodes, so that one N x N matrix
+        # outweighs a block's temporaries: besides its results the
+        # quadrature may hold S (the last result is its product buffer) and
+        # one chunk (stacked rows, weighted couplings and their phase
+        # temporaries)
         import tracemalloc
 
         from wqsim.frequency import _RECORD_CHUNK
-        n, n_rec = 401, 2000
+        n, n_rec = 1001, 200
         nodes = 0.003 * np.arange(n_rec)
         pair = random_pair(KGrid.centered(WA, 20.0, n), nodes, nodes, seed=5)
-        at_times = [float(pair.times[-1]), 2.0, 4.0]
+        at_times = [float(pair.times[-1]), 0.2, 0.4]
         chunk = 6 * _RECORD_CHUNK * n * 16
         tracemalloc.start()
         try:
@@ -590,7 +600,7 @@ class TestTwoPhotonQuadrature:
         finally:
             tracemalloc.stop()
         assert len(result) == 3
-        assert peak <= (len(at_times) + 2) * n * n * 16 + chunk
+        assert peak <= (len(at_times) + 1) * n * n * 16 + chunk
 
 
 class TestStateAndNorms:
@@ -756,23 +766,42 @@ class TestOracleEquivalence:
             self.close(state.c_kk, ckk)
 
     B = _ORACLE_BLOCK
+    # (half-width, dt): at half-width 20 and dt 0.004 a full block's 2B + 1
+    # half steps fold onto fewer points, while blocks of up to three steps
+    # keep theirs; at half-width 45 and dt 0.02 even a full block keeps them
+    FOLDED, KEPT = (20.0, 0.004), (45.0, 0.02)
 
-    @pytest.mark.parametrize("config, n_steps, steps", [
+    @pytest.mark.parametrize("plan, full", [(FOLDED, 13), (KEPT, 2 * B + 1)])
+    def test_interpolant_points_of_the_plans(self, plan, full):
+        half, dt = plan
+        for nh, p in ((2 * self.B + 1, full), (7, 7)):
+            points, basis = _phase_interpolant(0.5 * dt * np.arange(nh), half)
+            assert len(points) == p
+            assert np.array_equal(basis, np.eye(nh)) == (p == nh)
+
+    @pytest.mark.parametrize("config, plan, n_steps, steps", [
         # the last block is short
-        (FIG2, 3 * B + 1, [3 * B + 1]),
+        (FIG2, FOLDED, 3 * B + 1, [3 * B + 1]),
         # unsorted and repeated
-        (FIG2, 3 * B + 1, [2 * B + 1, 1, 2 * B + 1, B]),
+        (FIG2, FOLDED, 3 * B + 1, [2 * B + 1, 1, 2 * B + 1, B]),
         # the start, inside a block, on a block edge and the end
-        (FIG2, 3 * B + 1, [0, B + B // 2, 2 * B, 3 * B + 1]),
+        (FIG2, FOLDED, 3 * B + 1, [0, B + B // 2, 2 * B, 3 * B + 1]),
         # atom 2 decoupled: nothing feeds c_egk, so c_kk stays 0
         (NetworkConfig(atoms=(AtomParams(0.1, 0.25, 0.5),
                               AtomParams(0.2, 0.0, 0.0)), omega_a=WA),
-         2 * B + 3, [B + 1, 2 * B + 3]),
+         FOLDED, 2 * B + 3, [B + 1, 2 * B + 3]),
+        # a checkpoint at every step: every block has one step
+        (FIG2, FOLDED, 5, [0, 1, 2, 3, 4, 5]),
+        (FIG2, FOLDED, 8, [2, 4, 6, 8]),
+        (FIG2, FOLDED, 1, [1]),
+        # no block folds its half steps
+        (FIG2, KEPT, 2 * B + 3, [B + 1, 2 * B + 3]),
     ], ids=["short-last-block", "unsorted-repeated", "block-edges",
-            "atom2-decoupled"])
-    def test_block_edges(self, config, n_steps, steps):
-        kg = KGrid.centered(WA, 20.0, 41)
-        dt = 0.004
+            "atom2-decoupled", "every-step", "two-step-blocks", "one-step-run",
+            "unfolded-blocks"])
+    def test_block_edges(self, config, plan, n_steps, steps):
+        half, dt = plan
+        kg = KGrid.centered(WA, half, 41)
         res = oracle_full_grid(config, kg, n_steps * dt, dt, ckk_stride=2,
                                checkpoint_times=[k * dt for k in steps])
         distinct = sorted(set(steps))
