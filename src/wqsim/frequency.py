@@ -505,7 +505,8 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
     v = np.empty((len(offsets), 4, m), dtype=complex)
     w = np.empty((len(offsets), 2, m), dtype=complex)
     interpolants = {}   # by half-step count: basis, e^{i (k - omega_a) s}
-    # the same rows folded onto a block's p points, a full block's the most
+    # the same rows folded onto a block's p points: the s rows, then the g
+    # rows, per point (a full block has the most points)
     p_max = len(_phase_interpolant(offsets, width)[0])
     uc_buf = np.empty(4 * p_max * n, dtype=complex)
     vc_buf = np.empty(4 * p_max * m, dtype=complex)
@@ -587,7 +588,8 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
                         out=v[h:h + 3, 2:])
             y += ((ks[1] + ks[2]) * 2.0 + ks[0] + ks[3]) * (dt / 6.0)
             cee_rec[b0 + q + 1] = y[0]
-        # fold the terms' phase-free rows onto the p points: C += Uc^T Vc
+        # fold the terms' s rows onto the p points, over the projections,
+        # which are used up: C += Uc^T Vc
         np.matmul(basis, ut[:nh, :2].reshape(nh, -1), out=proj)
         np.matmul(basis, v[:nh, 2:].reshape(nh, -1), out=vc[1].reshape(p, -1))
         uf, vf = uc.reshape(4 * p, n), vc.reshape(4 * p, m)

@@ -516,7 +516,8 @@ class TestTwoPhotonQuadrature:
         monkeypatch.setattr(frequency, "_MAX_PHASE_PER_INTERVAL", 1e-12)
         fine, cee = small_pair(FIG3, 5.0, n=41, half=half, dt_div=64)
         assert len(fine.record_times) == len(cee.states)
-        assert len(pair.record_times) == -(-(len(cee.states) - 1) // stride) + 1
+        n_steps = len(cee.states) - 1
+        assert len(pair.record_times) == -(-n_steps // stride) + 1
         want = solve_two_photon(fine, at)
         assert [t for t, _ in got] == [t for t, _ in want]
         for (_, g), (_, r) in zip(got, want):
