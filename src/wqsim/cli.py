@@ -4,7 +4,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .runio import RUN_FIELD_TYPES
+from . import errors, presets, runio
+from .verify import SCOPES, verify as run_verify
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -17,7 +18,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the flags of a run: output, the RunSettings overrides, plots
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--out", required=True, help="output directory")
-    for name, kind in RUN_FIELD_TYPES.items():
+    for name, kind in runio.RUN_FIELD_TYPES.items():
         run.add_argument("--" + name.replace("_", "-"), type=kind,
                          default=None, help=f"override the plan's {name}")
     run.add_argument("--plot", action="store_true", help="also write SVG plots")
@@ -25,30 +26,27 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", parents=[run],
                          help="run a user-supplied config file")
     sim.add_argument("--config", required=True, help="path to the config file")
-    sim.add_argument("--mode", choices=("auto", "cascade", "cee", "spatial"),
+    sim.add_argument("--mode", choices=("auto", *presets.PIPELINES),
                      default="auto", help="solver pipeline (default: by atom count)")
 
     pre = sub.add_parser("preset", parents=[run],
                          help="run a named scenario preset")
-    pre.add_argument("name", help="fig2 | fig3 | fig4_solid | fig4_dashed | fig5 | fig6")
+    pre.add_argument("name", help=" | ".join(presets.PRESETS))
 
     ver = sub.add_parser("verify", help="run a verification scope")
     ver.add_argument("scope", nargs="?", default="all",
-                     help="theorem1..theorem4 | markov | oracle | all")
+                     help=" | ".join((*SCOPES, "all")))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    from . import errors, presets, runio
-    from .verify import verify as run_verify
-
     try:
         if args.command == "verify":
             report = run_verify(args.scope)
             print(report.format())
             return 0 if report.passed else 1
-        plan = {name: getattr(args, name) for name in RUN_FIELD_TYPES}
+        plan = {name: getattr(args, name) for name in runio.RUN_FIELD_TYPES}
         if args.command == "simulate":
             config, settings = runio.parse_config_file(args.config)
             kind = None if args.mode == "auto" else args.mode

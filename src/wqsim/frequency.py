@@ -39,11 +39,11 @@ _MAX_PHASE_PER_NODE = 0.15
 _MAX_PHASE_PER_INTERVAL = 0.5
 # half-steps per coarse row of the pair solve's two-level phase table
 _PHASE_BLOCK = 128
-# interpolation points per chunk of the two-photon GEMM (2 * 128 stacked
-# rows), and rows per chunk of the oracle's two-photon update
-_RECORD_CHUNK = 128
+# accumulator rows per chunk of a two-photon rank update (`_accumulate`):
+# its product temporary is that many rows, not a second accumulator
+_ROW_CHUNK = 128
 # record intervals per block of the two-photon quadrature's phase interpolant
-_QUAD_BLOCK = 4 * _RECORD_CHUNK
+_QUAD_BLOCK = 512
 # steps per block of the oracle's two-photon update
 _ORACLE_BLOCK = 12
 
@@ -274,6 +274,20 @@ def _phases(s: np.ndarray, det: np.ndarray, out: np.ndarray) -> None:
     out *= 1.0 + 1j * low
 
 
+def _accumulate(acc: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """acc += u^T v, `_ROW_CHUNK` rows of acc at a time."""
+    for r in range(0, len(acc), _ROW_CHUNK):
+        acc[r:r + _ROW_CHUNK] += u[:, r:r + _ROW_CHUNK].T @ v
+
+
+def _symmetric(a: np.ndarray, scale: complex) -> np.ndarray:
+    """scale (a + a^T) as a new array, exactly symmetric: x + y and y + x
+    round alike, and so do their equal multiples."""
+    out = a + a.T
+    out *= scale
+    return out
+
+
 def solve_two_photon(pair: SpectralPairResult,
                      at_times: list[float] | None = None
                      ) -> list[tuple[float, np.ndarray]]:
@@ -289,10 +303,10 @@ def solve_two_photon(pair: SpectralPairResult,
     max|k - omega_a| and the longest record interval (G = 9 on `fig2`).
     Over a block the phase is `_phase_interpolant`'s sum over p points, so
     a block is one real (p x 2 nodes) product of the folded value and
-    derivative weights with the record, and one GEMM of the 2p sums
-    against their phase-weighted couplings, `_RECORD_CHUNK` points at a
-    time.  Besides the results it holds S, the product buffer (which
-    becomes the checkpoint's result) and one chunk.
+    derivative weights with the record, and one rank-2p update of S by
+    the 2p sums against their phase-weighted couplings (`_accumulate`).
+    Besides the results it holds S, the block's 2p sums and couplings,
+    and one `_ROW_CHUNK`-row product.
 
     Each time is taken at its nearest output node (`pair.times`); a time
     outside the record by more than half its longest interval, or not
@@ -324,13 +338,10 @@ def solve_two_photon(pair: SpectralPairResult,
     n = len(pair.kgrid)
     flat = pair.record.reshape(2 * len(nodes), 2 * n).view(float)
     acc = np.zeros((n, n), dtype=complex)
-    rows = np.empty((2 * _RECORD_CHUNK, n), dtype=complex)
-    coup = np.empty_like(rows)
     out: list[tuple[float, np.ndarray]] = [(0.0, np.zeros((0, 0)))] * len(at_times)
     start = 0.0   # acc holds the integral over [0, start]
     for pos in np.argsort(idx):
         stop = float(times[idx[pos]])
-        buf = np.empty_like(acc)   # the GEMM's product, then the result
         j_lo = int(np.searchsorted(nodes, start, "right")) - 1
         j_hi = int(np.searchsorted(nodes, stop)) if stop > start else j_lo
         for j0 in range(j_lo, j_hi, _QUAD_BLOCK):
@@ -350,26 +361,18 @@ def solve_two_photon(pair: SpectralPairResult,
             weights = np.zeros((len(points), len(t_j), 2))
             weights[:, :-1] = part[..., :2]
             weights[:, 1:] += part[..., 2:]
-            for q0 in range(0, len(points), _RECORD_CHUNK):
-                q1 = min(len(points), q0 + _RECORD_CHUNK)
-                r = q1 - q0
-                # real weights times the record's real and imaginary parts:
-                # row 2q is c_egk at point q, row 2q + 1 c_gek
-                np.matmul(weights[q0:q1].reshape(r, -1),
-                          flat[2 * j0:2 * j0 + 2 * len(t_j)],
-                          out=rows[:2 * r].view(float).reshape(r, 4 * n))
-                pairs = coup[:2 * r].reshape(r, 2, n)
-                _phases(points[q0:q1], det, pairs[:, 1])
-                np.multiply(pairs[:, 1], g1, out=pairs[:, 0])
-                pairs[:, 1] *= g2
-                np.matmul(rows[:2 * r].T, coup[:2 * r], out=buf)
-                acc += buf
+            p = len(points)
+            # real weights times the record's real and imaginary parts:
+            # row 2q is c_egk at point q, row 2q + 1 c_gek
+            rows = weights.reshape(p, -1) @ flat[2 * j0:2 * (j0 + len(t_j))]
+            coup = np.empty((p, 2, n), dtype=complex)
+            _phases(points, det, coup[:, 1])
+            np.multiply(coup[:, 1], g1, out=coup[:, 0])
+            coup[:, 1] *= g2
+            _accumulate(acc, rows.view(complex).reshape(2 * p, n),
+                        coup.reshape(2 * p, n))
         start = stop
-        # x + x.T is exactly symmetric in floating point, and so is any
-        # multiple of it
-        ckk = np.add(acc, acc.T, out=buf)
-        ckk *= -1j * TWO_PHOTON_SCALE
-        out[pos] = (stop, ckk)
+        out[pos] = (stop, _symmetric(acc, -1j * TWO_PHOTON_SCALE))
     return out
 
 
@@ -405,9 +408,13 @@ class TwoExcitationState:
         m = len(self.ckk_grid)
         if self.c_kk.shape != (m, m):
             raise ValueError(f"c_kk must be ({m}, {m}), got {self.c_kk.shape}")
-        asym = float(np.abs(self.c_kk - self.c_kk.T).max()) if m else 0.0
-        if asym > 1e-12 * max(1.0, float(np.abs(self.c_kk).max())):
-            raise ValueError(f"c_kk must be exchange symmetric, asym={asym}")
+        # one buffer: |c_kk - c_kk^T|, then |c_kk|; an inf makes the bound inf
+        buf = np.subtract(self.c_kk, self.c_kk.T)
+        asym = float(np.abs(buf, out=buf).real.max(initial=0.0))
+        peak = float(np.abs(self.c_kk, out=buf).real.max(initial=0.0))
+        if not asym <= 1e-12 * max(1.0, peak) < math.inf:   # NaN fails it too
+            raise ValueError(
+                f"c_kk must be finite and exchange symmetric, asym={asym}")
 
 
 def _excited_populations(cee, cegk: np.ndarray, cgek: np.ndarray, dk: float):
@@ -468,16 +475,16 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
     terms pending; each step projects C and the earlier ones.  Over a block
     the couplings are `_phase_interpolant`'s sum over p points, within 2^-53
     of g_a(0) e^{i (k - omega_a) t}, so the terms fold onto the points: C
-    gains one rank-4p update, `_RECORD_CHUNK` rows at a time, and the next
-    block projects C at its p points (p = 12 for B = 12 on `wqsim verify
-    oracle`'s plan).
+    gains one rank-4p update (`_accumulate`), and the next block projects C
+    at its p points (p = 12 for B = 12 on `wqsim verify oracle`'s plan).
+    The points are one interpolant's, on a full block's half steps: a block
+    cut short reads the basis columns of its leading half steps.
     """
     if len(config.atoms) != 2:
         raise InvalidGeometry("the two-excitation oracle needs two atoms")
     n = len(kgrid)
     sub = kgrid.subsample(ckk_stride)
     m = len(sub)
-    sub_idx = np.arange(0, n, ckk_stride)
     dk, dks = kgrid.dk, sub.dk
     det = kgrid.k_values - config.omega_a
     width = _phase_width(kgrid, config.omega_a)
@@ -504,12 +511,14 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
     ut = np.empty((len(offsets), 4, n), dtype=complex)
     v = np.empty((len(offsets), 4, m), dtype=complex)
     w = np.empty((len(offsets), 2, m), dtype=complex)
-    interpolants = {}   # by half-step count: basis, e^{i (k - omega_a) s}
-    # the same rows folded onto a block's p points: the s rows, then the g
-    # rows, per point (a full block has the most points)
-    p_max = len(_phase_interpolant(offsets, width)[0])
-    uc_buf = np.empty(4 * p_max * n, dtype=complex)
-    vc_buf = np.empty(4 * p_max * m, dtype=complex)
+    # a full block's p points and e^{i (k - omega_a) s} at them
+    points, basis = _phase_interpolant(offsets, width)
+    p = len(points)
+    phases = np.empty((p, 1, n), dtype=complex)
+    _phases(points, det, phases[:, 0])
+    # the same rows folded onto the points: the s rows, then the g rows
+    uc = np.empty((2, p, 2, n), dtype=complex)
+    vc = np.empty((2, p, 2, m), dtype=complex)
     scale = -1j * dt / 6.0
     ks = [np.empty_like(y) for _ in range(4)]
     stages = [y] + [np.empty_like(y) for _ in range(3)]
@@ -528,31 +537,22 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
     checkpoints: list[TwoExcitationState] = []
 
     def snapshot(step: int) -> None:
-        square = ckk[sub_idx, :] * TWO_PHOTON_SCALE
-        square = 0.5 * (square + square.T)   # symmetric up to roundoff
         checkpoints.append(TwoExcitationState(
             c_ee=complex(y[0]), c_egk=y[1:1 + n].copy(),
-            c_gek=y[1 + n:].copy(), c_kk=square,
+            c_gek=y[1 + n:].copy(),
+            c_kk=_symmetric(ckk[::ckk_stride], 0.5 * TWO_PHOTON_SCALE),
             kgrid=kgrid, ckk_grid=sub, t=float(step * dt)))
 
     if 0 in chk_steps:
         snapshot(0)
     for b0, b1 in zip(edges, edges[1:]):
         nh = 2 * (b1 - b0) + 1
-        if nh not in interpolants:
-            points, basis = _phase_interpolant(offsets[:nh], width)
-            phases = np.empty((len(points), 1, n), dtype=complex)
-            _phases(points, det, phases[:, 0])
-            interpolants[nh] = basis, phases
-        basis, phases = interpolants[nh]
-        p = len(basis)
-        uc = uc_buf[:4 * p * n].reshape(2, p, 2, n)
-        vc = vc_buf[:4 * p * m].reshape(2, p, 2, m)
+        lead = basis[:, :nh]
         # the couplings at the p points and, interpolated, at the block's
         # half steps (step q reads 2q to 2q + 2); C's projections at the points
         np.multiply(g_0 * np.exp(1j * det * (b0 * dt)), phases, out=uc[1])
         g = ut[:nh, 2:]
-        np.matmul(basis.T, uc[1].reshape(p, -1), out=g.reshape(nh, -1))
+        np.matmul(lead.T, uc[1].reshape(p, -1), out=g.reshape(nh, -1))
         gs, cs = g[:, ::-1, ::ckk_stride], uc[1, :, ::-1, ::ckk_stride]
         np.conjugate(gs, out=w[:nh])
         np.multiply(gs, scale, out=v[:nh, :2])
@@ -590,12 +590,10 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
             cee_rec[b0 + q + 1] = y[0]
         # fold the terms' s rows onto the p points, over the projections,
         # which are used up: C += Uc^T Vc
-        np.matmul(basis, ut[:nh, :2].reshape(nh, -1), out=proj)
-        np.matmul(basis, v[:nh, 2:].reshape(nh, -1), out=vc[1].reshape(p, -1))
-        uf, vf = uc.reshape(4 * p, n), vc.reshape(4 * p, m)
-        for r in range(0, n, _RECORD_CHUNK):   # chunk by chunk
-            ckk[r:r + _RECORD_CHUNK] += uf[:, r:r + _RECORD_CHUNK].T @ vf
-        if b1 // 512 > b0 // 512 and not np.isfinite(y).all():
+        np.matmul(lead, ut[:nh, :2].reshape(nh, -1), out=proj)
+        np.matmul(lead, v[:nh, 2:].reshape(nh, -1), out=vc[1].reshape(p, -1))
+        _accumulate(ckk, uc.reshape(4 * p, n), vc.reshape(4 * p, m))
+        if not np.isfinite(y).all():
             raise NonFiniteState(f"oracle state non-finite at t={b1 * dt}")
         if b1 in chk_steps:
             snapshot(b1)

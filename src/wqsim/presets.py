@@ -44,7 +44,7 @@ class Preset:
     name: str
     config: NetworkConfig
     settings: RunSettings
-    kind: str          # "cascade" | "cee" | "spatial"
+    kind: str          # a key of PIPELINES
     notes: str = ""
 
 
@@ -148,14 +148,9 @@ def run_pipeline(config: NetworkConfig, settings: RunSettings,
     if kind is None:
         kind = "cascade" if len(config.atoms) == 2 else "spatial"
     settings = settings.resolved(config)
-    if kind == "cascade":
-        summary = _run_cascade(config, settings, out, plot)
-    elif kind == "cee":
-        summary = _run_cee_only(config, settings, out, plot)
-    elif kind == "spatial":
-        summary = _run_spatial(config, settings, out, plot)
-    else:
+    if kind not in PIPELINES:
         raise UnknownPreset(f"unknown pipeline kind {kind!r}")
+    summary = PIPELINES[kind](config, settings, out, plot)
     cls = classify_steady_state(config)
     summary["classify"] = cls.label.value
     manifest = {f"param.{k}": v for k, v in _describe(config, settings).items()}
@@ -306,3 +301,8 @@ def _run_spatial(config: NetworkConfig, s: RunSettings, out: Path,
         from . import plots
         plots.spatial_plots(out, traj, snap, names)
     return summary
+
+
+# solver pipelines by kind: `run_pipeline`'s dispatch and the CLI's --mode
+PIPELINES = {"cascade": _run_cascade, "cee": _run_cee_only,
+             "spatial": _run_spatial}

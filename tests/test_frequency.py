@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wqsim import (PRESETS, AtomParams, DelaySystem, InvalidGrid, KGrid,
-                   NetworkConfig, OutsideMarkovRegimeWarning, RunSettings,
-                   StepTooLarge, SteadyStateLabel, TwoExcitationState,
-                   analytic_cee_markov, classify_steady_state, integrate,
-                   oracle_full_grid, populations, solve_cee,
-                   solve_spectral_pair, solve_two_photon, total_norm,
-                   two_photon_norm)
+                   NetworkConfig, NonFiniteState, OutsideMarkovRegimeWarning,
+                   RunSettings, StepTooLarge, SteadyStateLabel,
+                   TwoExcitationState, analytic_cee_markov,
+                   classify_steady_state, integrate, oracle_full_grid,
+                   populations, solve_cee, solve_spectral_pair,
+                   solve_two_photon, total_norm, two_photon_norm)
 from wqsim import frequency
 from wqsim.dde import resolve_taps
 from wqsim.frequency import (_MAX_PHASE_PER_NODE, _ORACLE_BLOCK,
@@ -445,13 +445,13 @@ class TestTwoPhotonQuadrature:
         # at t = 0, inside a record interval (0.7125) and at the end
         (FIG2, 2.0, [1.5, 0.0, 2.0, 0.7, 1.5, 0.7125]),
         # 601 record nodes: the second segment spans two blocks, and a
-        # block's Chebyshev points more than one chunk
+        # block folds onto more than 128 Chebyshev points
         (FIG2, 30.0, [128 * 4 * 0.1 / 32, 30.0]),
         # atom 2 decoupled: c_egk and g2 vanish, so c_kk must be exactly 0
         (NetworkConfig(atoms=(AtomParams(0.1, 0.25, 0.5),
                               AtomParams(0.2, 0.0, 0.0)), omega_a=WA),
          2.0, [1.0, 2.0]),
-    ], ids=["unsorted-duplicate-zero", "longer-than-a-chunk",
+    ], ids=["unsorted-duplicate-zero", "segment-over-two-blocks",
             "atom2-decoupled"])
     def test_matches_per_segment_loop(self, config, t_end, at_times):
         pair, _ = small_pair(config, t_end, n=61, half=10.0)
@@ -579,20 +579,27 @@ class TestTwoPhotonQuadrature:
         got = solve_two_photon(pair, [pair.t_end + 0.4 * h, -0.4 * h])
         assert [t for t, _ in got] == [pair.t_end, 0.0]
 
-    def test_working_memory_is_bounded(self):
-        # N = 1001 modes and 200 record nodes, so that one N x N matrix
-        # outweighs a block's temporaries: besides its results the
-        # quadrature may hold S (the last result is its product buffer) and
-        # one chunk (stacked rows, weighted couplings and their phase
-        # temporaries)
+    def test_working_memory_is_bounded(self, monkeypatch):
+        # N = 1001 modes and 200 record nodes, so that a block's
+        # temporaries (its 2p sums and couplings, their phase temporaries
+        # and one `_accumulate` chunk of rows; p = 19 here) stay below half
+        # an N x N matrix.  Before the k-th result the quadrature holds the
+        # k - 1 earlier ones, S and one block; making the k-th adds one
+        # matrix while the last block's sums and couplings are still bound.
         import tracemalloc
-
-        from wqsim.frequency import _RECORD_CHUNK
         n, n_rec = 1001, 200
+        matrix = n * n * 16
         nodes = 0.003 * np.arange(n_rec)
         pair = random_pair(KGrid.centered(WA, 20.0, n), nodes, nodes, seed=5)
         at_times = [float(pair.times[-1]), 0.2, 0.4]
-        chunk = 6 * _RECORD_CHUNK * n * 16
+        symmetric, before = frequency._symmetric, []
+
+        def traced(a, scale):   # the peak since the previous checkpoint
+            before.append(tracemalloc.get_traced_memory()[1] - base)
+            tracemalloc.reset_peak()
+            return symmetric(a, scale)
+
+        monkeypatch.setattr(frequency, "_symmetric", traced)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -600,8 +607,10 @@ class TestTwoPhotonQuadrature:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert len(result) == 3
-        assert peak <= (len(at_times) + 1) * n * n * 16 + chunk
+        assert len(result) == len(before) == 3
+        for k, held in enumerate(before, 1):
+            assert held <= (k + 0.5) * matrix
+        assert peak <= (len(at_times) + 1.5) * matrix
 
 
 class TestStateAndNorms:
@@ -615,10 +624,33 @@ class TestStateAndNorms:
 
     def test_symmetry_validated(self):
         kg = KGrid.centered(WA, 5.0, 3)
-        bad = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)
-        with pytest.raises(ValueError):
-            TwoExcitationState(c_ee=0j, c_egk=np.zeros(3, complex),
-                               c_gek=np.zeros(3, complex), c_kk=bad, kgrid=kg)
+        # asymmetric; NaN opposite 0 (NaN > bound is False); inf opposite
+        # 0 (inf > 1e-12 inf is False)
+        for x in (1.0, math.nan, math.inf):
+            bad = np.array([[0, x, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)
+            with pytest.raises(ValueError, match="finite and exchange"):
+                TwoExcitationState(c_ee=0j, c_egk=np.zeros(3, complex),
+                                   c_gek=np.zeros(3, complex), c_kk=bad,
+                                   kgrid=kg)
+
+    def test_symmetry_check_holds_one_buffer(self):
+        # m = 401: validating c_kk allocates at most one m x m complex
+        # array, plus numpy's iteration buffers (8192 elements each)
+        import tracemalloc
+        m = 401
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        ckk, zeros = a + a.T, np.zeros(m, complex)
+        kg = KGrid.centered(WA, 5.0, m)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            TwoExcitationState(c_ee=0j, c_egk=zeros, c_gek=zeros, c_kk=ckk,
+                               kgrid=kg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= (m * m + 2 * 8192) * 16
 
 
 class TestOracle:
@@ -647,6 +679,19 @@ class TestOracle:
         res = oracle_full_grid(FIG2, kg, 0.1, 0.004, ckk_stride=4,
                                checkpoint_times=[0.1 + 0.0019, -0.0019])
         assert [s.t for s in res.checkpoints] == [0.0, 25 * 0.004]
+
+    def test_divergence_before_a_checkpoint_is_non_finite_state(self):
+        # dt far past RK4's stability bound: the state overflows before the
+        # checkpoint at t = 50, whose c_kk check would refuse it with a
+        # ValueError; the error names the first block end past the overflow
+        cfg = NetworkConfig(atoms=(AtomParams(0.1, 3.0, 5.0),
+                                   AtomParams(0.2, 3.0, 5.0)), omega_a=500.0)
+        kg = KGrid.centered(500.0, 200.0, 41)
+        with np.errstate(all="ignore"), pytest.raises(
+                NonFiniteState, match=r"at t=\d") as err:
+            oracle_full_grid(cfg, kg, 60.0, 0.5, ckk_stride=4,
+                             checkpoint_times=[50.0, 60.0])
+        assert float(str(err.value).rsplit("=", 1)[1]) <= 50.0
 
     def test_default_checkpoint_is_the_last_step(self):
         # dt does not divide t_end: 4 steps, so the run ends at 0.12
@@ -779,6 +824,23 @@ class TestOracleEquivalence:
             points, basis = _phase_interpolant(0.5 * dt * np.arange(nh), half)
             assert len(points) == p
             assert np.array_equal(basis, np.eye(nh)) == (p == nh)
+
+    def test_one_interpolant_per_run(self, monkeypatch):
+        # blocks of B, B / 2 and 1 steps: every one folds onto the points
+        # of one interpolant, on a full block's half steps
+        calls = []
+        interpolant = frequency._phase_interpolant
+
+        def counted(t, width):
+            calls.append(len(t))
+            return interpolant(t, width)
+
+        monkeypatch.setattr(frequency, "_phase_interpolant", counted)
+        half, dt = self.FOLDED
+        kg = KGrid.centered(WA, half, 41)
+        oracle_full_grid(FIG2, kg, (3 * self.B + 1) * dt, dt, ckk_stride=2,
+                         checkpoint_times=[(self.B + self.B // 2) * dt])
+        assert calls == [2 * self.B + 1]
 
     @pytest.mark.parametrize("config, plan, n_steps, steps", [
         # the last block is short

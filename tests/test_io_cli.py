@@ -333,6 +333,27 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "p" / "cee.svg").exists()
 
+    def test_parser_names_come_from_their_owners(self, capsys):
+        # --mode takes exactly the pipeline kinds, the preset and scope
+        # helps list every preset and scope, and every preset's kind runs
+        from wqsim.cli import build_parser
+        from wqsim.presets import PIPELINES
+        from wqsim.verify import SCOPES
+        parser = build_parser()
+        for kind in ("auto", *PIPELINES):
+            args = parser.parse_args(["simulate", "--config", "c",
+                                      "--out", "o", "--mode", kind])
+            assert args.mode == kind
+        with pytest.raises(SystemExit):
+            parser.parse_args(["simulate", "--config", "c", "--out", "o",
+                               "--mode", "oracle"])
+        for command, names in (("preset", PRESETS), ("verify", SCOPES)):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--help"])
+            shown = capsys.readouterr().out
+            assert all(re.search(rf"\b{name}\b", shown) for name in names)
+        assert {p.kind for p in PRESETS.values()} <= set(PIPELINES)
+
     def test_console_script_help(self):
         proc = subprocess.run([sys.executable, "-m", "wqsim.cli", "--help"],
                               capture_output=True, text=True)
