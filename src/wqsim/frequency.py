@@ -405,7 +405,10 @@ class TwoExcitationState:
     def __post_init__(self) -> None:
         if self.ckk_grid is None:
             self.ckk_grid = self.kgrid
-        m = len(self.ckk_grid)
+        n, m = len(self.kgrid), len(self.ckk_grid)
+        if np.shape(self.c_egk) != (n,) or np.shape(self.c_gek) != (n,):
+            raise ValueError(f"c_egk and c_gek must be ({n},), got "
+                             f"{np.shape(self.c_egk)}, {np.shape(self.c_gek)}")
         if self.c_kk.shape != (m, m):
             raise ValueError(f"c_kk must be ({m}, {m}), got {self.c_kk.shape}")
         # one buffer: |c_kk - c_kk^T|, then |c_kk|; an inf makes the bound inf

@@ -6,6 +6,7 @@ propagation delays and gamma**2 carries the dimension of a rate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,8 +90,16 @@ class NetworkConfig:
 def validate_config(config: NetworkConfig) -> NetworkConfig:
     """Check all NetworkConfig invariants; return the config unchanged.
 
-    Raises InvalidGeometry, InvalidCoupling or InvalidFrequency.  Idempotent.
+    Raises InvalidGeometry, InvalidCoupling or InvalidFrequency, and
+    ValueError for a label that is not one line free of `#` and of leading
+    or trailing whitespace (the config and manifest formats hold it on one
+    line).  Idempotent.
     """
+    label = config.label
+    if not (isinstance(label, str) and label.splitlines() in ([], [label])
+            and "#" not in label and label == label.strip()):
+        raise ValueError(f"label must be one line without '#' or leading or "
+                         f"trailing whitespace, got {label!r}")
     if not (1 <= len(config.atoms) <= 2):
         raise InvalidGeometry(f"need 1 or 2 atoms, got {len(config.atoms)}")
     for atom in config.atoms:
@@ -148,10 +157,11 @@ class KGrid:
 
     def subsample(self, stride: int) -> "KGrid":
         """Every stride-th mode; requires the endpoint to stay on the grid."""
-        if stride < 1 or (len(self) - 1) % stride != 0:
+        if (not isinstance(stride, numbers.Integral) or stride < 1
+                or (len(self) - 1) % stride != 0):
             raise InvalidGrid(
-                f"stride {stride} does not preserve the grid endpoints (n={len(self)})"
-            )
+                f"stride {stride!r} is not an integer >= 1 that keeps the "
+                f"grid endpoints (n={len(self)})")
         return KGrid(self.k_values[::stride])
 
 

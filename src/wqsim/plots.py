@@ -18,47 +18,42 @@ def _pyplot():
     return plt
 
 
-def cee_plot(out: Path, cee, markov) -> Path:
+def _figure(path: Path, xlabel: str, ylabel: str, curves,
+            title: str | None = None) -> Path:
+    """One line figure: each curve is `ax.plot`'s positional arguments
+    followed by its legend label."""
     plt = _pyplot()
     fig, ax = plt.subplots(figsize=(6, 4))
-    ax.plot(cee.times, np.abs(cee.states[:, 0]) ** 2, label="|c_ee|^2")
-    ax.plot(cee.times, np.abs(markov) ** 2, "--", label="short-delay form")
-    ax.set_xlabel("t")
-    ax.set_ylabel("population")
+    for *args, label in curves:
+        ax.plot(*args, label=label)
+    ax.set_xlabel(xlabel)
+    ax.set_ylabel(ylabel)
+    if title is not None:
+        ax.set_title(title)
     ax.legend()
-    path = out / "cee.svg"
     fig.savefig(path)
     plt.close(fig)
     return path
 
 
+def cee_plot(out: Path, cee, markov) -> Path:
+    return _figure(out / "cee.svg", "t", "population", [
+        (cee.times, np.abs(cee.states[:, 0]) ** 2, "|c_ee|^2"),
+        (cee.times, np.abs(markov) ** 2, "--", "short-delay form")])
+
+
 def cascade_plots(out: Path, cee, pair, ckk) -> list[Path]:
-    plt = _pyplot()
-    paths = []
-
     times, p1, p2 = pair.populations_series()
-    fig, ax = plt.subplots(figsize=(6, 4))
-    ax.plot(times, p1, label="P_e1")
-    ax.plot(times, p2, label="P_e2")
-    ax.plot(cee.times, np.abs(cee.states[:, 0]) ** 2, label="|c_ee|^2")
-    ax.set_xlabel("t")
-    ax.set_ylabel("population")
-    ax.legend()
-    paths.append(out / "populations.svg")
-    fig.savefig(paths[-1])
-    plt.close(fig)
-
-    fig, ax = plt.subplots(figsize=(6, 4))
     k = pair.kgrid.k_values
-    ax.plot(k, np.abs(pair.cegk[-1]), label="|c_egk(T)|")
-    ax.plot(k, np.abs(pair.cgek[-1]), label="|c_gek(T)|")
-    ax.set_xlabel("k")
-    ax.set_ylabel("amplitude")
-    ax.legend()
-    paths.append(out / "spectra.svg")
-    fig.savefig(paths[-1])
-    plt.close(fig)
+    paths = [
+        _figure(out / "populations.svg", "t", "population", [
+            (times, p1, "P_e1"), (times, p2, "P_e2"),
+            (cee.times, np.abs(cee.states[:, 0]) ** 2, "|c_ee|^2")]),
+        _figure(out / "spectra.svg", "k", "amplitude", [
+            (k, np.abs(pair.cegk[-1]), "|c_egk(T)|"),
+            (k, np.abs(pair.cgek[-1]), "|c_gek(T)|")])]
 
+    plt = _pyplot()
     fig, ax = plt.subplots(figsize=(5, 4))
     m = ax.imshow(np.abs(ckk), origin="lower",
                   extent=(k[0], k[-1], k[0], k[-1]), aspect="auto")
@@ -72,26 +67,12 @@ def cascade_plots(out: Path, cee, pair, ckk) -> list[Path]:
 
 
 def spatial_plots(out: Path, traj, snap, names) -> list[Path]:
-    plt = _pyplot()
-    paths = []
-    fig, ax = plt.subplots(figsize=(6, 4))
-    for j, nm in enumerate(names):
-        ax.plot(traj.times, np.abs(traj.states[:, j]) ** 2, label=f"|{nm}|^2")
-    ax.set_xlabel("t")
-    ax.set_ylabel("population")
-    ax.legend()
-    paths.append(out / "amplitudes.svg")
-    fig.savefig(paths[-1])
-    plt.close(fig)
-
-    fig, ax = plt.subplots(figsize=(6, 4))
-    ax.plot(snap.z_values, np.abs(snap.phi_r) ** 2, label="|phi_r|^2")
-    ax.plot(snap.z_values, np.abs(snap.phi_l) ** 2, label="|phi_l|^2")
-    ax.set_xlabel("z")
-    ax.set_ylabel("field density")
-    ax.set_title(f"t = {snap.t:g}")
-    ax.legend()
-    paths.append(out / "field_snapshot.svg")
-    fig.savefig(paths[-1])
-    plt.close(fig)
-    return paths
+    z = snap.z_values
+    return [
+        _figure(out / "amplitudes.svg", "t", "population", [
+            (traj.times, np.abs(traj.states[:, j]) ** 2, f"|{nm}|^2")
+            for j, nm in enumerate(names)]),
+        _figure(out / "field_snapshot.svg", "z", "field density", [
+            (z, np.abs(snap.phi_r) ** 2, "|phi_r|^2"),
+            (z, np.abs(snap.phi_l) ** 2, "|phi_l|^2")],
+            title=f"t = {snap.t:g}")]

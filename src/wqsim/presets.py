@@ -143,13 +143,13 @@ def run_pipeline(config: NetworkConfig, settings: RunSettings,
                  out_dir: str | Path, kind: str | None = None,
                  name: str = "custom", plot: bool = False) -> dict:
     """Dispatch a configuration to the matching solver pipeline."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if kind is None:
         kind = "cascade" if len(config.atoms) == 2 else "spatial"
-    settings = settings.resolved(config)
     if kind not in PIPELINES:
         raise UnknownPreset(f"unknown pipeline kind {kind!r}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    settings = settings.resolved(config)
     summary = PIPELINES[kind](config, settings, out, plot)
     cls = classify_steady_state(config)
     summary["classify"] = cls.label.value

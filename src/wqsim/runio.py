@@ -75,91 +75,80 @@ class RunSettings:
 # field name -> scalar type, for the [run] section and the CLI flags
 RUN_FIELD_TYPES = {name: get_args(hint)[0]
                    for name, hint in get_type_hints(RunSettings).items()}
-_ATOM_KEYS = {"z", "gamma_l", "gamma_r"}
-_TOP_KEYS = {"omega_a", "label"}
+# [atom.N] key -> its AtomParams field, in file order
+_ATOM_FIELDS = {"z": "position", "gamma_l": "gamma_l", "gamma_r": "gamma_r"}
+# section (None: the top level) -> its keys, each with its value type
+_SECTIONS = {None: {"omega_a": float, "label": str},
+             **{f"atom.{i}": dict.fromkeys(_ATOM_FIELDS, float)
+                for i in (1, 2)},
+             "run": RUN_FIELD_TYPES}
 
 
 def parse_config_text(text: str, origin: str = "<string>"
                       ) -> tuple[NetworkConfig, RunSettings]:
     """Parse the config format; raises ParseError with line/field context."""
-    top: dict[str, str] = {}
-    atoms: dict[str, dict[str, float]] = {}
-    run: dict[str, float | int] = {}
+    values: dict[str | None, dict] = {None: {}}   # section -> key -> value
     section: str | None = None
-    sections: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        where = f"{origin}:{lineno}"
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in ("atom.1", "atom.2", "run"):
-                raise ParseError(f"{origin}:{lineno}: unknown section [{section}]")
-            if section in sections:
-                raise ParseError(f"{origin}:{lineno}: repeated section [{section}]")
-            sections.add(section)
-            if section.startswith("atom."):
-                atoms[section] = {}
+            if section not in _SECTIONS:
+                raise ParseError(f"{where}: unknown section [{section}]")
+            if section in values:
+                raise ParseError(f"{where}: repeated section [{section}]")
+            values[section] = {}
             continue
         if "=" not in line:
-            raise ParseError(f"{origin}:{lineno}: expected 'key = value', got {line!r}")
+            raise ParseError(f"{where}: expected 'key = value', got {line!r}")
         key, _, value = (s.strip() for s in line.partition("="))
-        if key in (top if section is None else run if section == "run"
-                   else atoms[section]):
-            raise ParseError(f"{origin}:{lineno}: repeated field {key!r}")
-        if section is None:
-            if key not in _TOP_KEYS:
-                raise ParseError(f"{origin}:{lineno}: unknown top-level field {key!r}")
-            top[key] = value
-        elif section == "run":
-            if key not in RUN_FIELD_TYPES:
-                raise ParseError(f"{origin}:{lineno}: unknown [run] field {key!r}")
-            x = _number(value, key, origin, lineno)
-            if RUN_FIELD_TYPES[key] is int and not x.is_integer():
-                raise ParseError(f"{origin}:{lineno}: field {key!r} is not "
-                                 f"an integer: {value!r}")
-            run[key] = RUN_FIELD_TYPES[key](x)
+        if key in values[section]:
+            raise ParseError(f"{where}: repeated field {key!r}")
+        typ = _SECTIONS[section].get(key)
+        if typ is None:
+            name = "top-level" if section is None else f"[{section}]"
+            raise ParseError(f"{where}: unknown {name} field {key!r}")
+        x = value if typ is str else _number(value, key, where)
+        if typ is int and not x.is_integer():
+            raise ParseError(f"{where}: field {key!r} is not "
+                             f"an integer: {value!r}")
+        x = typ(x)
+        if section == "run":
             try:
-                RunSettings(**{key: run[key]})
+                RunSettings(**{key: x})
             except ValueError as exc:
-                raise ParseError(f"{origin}:{lineno}: {exc}") from None
-        else:
-            if key not in _ATOM_KEYS:
-                raise ParseError(f"{origin}:{lineno}: unknown [{section}] field {key!r}")
-            atoms[section][key] = _number(value, key, origin, lineno)
+                raise ParseError(f"{where}: {exc}") from None
+        values[section][key] = x
 
+    top = values[None]
     if "omega_a" not in top:
         raise ParseError(f"{origin}: missing required field 'omega_a'")
-    if "atom.1" not in atoms:
+    if "atom.1" not in values:
         raise ParseError(f"{origin}: missing required section [atom.1]")
-
-    omega_a = _number(top["omega_a"], "omega_a", origin, 0)
-
-    def build_atom(sec: str) -> AtomParams:
-        d = atoms[sec]
-        missing = _ATOM_KEYS - d.keys()
+    atoms = []
+    for sec in [s for s in ("atom.1", "atom.2") if s in values]:
+        fields = values[sec]
+        missing = _ATOM_FIELDS.keys() - fields.keys()
         if missing:
             raise ParseError(
                 f"{origin}: [{sec}] missing field(s) {sorted(missing)}")
-        return AtomParams(position=d["z"], gamma_l=d["gamma_l"],
-                          gamma_r=d["gamma_r"])
-
-    atom_list = [build_atom("atom.1")]
-    if "atom.2" in atoms:
-        atom_list.append(build_atom("atom.2"))
-    config = NetworkConfig(atoms=tuple(atom_list), omega_a=omega_a,
+        atoms.append(AtomParams(**{_ATOM_FIELDS[k]: v
+                                   for k, v in fields.items()}))
+    config = NetworkConfig(atoms=tuple(atoms), omega_a=top["omega_a"],
                            label=top.get("label", ""))
-    return config, RunSettings(**run)
+    return config, RunSettings(**values.get("run", {}))
 
 
-def _number(value: str, key: str, origin: str, lineno: int) -> float:
+def _number(value: str, key: str, where: str) -> float:
     try:
         return float(value)
     except ValueError:
         raise ParseError(
-            f"{origin}:{lineno}: field {key!r} is not a number: {value!r}"
-        ) from None
+            f"{where}: field {key!r} is not a number: {value!r}") from None
 
 
 def parse_config_file(path: str | Path) -> tuple[NetworkConfig, RunSettings]:
@@ -178,10 +167,9 @@ def format_config(config: NetworkConfig, settings: RunSettings | None = None
     if config.label:
         lines.append(f"label = {config.label}")
     for i, atom in enumerate(config.atoms, start=1):
-        lines += [f"[atom.{i}]",
-                  f"z = {fmt(atom.position)}",
-                  f"gamma_l = {fmt(atom.gamma_l)}",
-                  f"gamma_r = {fmt(atom.gamma_r)}"]
+        lines.append(f"[atom.{i}]")
+        lines += [f"{key} = {fmt(getattr(atom, name))}"
+                  for key, name in _ATOM_FIELDS.items()]
     if settings is not None:
         entries = [(k, v) for k, v in asdict(settings).items()
                    if v is not None]

@@ -622,6 +622,17 @@ class TestStateAndNorms:
         assert populations(st) == (1.0, 1.0)
         assert total_norm(st) == 1.0
 
+    def test_mode_amplitude_lengths_validated(self):
+        # lengths 5 and 7 on an 11-mode grid read populations (1.0, 1.0)
+        kg = KGrid.centered(WA, 5.0, 11)
+        for egk, gek in ((5, 7), (11, 7), (5, 11), ((11, 1), 11)):
+            with pytest.raises(ValueError, match="c_egk and c_gek"):
+                TwoExcitationState(c_ee=1.0 + 0j,
+                                   c_egk=np.zeros(egk, complex),
+                                   c_gek=np.zeros(gek, complex),
+                                   c_kk=np.zeros((11, 11), complex),
+                                   kgrid=kg)
+
     def test_symmetry_validated(self):
         kg = KGrid.centered(WA, 5.0, 3)
         # asymmetric; NaN opposite 0 (NaN > bound is False); inf opposite
@@ -654,6 +665,11 @@ class TestStateAndNorms:
 
 
 class TestOracle:
+    def test_fractional_ckk_stride_refused(self):
+        kg = KGrid.centered(WA, 5.0, 21)
+        with pytest.raises(InvalidGrid, match="2.0"):
+            oracle_full_grid(FIG2, kg, 0.1, 0.01, ckk_stride=2.0)
+
     def test_frozen_when_decoupled(self):
         kg = KGrid.centered(WA, 5.0, 21)
         res = oracle_full_grid(decoupled_config(), kg, 1.0, 0.01,

@@ -8,12 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, reject, strategies as st
 
 import wqsim
 from wqsim import (AtomParams, InvalidGrid, NetworkConfig, ParseError, PRESETS,
-                   VerificationCheck, VerificationReport, parse_config_text,
-                   format_config)
+                   UnknownPreset, VerificationCheck, VerificationReport,
+                   parse_config_text, format_config)
 from wqsim.cli import main
 from wqsim.model import default_halfwidth
 from wqsim.runio import RunSettings, fmt, parse_config_file, write_csv
@@ -52,8 +52,12 @@ def plans(draw):
             draw(st.floats(min_value=z1, exclude_min=True,
                            allow_infinity=False)),
             draw(COUPLING), draw(COUPLING)))
-    config = NetworkConfig(atoms=tuple(atoms), omega_a=draw(POSITIVE),
-                           label=draw(st.text("abcxyz019_-.", max_size=8)))
+    # any text NetworkConfig takes as a label: every one must round-trip
+    try:
+        config = NetworkConfig(atoms=tuple(atoms), omega_a=draw(POSITIVE),
+                               label=draw(st.text()))
+    except ValueError:
+        reject()
     settings = RunSettings(
         t_end=draw(st.none() | POSITIVE), dt=draw(st.none() | POSITIVE),
         k_points=draw(st.none() | st.integers(2, 10**9)),
@@ -105,6 +109,22 @@ class TestConfigParsing:
         bad = GOOD.replace("z = 0.1", "z = abc")
         with pytest.raises(ParseError, match="abc"):
             parse_config_text(bad)
+
+    def test_non_numeric_top_level_value_names_its_line(self):
+        bad = GOOD.replace("omega_a = 50.0", "omega_a = fifty")
+        with pytest.raises(ParseError, match=r"^x\.cfg:2: field 'omega_a' "
+                           r"is not a number: 'fifty'$"):
+            parse_config_text(bad, origin="x.cfg")
+
+    @pytest.mark.parametrize("label", [
+        "x\n[run]\nt_end = 99", "a\nresult.t_final = 0", "run#2", "run ",
+        " run", "a\r", "a\u2028b", "a\x1cb"])
+    def test_label_that_breaks_its_line_refused(self, label):
+        # the config and the manifest hold the label on one line, and the
+        # parser cuts a line at '#' and strips it
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            NetworkConfig(atoms=(AtomParams(0.1, 0.25, 0.5),), omega_a=50.0,
+                          label=label)
 
     def test_missing_atom_section(self):
         with pytest.raises(ParseError, match=r"atom\.1"):
@@ -333,6 +353,19 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "p" / "cee.svg").exists()
 
+    def test_scopes_pin_their_verdicts(self):
+        # markov's one failure is the known fig2 line: the short-delay
+        # closed form misses c_ee at fig2's delays (0.0287 against 0.02)
+        verify_module = importlib.import_module("wqsim.verify")
+        reports = {scope: verify_module.verify(scope) for scope in
+                   ("theorem1", "theorem2", "theorem3", "markov")}
+        verdicts = {scope: (len(r.checks) - r.n_failed, len(r.checks))
+                    for scope, r in reports.items()}
+        assert verdicts == {"theorem1": (4, 4), "theorem2": (7, 7),
+                            "theorem3": (4, 4), "markov": (1, 2)}
+        assert [c.name for c in reports["markov"].checks if not c.passed] \
+            == ["max |c_ee - closed form| (fig2)"]
+
     def test_parser_names_come_from_their_owners(self, capsys):
         # --mode takes exactly the pipeline kinds, the preset and scope
         # helps list every preset and scope, and every preset's kind runs
@@ -375,6 +408,60 @@ class TestCli:
                  "WQSIM_THREADS": "1",
                  "PYTHONPATH": str(src_root)})
         assert proc.returncode == 0, proc.stderr
+
+
+class _Recorder:
+    """Stands in for matplotlib and its figures and axes: every attribute is
+    a call that is logged and returns a fresh recorder, and `subplots`
+    returns a figure and an axes."""
+
+    def __init__(self, log, name):
+        self._log, self._name = log, name
+
+    def __getattr__(self, attr):
+        def call(*args, **kwargs):
+            self._log.append((f"{self._name}.{attr}", args, kwargs))
+            if attr == "subplots":
+                return _Recorder(self._log, "fig"), _Recorder(self._log, "ax")
+            return _Recorder(self._log, attr)
+        return call
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The log of every matplotlib call, made on a recording stand-in."""
+    log = []
+    plt = _Recorder(log, "plt")
+    mpl = _Recorder(log, "matplotlib")
+    mpl.pyplot = plt
+    monkeypatch.setitem(sys.modules, "matplotlib", mpl)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", plt)
+    return log
+
+
+class TestFigures:
+    def test_every_figure_is_saved_once(self, tmp_path, drawn):
+        two, plan = parse_config_text(GOOD)
+        one, one_plan = parse_config_text(ONE_ATOM)
+        runs = [(two, plan, "cascade",
+                 ["populations", "spectra", "two_photon"]),
+                (two, plan, "cee", ["cee"]),
+                (one, one_plan, "spatial", ["amplitudes", "field_snapshot"]),
+                (two, plan, "spatial", ["amplitudes", "field_snapshot"])]
+        for i, (config, settings, kind, figures) in enumerate(runs):
+            drawn.clear()
+            out = tmp_path / str(i)
+            wqsim.run_pipeline(config, settings, out, kind=kind, plot=True)
+            saved = [args[0] for name, args, _ in drawn
+                     if name == "fig.savefig"]
+            assert saved == [out / f"{f}.svg" for f in figures], kind
+            calls = [name for name, _, _ in drawn]
+            assert calls.count("plt.subplots") == len(figures)
+            assert calls.count("plt.close") == len(figures)
+            # one legend entry per curve
+            labels = [kw.get("label") for name, _, kw in drawn
+                      if name == "ax.plot"]
+            assert None not in labels and len(set(labels)) == len(labels)
 
 
 class TestConfigFileApi:
@@ -428,6 +515,13 @@ class TestRunPlan:
                    "--k-points", "1000000000000000000000"])
         assert rc == 2
         self.one_error_line(capsys, "k_points")
+
+    def test_unknown_kind_refused_before_any_output(self, tmp_path):
+        out = tmp_path / "never"
+        with pytest.raises(UnknownPreset, match="'bogus'"):
+            wqsim.run_pipeline(PRESETS["fig5"].config, RunSettings(), out,
+                               kind="bogus")
+        assert not out.exists()
 
     def test_preset_plans_are_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

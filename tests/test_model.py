@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,10 @@ class TestKGrid:
         assert s.k_values[-1] == g.k_values[-1]
         with pytest.raises(InvalidGrid):
             g.subsample(3)   # 100 % 3 != 0
+        for stride in (2.0, 0, -4, "4"):
+            with pytest.raises(InvalidGrid, match=re.escape(repr(stride))):
+                g.subsample(stride)
+        assert len(g.subsample(np.int64(4))) == 26
 
     def test_default_halfwidth_clips_to_positive_k(self):
         cfg = two_atom_config()
