@@ -23,8 +23,8 @@ from .frequency import (OracleResult, SpectralPairResult, SteadyStateClass,
                         SteadyStateLabel, TwoExcitationState,
                         analytic_cee_markov, classify_steady_state,
                         oracle_full_grid, populations, solve_cee,
-                        solve_spectral_pair, solve_two_photon, total_norm,
-                        two_photon_norm)
+                        solve_spectral_pair, solve_two_photon,
+                        stream_two_photon, total_norm, two_photon_norm)
 from .spatial import (FieldSnapshot, check_mirror_boundary, field_snapshot,
                       single_excitation_norm, solve_single_atom,
                       solve_two_atom_single_excitation)

@@ -22,6 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 
@@ -288,31 +289,44 @@ def _symmetric(a: np.ndarray, scale: complex) -> np.ndarray:
     return out
 
 
-def solve_two_photon(pair: SpectralPairResult,
-                     at_times: list[float] | None = None
-                     ) -> list[tuple[float, np.ndarray]]:
-    """Two-photon amplitude matrices c_kk(k1, k2, t) at the requested times
-    (default: the end of the record): c_kk = -i/sqrt(2) (S + S^T), S =
-    int_0^t (c_egk (x) g_1 + c_gek (x) g_2) e^{i(k_2 - omega_a) s} ds over
-    the cubic Hermite interpolant of the record (a Filon-type rule).
+def stream_two_photon(pair: SpectralPairResult, at_times: list[float]
+                      ) -> Iterator[tuple[float, np.ndarray]]:
+    """Two-photon amplitude matrices c_kk(k1, k2, t) at the requested times,
+    yielded one at a time in time order (repeats included): c_kk =
+    -i/sqrt(2) (S + S^T), S = int_0^t (c_egk (x) g_1 + c_gek (x) g_2)
+    e^{i(k_2 - omega_a) s} ds over the cubic Hermite interpolant of the
+    record (a Filon-type rule).
 
-    Checkpoints are taken in time order; S gains the integral since the
-    previous one in blocks of at most `_QUAD_BLOCK` record intervals, cut
-    at the checkpoints.  Each piece gets G Gauss-Legendre points, G the
-    least with theta^(2G-3) / (2G-3)! <= 2^-53, theta = W h_max for W =
-    max|k - omega_a| and the longest record interval (G = 9 on `fig2`).
-    Over a block the phase is `_phase_interpolant`'s sum over p points, so
-    a block is one real (p x 2 nodes) product of the folded value and
-    derivative weights with the record, and one rank-2p update of S by
-    the 2p sums against their phase-weighted couplings (`_accumulate`).
-    Besides the results it holds S, the block's 2p sums and couplings,
-    and one `_ROW_CHUNK`-row product.
+    S gains the integral since the previous checkpoint in blocks of at
+    most `_QUAD_BLOCK` record intervals, cut at the checkpoints.  Each
+    piece gets G Gauss-Legendre points, G the least with theta^(2G-3) /
+    (2G-3)! <= 2^-53, theta = W h_max for W = max|k - omega_a| and the
+    longest record interval (G = 9 on `fig2`).  Over a block the phase is
+    `_phase_interpolant`'s sum over p points, so a block is one real (p x
+    2 nodes) product of the folded value and derivative weights with the
+    record, and one rank-2p update of S by the 2p sums against their
+    phase-weighted couplings (`_accumulate`).  Besides the matrix it
+    builds it holds S, the block's 2p sums and couplings, and one
+    `_ROW_CHUNK`-row product; no matrix it has yielded.
 
     Each time is taken at its nearest output node (`pair.times`); a time
     outside the record by more than half its longest interval, or not
-    finite, raises ValueError.  Matrices are exactly symmetric and returned
-    in the normalized convention (see module docstring).
+    finite, raises ValueError at the call.  Matrices are exactly symmetric
+    and in the normalized convention (see module docstring).
     """
+    times = pair.times
+    slack = 0.5 * float(np.diff(times).max(initial=0.0))
+    for t in at_times:
+        if not -slack <= t <= times[-1] + slack:   # NaN fails it too
+            raise ValueError(
+                f"two-photon time {t!r} outside [0, {float(times[-1])!r}]")
+    return _two_photon_stream(
+        pair, sorted(float(times[pair.index_at(t)]) for t in at_times))
+
+
+def _two_photon_stream(pair: SpectralPairResult, stops: list[float]
+                       ) -> Iterator[tuple[float, np.ndarray]]:
+    """`stream_two_photon` past its checks, at sorted output nodes."""
     from numpy.polynomial.legendre import leggauss   # 5 ms: not at import
 
     cfg = pair.config
@@ -320,15 +334,7 @@ def solve_two_photon(pair: SpectralPairResult,
     g2 = coupling_row(pair.kgrid, cfg.atoms[1])
     det = pair.kgrid.k_values - cfg.omega_a
     width = _phase_width(pair.kgrid, cfg.omega_a)
-    times, nodes = pair.times, pair.record_times
-    if at_times is None:
-        at_times = [float(times[-1])]
-    slack = 0.5 * float(np.diff(times).max(initial=0.0))
-    for t in at_times:
-        if not -slack <= t <= times[-1] + slack:   # NaN fails it too
-            raise ValueError(
-                f"two-photon time {t!r} outside [0, {float(times[-1])!r}]")
-    idx = [pair.index_at(t) for t in at_times]
+    nodes = pair.record_times
 
     # G = (m + 3) / 2 for the least odd m = 2G - 3 with theta^m / m! <= 2^-53
     theta, m = width * float(np.diff(nodes).max(initial=0.0)), 1
@@ -338,10 +344,8 @@ def solve_two_photon(pair: SpectralPairResult,
     n = len(pair.kgrid)
     flat = pair.record.reshape(2 * len(nodes), 2 * n).view(float)
     acc = np.zeros((n, n), dtype=complex)
-    out: list[tuple[float, np.ndarray]] = [(0.0, np.zeros((0, 0)))] * len(at_times)
     start = 0.0   # acc holds the integral over [0, start]
-    for pos in np.argsort(idx):
-        stop = float(times[idx[pos]])
+    for stop in stops:
         j_lo = int(np.searchsorted(nodes, start, "right")) - 1
         j_hi = int(np.searchsorted(nodes, stop)) if stop > start else j_lo
         for j0 in range(j_lo, j_hi, _QUAD_BLOCK):
@@ -372,8 +376,18 @@ def solve_two_photon(pair: SpectralPairResult,
             _accumulate(acc, rows.view(complex).reshape(2 * p, n),
                         coup.reshape(2 * p, n))
         start = stop
-        out[pos] = (stop, _symmetric(acc, -1j * TWO_PHOTON_SCALE))
-    return out
+        yield stop, _symmetric(acc, -1j * TWO_PHOTON_SCALE)
+
+
+def solve_two_photon(pair: SpectralPairResult,
+                     at_times: list[float] | None = None
+                     ) -> list[tuple[float, np.ndarray]]:
+    """`stream_two_photon`'s (t, c_kk) pairs as one list in the order of
+    `at_times` (default: the end of the record), every matrix held at once."""
+    at_times = [pair.t_end] if at_times is None else at_times
+    order = np.argsort([pair.index_at(t) for t in at_times], kind="stable")
+    mats = dict(zip(order, stream_two_photon(pair, at_times)))
+    return [mats[pos] for pos in range(len(at_times))]
 
 
 def two_photon_norm(ckk: np.ndarray, kgrid: KGrid) -> float:

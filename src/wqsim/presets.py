@@ -24,9 +24,11 @@ import numpy as np
 from . import __version__
 from .dde import Trajectory
 from .errors import UnknownPreset
-from .frequency import (analytic_cee_markov, classify_steady_state,
+# solve_two_photon is not called here: bench/tracing.py wraps
+# wqsim.presets.solve_two_photon by name
+from .frequency import (analytic_cee_markov, classify_steady_state,  # noqa: F401
                         solve_cee, solve_spectral_pair, solve_two_photon,
-                        two_photon_norm)
+                        stream_two_photon, two_photon_norm)
 from .model import AtomParams, KGrid, NetworkConfig
 from .runio import RunSettings, write_csv, write_manifest
 from .spatial import (check_mirror_boundary, field_snapshot,
@@ -193,7 +195,13 @@ def _run_cascade(config: NetworkConfig, s: RunSettings, out: Path,
     pair = solve_spectral_pair(config, cee, kgrid)
     t_final = pair.t_end
     chk = list(_checkpoint_times(t_final))
-    matrices = solve_two_photon(pair, at_times=chk)
+    # each checkpoint's sector norm; only the last c_kk is kept (for
+    # two_photon.csv and the plot), each other dropped before the next
+    p2ph = []
+    for _, ckk in stream_two_photon(pair, chk):
+        p2ph.append(two_photon_norm(ckk, kgrid))
+        if len(p2ph) < len(chk):
+            del ckk
 
     _write_cee_csv(out, cee, analytic_cee_markov(cee.times, config))
 
@@ -209,7 +217,6 @@ def _run_cascade(config: NetworkConfig, s: RunSettings, out: Path,
               [kgrid.k_values, cegk, np.abs(cegk), cgek, np.abs(cgek)])
 
     # two-photon magnitude grid at the final time, at most 126 modes a side
-    ckk = matrices[-1][1]
     stride = math.ceil(len(kgrid) / 126)
     ks = kgrid.k_values[::stride]
     sub = ckk[::stride, ::stride]
@@ -218,9 +225,8 @@ def _run_cascade(config: NetworkConfig, s: RunSettings, out: Path,
               [k1g.ravel(), k2g.ravel(), np.abs(sub).ravel()])
 
     # sector norms at checkpoints, the populations read from the record
-    t_chk = np.array([t for t, _ in matrices])
-    i = [pair.index_at(t) for t in t_chk]
-    p2ph = np.array([two_photon_norm(mat, kgrid) for _, mat in matrices])
+    i = [pair.index_at(t) for t in chk]
+    t_chk, p2ph = pair.times[i], np.array(p2ph)
     total = p1[i] + p2[i] - pee[i] + p2ph
     write_csv(out / "norm.csv",
               ["t", "cee_abs2", "pe1", "pe2", "two_photon_norm", "total_norm"],

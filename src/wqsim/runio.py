@@ -42,10 +42,11 @@ class RunSettings:
                                   and 1 < k < 2**63):
             raise ValueError(f"run setting 'k_points' must be an integer "
                              f"> 1 and < 2**63, got {k!r}")
-        # a real number whose float is finite (an int past 1.8e308 is not)
+        # a non-bool real whose float is finite (an int past 1.8e308 is not)
         for name, low in (("t_end", 0), ("dt", 0), ("k_halfwidth", -math.inf)):
             x = getattr(self, name)
             if x is not None and not (isinstance(x, numbers.Real)
+                                      and not isinstance(x, bool)
                                       and abs(x) <= sys.float_info.max
                                       and x > low):
                 raise ValueError(f"run setting {name!r} must be a finite "

@@ -11,7 +11,8 @@ from wqsim import (PRESETS, AtomParams, DelaySystem, InvalidGrid, KGrid,
                    TwoExcitationState, analytic_cee_markov,
                    classify_steady_state, integrate, oracle_full_grid,
                    populations, solve_cee, solve_spectral_pair,
-                   solve_two_photon, total_norm, two_photon_norm)
+                   solve_two_photon, stream_two_photon, total_norm,
+                   two_photon_norm)
 from wqsim import frequency
 from wqsim.dde import resolve_taps
 from wqsim.frequency import (_MAX_PHASE_PER_NODE, _ORACLE_BLOCK,
@@ -611,6 +612,61 @@ class TestTwoPhotonQuadrature:
         for k, held in enumerate(before, 1):
             assert held <= (k + 0.5) * matrix
         assert peak <= (len(at_times) + 1.5) * matrix
+
+    def test_stream_matches_the_list(self):
+        # unsorted, repeated, at t = 0 and inside a record interval
+        pair, _ = small_pair(FIG2, 2.0, n=61, half=10.0)
+        at_times = [1.5, 0.0, 2.0, 0.7, 1.5, 0.7125]
+        listed = solve_two_photon(pair, at_times)
+        streamed = list(stream_two_photon(pair, at_times))
+        order = np.argsort([t for t, _ in listed], kind="stable")
+        assert [t for t, _ in streamed] == sorted(t for t, _ in listed)
+        for (t, g), pos in zip(streamed, order, strict=True):
+            assert t == listed[pos][0]
+            assert np.array_equal(g, listed[pos][1])
+        # a time outside the record is refused before the first matrix
+        h = pair.times[1] - pair.times[0]
+        for t in (pair.t_end + 0.6 * h, math.nan):
+            with pytest.raises(ValueError, match=re.escape(repr(t))):
+                stream_two_photon(pair, [0.25, t])
+
+    @pytest.mark.parametrize("count", [3, 8])
+    def test_stream_holds_no_yielded_matrix(self, monkeypatch, count):
+        # the record of `test_working_memory_is_bounded`.  A consumer that
+        # takes each matrix's norm and drops it: each step of the stream
+        # holds S, one block's temporaries (below half a matrix) and the
+        # matrix it builds, whatever the number of checkpoints
+        import tracemalloc
+        n, n_rec = 1001, 200
+        matrix = n * n * 16
+        nodes = 0.003 * np.arange(n_rec)
+        pair = random_pair(KGrid.centered(WA, 20.0, n), nodes, nodes, seed=5)
+        at_times = list(np.linspace(0.0, pair.t_end, count + 1)[1:])
+        symmetric, held = frequency._symmetric, []
+
+        def traced(a, scale):   # what the stream holds as it builds one
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+            return symmetric(a, scale)
+
+        monkeypatch.setattr(frequency, "_symmetric", traced)
+        peaks, norms = [], []
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stream = stream_two_photon(pair, at_times)
+            while True:
+                tracemalloc.reset_peak()
+                item = next(stream, None)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                if item is None:
+                    break
+                norms.append(two_photon_norm(item[1], pair.kgrid))
+                del item
+        finally:
+            tracemalloc.stop()
+        assert len(norms) == len(held) == count
+        assert max(held) <= 1.5 * matrix
+        assert max(peaks) <= 2.5 * matrix
 
 
 class TestStateAndNorms:

@@ -211,6 +211,29 @@ def small_cascade(tmp_path_factory):
 
 
 class TestCascadeFiles:
+    def test_cascade_holds_one_checkpoint_matrix(self, tmp_path, monkeypatch):
+        # traced memory as each checkpoint matrix is built: had the
+        # pipeline kept the earlier ones, it would grow by one N x N
+        # complex matrix per checkpoint
+        import tracemalloc
+        from wqsim import frequency
+        n = 201
+        symmetric, held = frequency._symmetric, []
+
+        def traced(a, scale):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return symmetric(a, scale)
+
+        monkeypatch.setattr(frequency, "_symmetric", traced)
+        tracemalloc.start()
+        try:
+            wqsim.run_preset("fig2", tmp_path, t_end=0.5, k_points=n,
+                             k_halfwidth=20.0)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 9
+        assert max(held) - held[0] <= 0.5 * n * n * 16
+
     def test_norm_ledger_reads_the_population_record(self, small_cascade):
         norm, pop = small_cascade("norm.csv"), small_cascade("populations.csv")
         assert len(norm) == 9
@@ -515,6 +538,16 @@ class TestRunPlan:
                    "--k-points", "1000000000000000000000"])
         assert rc == 2
         self.one_error_line(capsys, "k_points")
+
+    @pytest.mark.parametrize("bad", [
+        {"t_end": True}, {"dt": True}, {"k_halfwidth": False},
+        {"dt": 0.1, "k_halfwidth": True}])
+    def test_bool_plan_fields_refused(self, bad):
+        # a bool is a number to `numbers.Real`, but format_config would
+        # write `t_end = True`, which parse_config_text refuses
+        name = next(k for k, v in bad.items() if isinstance(v, bool))
+        with pytest.raises(ValueError, match=f"'{name}'.*{bad[name]}"):
+            RunSettings(**bad)
 
     def test_unknown_kind_refused_before_any_output(self, tmp_path):
         out = tmp_path / "never"
