@@ -24,11 +24,12 @@ import numpy as np
 from . import __version__
 from .dde import Trajectory
 from .errors import UnknownPreset
+from .frequency import (analytic_cee_markov, classify_steady_state,
+                        solve_cee, solve_spectral_pair, stream_two_photon,
+                        two_photon_norm)
 # solve_two_photon is not called here: bench/tracing.py wraps
 # wqsim.presets.solve_two_photon by name
-from .frequency import (analytic_cee_markov, classify_steady_state,  # noqa: F401
-                        solve_cee, solve_spectral_pair, solve_two_photon,
-                        stream_two_photon, two_photon_norm)
+from .frequency import solve_two_photon  # noqa: F401
 from .model import AtomParams, KGrid, NetworkConfig
 from .runio import RunSettings, write_csv, write_manifest
 from .spatial import (check_mirror_boundary, field_snapshot,
@@ -195,8 +196,8 @@ def _run_cascade(config: NetworkConfig, s: RunSettings, out: Path,
     pair = solve_spectral_pair(config, cee, kgrid)
     t_final = pair.t_end
     chk = list(_checkpoint_times(t_final))
-    # each checkpoint's sector norm; only the last c_kk is kept (for
-    # two_photon.csv and the plot), each other dropped before the next
+    # the sector norm of each checkpoint's c_kk; each is dropped before the
+    # next is built, but the last, which two_photon.csv and the plot show
     p2ph = []
     for _, ckk in stream_two_photon(pair, chk):
         p2ph.append(two_photon_norm(ckk, kgrid))
