@@ -33,10 +33,7 @@ from .model import KGrid, NetworkConfig, coupling_row
 
 TWO_PHOTON_SCALE = 1.0 / math.sqrt(2.0)
 
-# phase advance (k - omega_a) h per node of the output grid (c_ee, the
-# populations and the two-photon checkpoints), and per interval of the
-# pair's Hermite record
-_MAX_PHASE_PER_NODE = 0.15
+# phase advance (k - omega_a) h per interval of the pair's time grid
 _MAX_PHASE_PER_INTERVAL = 0.5
 # half-steps per coarse row of the pair solve's two-level phase table
 _PHASE_BLOCK = 128
@@ -121,15 +118,14 @@ def analytic_cee_markov(t, config: NetworkConfig):
 
 @dataclass
 class SpectralPairResult:
-    """Single-photon amplitudes on the mode grid.  `times`: every stride-th
-    integration node and the final node.  `record`: (n_nodes, value |
-    derivative, c_egk | c_gek, n_modes) at `record_times`, a coarser grid
-    built the same way (c_egk: atom 1 excited and a photon)."""
+    """Single-photon amplitudes on the mode grid at `times`, every
+    stride-th integration node and the final node.  `record`: (n_times,
+    value | derivative, c_egk | c_gek, n_modes), the cubic Hermite record
+    of the two-photon quadrature (c_egk: atom 1 excited and a photon)."""
 
     times: np.ndarray
     cee: np.ndarray            # c_ee at `times`
     populations: np.ndarray    # (2, n_times): P_e1, P_e2 at `times`
-    record_times: np.ndarray
     record: np.ndarray
     kgrid: KGrid
     config: NetworkConfig
@@ -160,10 +156,6 @@ def _phase_width(kgrid: KGrid, omega_a: float) -> float:
     return float(np.max(np.abs(kgrid.k_values - omega_a)))
 
 
-def _pair_record_stride(kgrid: KGrid, omega_a: float, dt: float) -> int:
-    return max(1, int(_MAX_PHASE_PER_NODE / (_phase_width(kgrid, omega_a) * dt)))
-
-
 def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
                         kgrid: KGrid) -> SpectralPairResult:
     """Solve the driven pair equations for c_egk, c_gek on the whole grid,
@@ -175,11 +167,10 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
     damping and exchange table, differ only in the drive, and are advanced
     together as one (2, N) state by `integrate_block`, 16 steps at a time
     at N = 1001, with RK4's stages eliminated in closed form.  Each block
-    adds the populations of its output nodes (stride set by the phase bound
-    `_MAX_PHASE_PER_NODE`) and the values and derivatives of its record
-    nodes (`_MAX_PHASE_PER_INTERVAL`, and at most half the shortest delay
-    per interval).  Both grids end at the final node, so their last interval
-    is shorter when the stride does not divide the step count.
+    adds the populations, values and derivatives of its nodes on one grid:
+    at most `_MAX_PHASE_PER_INTERVAL` of phase and half the shortest delay
+    per interval.  The grid ends at the final node, so its last interval is
+    shorter when the stride does not divide the step count.
     """
     if len(config.atoms) != 2:
         raise InvalidGeometry("the two-excitation cascade needs two atoms")
@@ -204,25 +195,23 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
         ph *= cee_half[h, None]
         return drive_row[:, None] * ph
 
-    stride = _pair_record_stride(kgrid, config.omega_a, dt)
+    stride = max(1, min(int(min(delays) / (2 * dt)), int(
+        _MAX_PHASE_PER_INTERVAL / (_phase_width(kgrid, config.omega_a) * dt))))
     steps = np.append(np.arange(0, n_steps, stride), n_steps)
     cee_out = cee_half[2 * steps]
     pops = np.empty((2, len(steps)))
-    rec_stride = max(1, min(int(min(delays) / (2 * dt)), int(
-        _MAX_PHASE_PER_INTERVAL / (_phase_width(kgrid, config.omega_a) * dt))))
-    rec_steps = np.append(np.arange(0, n_steps, rec_stride), n_steps)
-    record = np.empty((len(rec_steps), 2, 2, n), dtype=complex)
+    record = np.empty((len(steps), 2, 2, n), dtype=complex)
     for first, y, dy in integrate_block(np.zeros((2, n)), damping, table,
                                         delays, dt, n_steps, drive):
         lo, hi = np.searchsorted(steps, (first, first + y.shape[1]))
-        pops[:, lo:hi] = _excited_populations(
-            cee_out[lo:hi], *y[:, steps[lo:hi] - first], kgrid.dk)
-        lo, hi = np.searchsorted(rec_steps, (first, first + y.shape[1]))
+        at = steps[lo:hi] - first
+        pops[:, lo:hi] = _excited_populations(cee_out[lo:hi], *y[:, at],
+                                              kgrid.dk)
         for i, v in enumerate((y, dy)):
-            record[lo:hi, i] = np.moveaxis(v[:, rec_steps[lo:hi] - first], 1, 0)
+            record[lo:hi, i] = np.moveaxis(v[:, at], 1, 0)
     return SpectralPairResult(times=dt * steps, cee=cee_out, populations=pops,
-                              record_times=dt * rec_steps, record=record,
-                              kgrid=kgrid, config=config, stride=stride)
+                              record=record, kgrid=kgrid, config=config,
+                              stride=stride)
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +287,19 @@ def stream_two_photon(pair: SpectralPairResult, at_times: list[float]
     record (a Filon-type rule).
 
     S gains the integral since the previous checkpoint in blocks of at
-    most `_QUAD_BLOCK` record intervals, cut at the checkpoints.  Each
-    piece gets G Gauss-Legendre points, G the least with theta^(2G-3) /
-    (2G-3)! <= 2^-53, theta = W h_max for W = max|k - omega_a| and the
-    longest record interval (G = 9 on `fig2`).  Over a block the phase is
-    `_phase_interpolant`'s sum over p points, so a block is one real (p x
-    2 nodes) product of the folded value and derivative weights with the
-    record, and one rank-2p update of S by the 2p sums against their
-    phase-weighted couplings (`_accumulate`).  Besides the matrix it
-    builds it holds S, the block's 2p sums and couplings, and one
-    `_ROW_CHUNK`-row product; no matrix it has yielded.
+    most `_QUAD_BLOCK` record intervals.  Each interval gets G
+    Gauss-Legendre points, G the least with theta^(2G-3) / (2G-3)! <= 2^-53,
+    theta = W h_max for W = max|k - omega_a| and the longest record
+    interval (G = 9 on `fig2`); the Hermite basis at them is one (G, 4)
+    table.  Over a block the phase is `_phase_interpolant`'s sum over p
+    points, so a block is one real (p x 2 nodes) product of the folded
+    value and derivative weights with the record, and one rank-2p update of
+    S by the 2p sums against their phase-weighted couplings
+    (`_accumulate`).  Besides the matrix it builds it holds S, the block's
+    2p sums and couplings, and one `_ROW_CHUNK`-row product; no matrix it
+    has yielded.
 
-    Each time is taken at its nearest output node (`pair.times`); a time
+    Each time is taken at its nearest record node (`pair.times`); a time
     outside the record by more than half its longest interval, or not
     finite, raises ValueError at the call.  Matrices are exactly symmetric
     and in the normalized convention (see module docstring).
@@ -320,13 +310,12 @@ def stream_two_photon(pair: SpectralPairResult, at_times: list[float]
         if not -slack <= t <= times[-1] + slack:   # NaN fails it too
             raise ValueError(
                 f"two-photon time {t!r} outside [0, {float(times[-1])!r}]")
-    return _two_photon_stream(
-        pair, sorted(float(times[pair.index_at(t)]) for t in at_times))
+    return _two_photon_stream(pair, sorted(pair.index_at(t) for t in at_times))
 
 
-def _two_photon_stream(pair: SpectralPairResult, stops: list[float]
+def _two_photon_stream(pair: SpectralPairResult, stops: list[int]
                        ) -> Iterator[tuple[float, np.ndarray]]:
-    """`stream_two_photon` past its checks, at sorted output nodes."""
+    """`stream_two_photon` past its checks, at sorted node indices."""
     from numpy.polynomial.legendre import leggauss   # 5 ms: not at import
 
     cfg = pair.config
@@ -334,34 +323,29 @@ def _two_photon_stream(pair: SpectralPairResult, stops: list[float]
     g2 = coupling_row(pair.kgrid, cfg.atoms[1])
     det = pair.kgrid.k_values - cfg.omega_a
     width = _phase_width(pair.kgrid, cfg.omega_a)
-    nodes = pair.record_times
+    nodes = pair.times
 
     # G = (m + 3) / 2 for the least odd m = 2G - 3 with theta^m / m! <= 2^-53
     theta, m = width * float(np.diff(nodes).max(initial=0.0)), 1
     while theta and m * math.log(theta) - math.lgamma(m + 1) > -53 * math.log(2):
         m += 2
     x, w = leggauss((m + 3) // 2)
+    herm = np.stack(_hermite_weights(0.5 * (x + 1.0)), axis=-1)   # (G, 4)
     n = len(pair.kgrid)
     flat = pair.record.reshape(2 * len(nodes), 2 * n).view(float)
     acc = np.zeros((n, n), dtype=complex)
-    start = 0.0   # acc holds the integral over [0, start]
+    start = 0   # acc holds the integral up to node `start`
     for stop in stops:
-        j_lo = int(np.searchsorted(nodes, start, "right")) - 1
-        j_hi = int(np.searchsorted(nodes, stop)) if stop > start else j_lo
-        for j0 in range(j_lo, j_hi, _QUAD_BLOCK):
-            t_j = nodes[j0:min(j_hi, j0 + _QUAD_BLOCK) + 1]
-            ends = np.clip(t_j, start, stop)
-            half = 0.5 * np.diff(ends)[:, None]
-            gauss = 0.5 * (ends[1:] + ends[:-1])[:, None] + half * x
+        for j0 in range(start, stop, _QUAD_BLOCK):
+            t_j = nodes[j0:min(stop, j0 + _QUAD_BLOCK) + 1]
             h = np.diff(t_j)[:, None]
-            herm = np.stack(_hermite_weights((gauss - t_j[:-1, None]) / h),
-                            axis=-1)
-            herm[..., 1::2] *= h[..., None]
+            gauss = 0.5 * (t_j[1:] + t_j[:-1])[:, None] + 0.5 * h * x
             points, basis = _phase_interpolant(gauss.ravel(), width)
-            basis = basis.reshape(len(points), *gauss.shape) * (half * w)
-            # (p, pieces, 4) folded into the weights of the (p, nodes, 2)
-            # value and derivative rows
-            part = np.einsum("qig,igc->qic", basis, herm)
+            basis = basis.reshape(len(points), *gauss.shape) * (0.5 * h * w)
+            # (p, intervals, 4) folded into the weights of the (p, nodes, 2)
+            # value and derivative rows; a derivative's weight scales by h
+            part = np.einsum("qig,gc->qic", basis, herm)
+            part[..., 1::2] *= h
             weights = np.zeros((len(points), len(t_j), 2))
             weights[:, :-1] = part[..., :2]
             weights[:, 1:] += part[..., 2:]
@@ -376,7 +360,7 @@ def _two_photon_stream(pair: SpectralPairResult, stops: list[float]
             _accumulate(acc, rows.view(complex).reshape(2 * p, n),
                         coup.reshape(2 * p, n))
         start = stop
-        yield stop, _symmetric(acc, -1j * TWO_PHOTON_SCALE)
+        yield float(nodes[stop]), _symmetric(acc, -1j * TWO_PHOTON_SCALE)
 
 
 def solve_two_photon(pair: SpectralPairResult,

@@ -31,7 +31,7 @@ from .frequency import (analytic_cee_markov, classify_steady_state,
 # wqsim.presets.solve_two_photon by name
 from .frequency import solve_two_photon  # noqa: F401
 from .model import AtomParams, KGrid, NetworkConfig
-from .runio import RunSettings, write_csv, write_manifest
+from .runio import _ATOM_FIELDS, RunSettings, write_csv, write_manifest
 from .spatial import (check_mirror_boundary, field_snapshot,
                       single_excitation_norm, solve_single_atom,
                       solve_two_atom_single_excitation)
@@ -169,9 +169,8 @@ def run_pipeline(config: NetworkConfig, settings: RunSettings,
 def _describe(config: NetworkConfig, s: RunSettings) -> dict:
     d = {"omega_a": config.omega_a, "label": config.label, **asdict(s)}
     for i, a in enumerate(config.atoms, 1):
-        d[f"atom{i}.z"] = a.position
-        d[f"atom{i}.gamma_l"] = a.gamma_l
-        d[f"atom{i}.gamma_r"] = a.gamma_r
+        d.update({f"atom{i}.{key}": getattr(a, field)
+                  for key, field in _ATOM_FIELDS.items()})
     return d
 
 
@@ -196,10 +195,11 @@ def _run_cascade(config: NetworkConfig, s: RunSettings, out: Path,
     pair = solve_spectral_pair(config, cee, kgrid)
     t_final = pair.t_end
     chk = list(_checkpoint_times(t_final))
-    # the sector norm of each checkpoint's c_kk; each is dropped before the
-    # next is built, but the last, which two_photon.csv and the plot show
-    p2ph = []
-    for _, ckk in stream_two_photon(pair, chk):
+    # each checkpoint's node and c_kk norm; each matrix is dropped before
+    # the next is built, but the last, which two_photon.csv and the plot show
+    t_chk, p2ph = [], []
+    for t, ckk in stream_two_photon(pair, chk):
+        t_chk.append(t)
         p2ph.append(two_photon_norm(ckk, kgrid))
         if len(p2ph) < len(chk):
             del ckk
@@ -225,9 +225,8 @@ def _run_cascade(config: NetworkConfig, s: RunSettings, out: Path,
     write_csv(out / "two_photon.csv", ["k1", "k2", "ckk_abs"],
               [k1g.ravel(), k2g.ravel(), np.abs(sub).ravel()])
 
-    # sector norms at checkpoints, the populations read from the record
-    i = [pair.index_at(t) for t in chk]
-    t_chk, p2ph = pair.times[i], np.array(p2ph)
+    # sector norms at checkpoints, the populations read at their nodes
+    i, p2ph = np.searchsorted(times, t_chk), np.array(p2ph)
     total = p1[i] + p2[i] - pee[i] + p2ph
     write_csv(out / "norm.csv",
               ["t", "cee_abs2", "pe1", "pe2", "two_photon_norm", "total_norm"],

@@ -14,7 +14,6 @@ from __future__ import annotations
 import datetime as _dt
 import math
 import numbers
-import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -42,13 +41,16 @@ class RunSettings:
                                   and 1 < k < 2**63):
             raise ValueError(f"run setting 'k_points' must be an integer "
                              f"> 1 and < 2**63, got {k!r}")
-        # a non-bool real whose float is finite (an int past 1.8e308 is not)
+        # a non-bool real whose float is finite (an int past 1.8e308 overflows)
         for name, low in (("t_end", 0), ("dt", 0), ("k_halfwidth", -math.inf)):
             x = getattr(self, name)
-            if x is not None and not (isinstance(x, numbers.Real)
-                                      and not isinstance(x, bool)
-                                      and abs(x) <= sys.float_info.max
-                                      and x > low):
+            try:
+                ok = x is None or (isinstance(x, numbers.Real)
+                                   and not isinstance(x, bool)
+                                   and math.isfinite(float(x)) and x > low)
+            except OverflowError:
+                ok = False
+            if not ok:
                 raise ValueError(f"run setting {name!r} must be a finite "
                                  f"number > {low}, got {x!r}")
 

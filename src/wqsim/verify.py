@@ -3,10 +3,12 @@ closed form, and the cascade-vs-direct-integration cross-check.
 
 Each scope runs its checks and reports measured value against bound; a
 report with any failing check carries a nonzero process exit status through
-the CLI.  The dark-state scope checks the exact finite-delay law, not its
-short-delay limit.  One check fails and is reported rather than hidden: the
-short-delay closed form misses c_ee on fig2, whose delays are too long for
-that idealization; see README notes.
+the CLI.  The dark-state scope checks the finite-delay law of the closed
+c_ee equation, not its short-delay limit; the law is exact for that
+equation only: the model it reduces puts the fig4_solid dip and plateau
+near 0.8292 and 0.8308.  One check fails and is reported rather than
+hidden: the short-delay closed form misses c_ee on fig2, whose delays are
+too long for that idealization; see README notes.
 """
 from __future__ import annotations
 
@@ -138,8 +140,10 @@ def verify_theorem2() -> VerificationReport:
 
 
 def _node_dark_state_law(config: NetworkConfig) -> tuple[float, float]:
-    """Exact finite-delay |c_ee|^2 of two atoms at node positions with zero
-    field pre-history: (the dip at t = tau_2, the final plateau).
+    """Finite-delay |c_ee|^2 of two atoms at node positions with zero field
+    pre-history: (the dip at t = tau_2, the final plateau), exact for the
+    closed c_ee equation, not for the model it reduces (on fig4_solid that
+    model's dip and plateau lie near 0.8292 and 0.8308).
 
     At nodes every delay phase e^{i omega_a tau_j} is 1 and the feedback
     a_j = gamma_jL gamma_jR balances the damping, sum_j a_j = gamma_RL.  The
@@ -157,7 +161,7 @@ def _node_dark_state_law(config: NetworkConfig) -> tuple[float, float]:
     return dip ** 2, plateau ** 2
 
 
-# RK4 misses the exact dip and plateau by 1.4e-4 at the fig4_solid step, and
+# RK4 misses the law's dip and plateau by 1.4e-4 at the fig4_solid step, and
 # the gap halves with dt; a lost dark state misses them by more than 0.1.
 _DARK_STATE_TOL = 1e-3
 

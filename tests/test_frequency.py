@@ -14,10 +14,10 @@ from wqsim import (PRESETS, AtomParams, DelaySystem, InvalidGrid, KGrid,
                    solve_two_photon, stream_two_photon, total_norm,
                    two_photon_norm)
 from wqsim import frequency
-from wqsim.dde import resolve_taps
-from wqsim.frequency import (_MAX_PHASE_PER_NODE, _ORACLE_BLOCK,
+from wqsim.dde import _block_size, resolve_taps
+from wqsim.frequency import (_MAX_PHASE_PER_INTERVAL, _ORACLE_BLOCK,
                              _QUAD_BLOCK, TWO_PHOTON_SCALE,
-                             SpectralPairResult, _pair_record_stride,
+                             SpectralPairResult, _excited_populations,
                              _phase_interpolant, exchange_table,
                              markov_exponent)
 from wqsim.model import MODE_MEASURE, coupling_g, coupling_row
@@ -180,11 +180,11 @@ class TestSpectralPair:
         for j, t in enumerate(cee.times):
             drive[j] = -1j * cee.states[j, 0] * MODE_MEASURE * coupling_g(
                 k, t, cfg.atoms[0], WA)
-        # trapezoid on every step, read at the record's nodes (its last
+        # trapezoid on every step, read at the pair's nodes (its last
         # interval is short)
         quad = np.zeros_like(drive)
         quad[1:] = np.cumsum(0.5 * cee.dt * (drive[1:] + drive[:-1]), axis=0)
-        rec = np.rint(pair.record_times / cee.dt).astype(int)
+        rec = np.rint(pair.times / cee.dt).astype(int)
         assert rec[-1] - rec[-2] < rec[1] - rec[0]
         assert np.abs(pair.cgek - quad[rec]).max() < 2e-4
         np.testing.assert_allclose(pair.record[:, 1, 1], drive[rec], rtol=0,
@@ -202,18 +202,34 @@ class TestSpectralPair:
         assert ratio < 0.05
 
     def test_output_stride_longer_than_a_block(self):
-        # half-width 0.5: the output stride (152 steps) exceeds the pair
-        # engine's blocks, so most blocks hold no output node; the record's
-        # (509 steps by the phase) is cut to half the shortest delay, 16
-        pair, _ = small_pair(FIG3, 2.0, n=5, half=0.5)
-        assert pair.stride > 64
+        # half-width 0.5 at dt = min delay / 64: the stride (1019 steps by
+        # the phase) is cut to half the shortest delay, 32 steps, which
+        # exceeds the pair engine's 16-step blocks at N = 1001, so every
+        # other block holds no node
+        pair, cee = small_pair(FIG3, 1.0, n=1001, half=0.5, dt_div=64)
+        taps = resolve_taps(exchange_table(FIG3)[1], cee.dt)
+        assert pair.stride == 32 > _block_size(taps, 2 * 1001) == 16
         _, p1, p2 = pair.populations_series()
-        assert len(p1) == len(pair.times) == 8
-        assert len(pair.record_times) == -(-1019 // 16) + 1
+        assert len(p1) == len(pair.times) == -(-1019 // 32) + 1
         state = TwoExcitationState(
             c_ee=complex(pair.cee[-1]), c_egk=pair.cegk[-1],
-            c_gek=pair.cgek[-1], c_kk=np.zeros((5, 5)), kgrid=pair.kgrid)
+            c_gek=pair.cgek[-1], c_kk=np.zeros((1001, 1001)),
+            kgrid=pair.kgrid)
         assert (p1[-1], p2[-1]) == populations(state)
+
+    def test_one_grid(self):
+        # c_ee, the populations, the Hermite record and the two-photon
+        # checkpoints share one grid; 644 steps at stride 16, so its last
+        # interval is short
+        pair, _ = small_pair(FIG2, 2.01, n=61, half=10.0)
+        assert pair.stride == 16 and len(pair.times) == 42
+        dk = pair.kgrid.dk
+        for i in range(len(pair.times)):
+            want = _excited_populations(pair.cee[i], *pair.record[i, 0], dk)
+            assert tuple(pair.populations[:, i]) == want
+        at = [1.234, 0.0, pair.t_end, 0.71, 1.234]
+        got = [t for t, _ in stream_two_photon(pair, at)]
+        assert len(got) == len(at) and np.isin(got, pair.times).all()
 
     def test_populations_start_at_one(self):
         pair, _ = small_pair(FIG3, 1.0)
@@ -256,35 +272,33 @@ OFF_GRID = NetworkConfig(atoms=(AtomParams(0.1, 0.3, 0.45),
 class TestPairStepper:
     """`solve_spectral_pair` (closed-form RK4) against `reference_pair`."""
 
-    @pytest.mark.parametrize("config, half, dt, n_steps, stride, rec", [
-        # the fig2 atoms, step and half-width: planned stride 2, record
-        # stride 7 and a final interval of 3 steps
-        (FIG2, 45.0, 0.1 / 64, 640, 2, 7),
+    @pytest.mark.parametrize("config, half, dt, n_steps, stride", [
+        # the fig2 atoms, step and half-width: stride 7 and a final
+        # interval of 3 steps
+        (FIG2, 45.0, 0.1 / 64, 640, 7),
         # delays 0.13, 0.2, 0.33, 0.46 at dt 0.0107: eight distinct Hermite
-        # fractions, none of them 0 or 1/2, and a record stride of half the
+        # fractions, none of them 0 or 1/2, and a stride of half the
         # shortest delay (6 steps; 7 by the phase)
-        (OFF_GRID, 6.0, 0.0107, 150, 2, 6),
-        # planned stride 11 does not divide 650 steps: 60 records on the
-        # stride grid, then the final node one step after the last of them;
-        # record stride 32, half the shortest delay (40 by the phase)
-        (FIG2, 8.0, 0.1 / 64, 650, 11, 32),
-        # a prime step count: stride 2 and a final half interval
-        (FIG2, 45.0, 0.1 / 64, 641, 2, 7),
-    ], ids=["fig2-stride2", "off-grid-fractions", "stride-not-dividing",
+        (OFF_GRID, 6.0, 0.0107, 150, 6),
+        # stride 32, half the shortest delay (40 by the phase), does not
+        # divide 650 steps: 21 nodes on the stride grid, then the final
+        # node 10 steps after the last of them
+        (FIG2, 8.0, 0.1 / 64, 650, 32),
+        # a prime step count: stride 7 and a final interval of 4 steps
+        (FIG2, 45.0, 0.1 / 64, 641, 7),
+    ], ids=["fig2-plan", "off-grid-fractions", "stride-not-dividing",
             "prime-steps"])
-    def test_matches_generic_engine(self, config, half, dt, n_steps, stride,
-                                    rec):
+    def test_matches_generic_engine(self, config, half, dt, n_steps, stride):
         kg = KGrid.centered(WA, half, 41)
         fractions = {s for row in resolve_taps(exchange_table(config)[1], dt)
                      for _, s in row}
         if config is OFF_GRID:
             assert len(fractions) == 8 and not fractions & {0.0, 0.5}
-        assert _pair_record_stride(kg, WA, dt) == stride
         cee = solve_cee(config, n_steps * dt, dt)
         pair = solve_spectral_pair(config, cee, kg)
         assert pair.stride == stride
         assert len(pair.times) == -(-n_steps // stride) + 1
-        assert pair.times[-1] == pair.record_times[-1] == n_steps * dt
+        assert pair.times[-1] == n_steps * dt
         ref = reference_pair(config, cee, kg, dt, n_steps)
         steps = list(range(0, n_steps, stride)) + [n_steps]
         np.testing.assert_array_equal(pair.times, ref.times[steps])
@@ -292,22 +306,26 @@ class TestPairStepper:
         np.testing.assert_allclose(
             pair.populations.T, np.abs(cee.states[steps]) ** 2 + sums * kg.dk,
             rtol=0, atol=1e-12)
-        rec_steps = list(range(0, n_steps, rec)) + [n_steps]
-        np.testing.assert_array_equal(pair.record_times, ref.times[rec_steps])
-        for got, want in ((pair.record[:, 0], ref.states[rec_steps]),
-                          (pair.record[:, 1], ref.derivatives[rec_steps])):
-            np.testing.assert_allclose(got.reshape(len(rec_steps), -1), want,
+        for got, want in ((pair.record[:, 0], ref.states[steps]),
+                          (pair.record[:, 1], ref.derivatives[steps])):
+            np.testing.assert_allclose(got.reshape(len(steps), -1), want,
                                        rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_off_centre_grid_keeps_the_phase_bound(self):
         # the grid's half-width is 5 but its modes lie up to 15 from
-        # omega_a: the stride follows the phase e^{i(k - omega_a) t}
+        # omega_a: the stride follows the phase e^{i(k - omega_a) t}, 10
+        # steps where a centred half-width 5 would allow half the shortest
+        # delay, 16
         dt = min(FIG2.delays) / 32
         cee = solve_cee(FIG2, 0.5, dt)
-        pair = solve_spectral_pair(FIG2, cee, KGrid.centered(WA + 10.0, 5.0, 21))
-        assert pair.stride == 3
-        assert pair.stride * dt * 15.0 <= _MAX_PHASE_PER_NODE
-        assert _pair_record_stride(KGrid.centered(WA, 15.0, 21), WA, dt) == 3
+
+        def stride(kgrid):
+            return solve_spectral_pair(FIG2, cee, kgrid).stride
+
+        assert stride(KGrid.centered(WA + 10.0, 5.0, 21)) == 10
+        assert 10 * dt * 15.0 <= _MAX_PHASE_PER_INTERVAL < 11 * dt * 15.0
+        assert stride(KGrid.centered(WA, 15.0, 21)) == 10
+        assert stride(KGrid.centered(WA, 5.0, 21)) == 16
 
     def test_step_above_the_pair_delay_bound_raises(self):
         # dt = 0.02 is within the c_ee bound 2 z1 / 8 = 0.025 but above the
@@ -340,26 +358,29 @@ class TestTwoPhoton:
 # ---------------------------------------------------------------------------
 
 def hermite_gauss_two_photon(pair, t, n_gauss=16):
-    """c_kk at the output node nearest t, interval by interval: n_gauss
-    Gauss-Legendre points on each record interval's part in [0, t], the
-    cubic Hermite interpolant of the interval's end values and derivatives
-    there, and exact phases (no interpolation)."""
+    """c_kk at the record node nearest t, interval by interval: n_gauss
+    Gauss-Legendre points on each record interval in [0, t], the cubic
+    Hermite interpolant of the interval's end values and derivatives there,
+    and exact phases (no interpolation).  The Hermite basis is taken at the
+    points' exact fractions (x + 1) / 2: at the fractions of their rounded
+    times it would be off by ulp(t) / h, 1.6e-13 of the result over 1024
+    intervals."""
     cfg = pair.config
     t = float(pair.times[pair.index_at(t)])
     g1 = coupling_row(pair.kgrid, cfg.atoms[0])
     g2 = coupling_row(pair.kgrid, cfg.atoms[1])
     det = pair.kgrid.k_values - cfg.omega_a
     x, w = np.polynomial.legendre.leggauss(n_gauss)
-    nodes, rec = pair.record_times, pair.record
+    u = (0.5 * (x + 1))[:, None, None]
+    nodes, rec = pair.times, pair.record
     n = len(pair.kgrid)
     s = np.zeros((n, n), dtype=complex)
     for j in range(len(nodes) - 1):
-        a, b = nodes[j], min(nodes[j + 1], t)
-        if b <= a:
+        a, b = nodes[j], nodes[j + 1]
+        if b > t:
             break
-        h = nodes[j + 1] - a
-        tg = 0.5 * (a + b) + 0.5 * (b - a) * x
-        u = ((tg - a) / h)[:, None, None]
+        h = b - a
+        tg = 0.5 * (a + b) + 0.5 * h * x
         y = ((1 + 2 * u) * (1 - u) ** 2 * rec[j, 0]
              + h * u * (1 - u) ** 2 * rec[j, 1]
              + u * u * (3 - 2 * u) * rec[j + 1, 0]
@@ -369,27 +390,25 @@ def hermite_gauss_two_photon(pair, t, n_gauss=16):
     return -1j * TWO_PHOTON_SCALE * (s + s.T)
 
 
-def random_pair(kgrid, record_times, times, seed):
+def random_pair(kgrid, times, seed):
     """A `SpectralPairResult` with a random Hermite record (values and
-    derivatives) on `record_times` and zero c_ee and populations on the
-    output grid `times`."""
+    derivatives) and zero c_ee and populations on `times`."""
     rng = np.random.default_rng(seed)
-    shape = (len(record_times), 2, 2, len(kgrid))
+    shape = (len(times), 2, 2, len(kgrid))
     record = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return SpectralPairResult(
         times=times, cee=np.zeros(len(times), complex),
-        populations=np.zeros((2, len(times))), record_times=record_times,
-        record=record, kgrid=kgrid, config=FIG2, stride=1)
+        populations=np.zeros((2, len(times))), record=record, kgrid=kgrid,
+        config=FIG2, stride=1)
 
 
 @st.composite
 def records(draw):
     """A random record of 1 to 1300 nodes on an off-centre grid, its last
-    interval short or not; an output grid of 1 to 4 nodes per record node
-    plus the record nodes on block edges; 1 to 6 checkpoints (unsorted,
-    repeated, at 0, on block edges).  At most 0.5 rad per record interval
-    and 400 rad over the record, where rounding the reference's phase
-    arguments stays well below the tolerance."""
+    interval short or not; 1 to 6 checkpoints (unsorted, repeated, at 0, on
+    block edges, at the end).  At most 0.5 rad per record interval and 400
+    rad over the record, where rounding the reference's phase arguments
+    stays well below the tolerance."""
     theta = draw(st.floats(1e-3, 0.5))
     n_rec = min(int(400 / theta), draw(
         st.integers(1, 1300) | st.sampled_from([1, 2, 513, 1025, 1300])))
@@ -400,15 +419,13 @@ def records(draw):
     nodes = h * np.arange(n_rec)
     if n_rec > 1 and draw(st.booleans()):
         nodes[-1] = nodes[-2] + h * draw(st.floats(0.01, 0.99))
-    edges = nodes[[i for i in (_QUAD_BLOCK - 1, _QUAD_BLOCK, _QUAD_BLOCK + 1,
-                               2 * _QUAD_BLOCK) if i < n_rec]]
-    n_out = draw(st.integers(1, 4 * n_rec))
-    times = np.unique(np.append(np.linspace(0.0, nodes[-1], n_out), edges))
-    marks = [0, len(times) - 1, *np.searchsorted(times, edges)]
-    picks = draw(st.lists(st.integers(0, len(times) - 1)
-                          | st.sampled_from(marks), min_size=1, max_size=6))
-    pair = random_pair(kgrid, nodes, times, draw(st.integers(0, 2**32 - 1)))
-    return pair, [float(times[i]) for i in picks]
+    marks = [0, n_rec - 1, *(i for i in (_QUAD_BLOCK - 1, _QUAD_BLOCK,
+                                         _QUAD_BLOCK + 1, 2 * _QUAD_BLOCK)
+                              if i < n_rec)]
+    picks = draw(st.lists(st.integers(0, n_rec - 1) | st.sampled_from(marks),
+                          min_size=1, max_size=6))
+    pair = random_pair(kgrid, nodes, draw(st.integers(0, 2**32 - 1)))
+    return pair, [float(nodes[i]) for i in picks]
 
 
 def filon_moments(theta, a):
@@ -442,8 +459,8 @@ class TestTwoPhotonQuadrature:
             np.testing.assert_allclose(g, r, rtol=0, atol=1e-13 * scale)
 
     @pytest.mark.parametrize("config, t_end, at_times", [
-        # 161 output nodes, 41 record nodes: checkpoints unsorted, repeated,
-        # at t = 0, inside a record interval (0.7125) and at the end
+        # 41 record nodes: checkpoints unsorted, repeated, at t = 0, off the
+        # nodes (0.7125, taken at 0.7) and at the end
         (FIG2, 2.0, [1.5, 0.0, 2.0, 0.7, 1.5, 0.7125]),
         # 601 record nodes: the second segment spans two blocks, and a
         # block folds onto more than 128 Chebyshev points
@@ -456,11 +473,9 @@ class TestTwoPhotonQuadrature:
             "atom2-decoupled"])
     def test_matches_per_segment_loop(self, config, t_end, at_times):
         pair, _ = small_pair(config, t_end, n=61, half=10.0)
-        assert pair.stride == 4
+        assert pair.stride == 16
         np.testing.assert_allclose(np.diff(pair.times), pair.times[1],
                                    rtol=1e-12)
-        np.testing.assert_allclose(np.diff(pair.record_times),
-                                   4 * pair.times[1], rtol=1e-12)
         got = solve_two_photon(pair, at_times)
         self.check(got, [(float(pair.times[pair.index_at(t)]),
                           hermite_gauss_two_photon(pair, t)) for t in at_times])
@@ -468,32 +483,28 @@ class TestTwoPhotonQuadrature:
             assert all(np.all(g == 0.0) for _, g in got)
 
     def test_short_last_interval(self):
-        # 641 steps at stride 4 and record stride 16: the final node is one
-        # step past the last stride node of both grids
+        # 641 steps at stride 16: the final node is one step past the last
+        # stride node
         dt = min(FIG2.delays) / 32
         pair, _ = small_pair(FIG2, 641 * dt, n=61, half=10.0)
-        assert pair.stride == 4 and len(pair.times) == 162
-        assert len(pair.record_times) == 42
-        for t in (pair.times, pair.record_times):
-            assert t[-1] - t[-2] == pytest.approx(dt, rel=1e-12)
+        assert pair.stride == 16 and len(pair.times) == 42
+        assert pair.times[-1] - pair.times[-2] == pytest.approx(dt, rel=1e-12)
         at = [float(pair.times[-1]), float(pair.times[-2]), 1.0]
         got = solve_two_photon(pair, at)
         self.check(got, [(t, hermite_gauss_two_photon(pair, t)) for t in at])
 
-    @pytest.mark.parametrize("frac", [1.0, 0.37])
-    def test_one_interval_matches_filon_moments(self, frac):
+    def test_one_interval_matches_filon_moments(self):
         # one record interval [0, h] with theta = (k - omega_a) h over
-        # [-1.1, 1.1]; a checkpoint at its end or inside it.  The Hermite
-        # cubic sum_m c_m u^m (u = s / h) integrates against the phase to
-        # h sum_m c_m M_m(theta, frac) exactly
+        # [-1.1, 1.1], a checkpoint at its end.  The Hermite cubic
+        # sum_m c_m u^m (u = s / h) integrates against the phase to
+        # h sum_m c_m M_m(theta, 1) exactly
         kgrid = KGrid.centered(WA, 11.0, 9)
         h = 0.1
-        times = np.unique([0.0, frac * h, h])
-        pair = random_pair(kgrid, np.array([0.0, h]), times, seed=3)
-        (t, got), = solve_two_photon(pair, [frac * h])
-        assert t == frac * h
+        pair = random_pair(kgrid, np.array([0.0, h]), seed=3)
+        (t, got), = solve_two_photon(pair, [h])
+        assert t == h
         det = kgrid.k_values - WA
-        moments = np.array([filon_moments(d * h, frac) for d in det]).T
+        moments = np.array([filon_moments(d * h, 1.0) for d in det]).T
         y0, d0, y1, d1 = pair.record[0, 0], h * pair.record[0, 1], \
             pair.record[1, 0], h * pair.record[1, 1]
         coeffs = np.stack([y0, d0, -3 * y0 - 2 * d0 + 3 * y1 - d1,
@@ -510,15 +521,16 @@ class TestTwoPhotonQuadrature:
                                               (2.0, 32), (0.5, 32)])
     def test_record_stride_error_is_small(self, monkeypatch, half, stride):
         # fig3's geometry and plan (dt = min delay / 64) at N = 41 over
-        # [0, 5] against the same rule on every step
-        at = [1.25, 2.5, 5.0]
+        # [0, 5] against the same rule on every step, at the record nodes
+        # nearest 1.25, 2.5 and 5
         pair, _ = small_pair(FIG3, 5.0, n=41, half=half, dt_div=64)
+        at = [float(pair.times[pair.index_at(t)]) for t in (1.25, 2.5, 5.0)]
         got = solve_two_photon(pair, at)
         monkeypatch.setattr(frequency, "_MAX_PHASE_PER_INTERVAL", 1e-12)
         fine, cee = small_pair(FIG3, 5.0, n=41, half=half, dt_div=64)
-        assert len(fine.record_times) == len(cee.states)
+        assert len(fine.times) == len(cee.states)
         n_steps = len(cee.states) - 1
-        assert len(pair.record_times) == -(-n_steps // stride) + 1
+        assert len(pair.times) == -(-n_steps // stride) + 1
         want = solve_two_photon(fine, at)
         assert [t for t, _ in got] == [t for t, _ in want]
         for (_, g), (_, r) in zip(got, want):
@@ -591,7 +603,7 @@ class TestTwoPhotonQuadrature:
         n, n_rec = 1001, 200
         matrix = n * n * 16
         nodes = 0.003 * np.arange(n_rec)
-        pair = random_pair(KGrid.centered(WA, 20.0, n), nodes, nodes, seed=5)
+        pair = random_pair(KGrid.centered(WA, 20.0, n), nodes, seed=5)
         at_times = [float(pair.times[-1]), 0.2, 0.4]
         symmetric, before = frequency._symmetric, []
 
@@ -614,7 +626,7 @@ class TestTwoPhotonQuadrature:
         assert peak <= (len(at_times) + 1.5) * matrix
 
     def test_stream_matches_the_list(self):
-        # unsorted, repeated, at t = 0 and inside a record interval
+        # unsorted, repeated, at t = 0 and off the record nodes
         pair, _ = small_pair(FIG2, 2.0, n=61, half=10.0)
         at_times = [1.5, 0.0, 2.0, 0.7, 1.5, 0.7125]
         listed = solve_two_photon(pair, at_times)
@@ -640,7 +652,7 @@ class TestTwoPhotonQuadrature:
         n, n_rec = 1001, 200
         matrix = n * n * 16
         nodes = 0.003 * np.arange(n_rec)
-        pair = random_pair(KGrid.centered(WA, 20.0, n), nodes, nodes, seed=5)
+        pair = random_pair(KGrid.centered(WA, 20.0, n), nodes, seed=5)
         at_times = list(np.linspace(0.0, pair.t_end, count + 1)[1:])
         symmetric, held = frequency._symmetric, []
 

@@ -571,6 +571,9 @@ class TestRunPlan:
         cfg = PRESETS["fig2"].config
         s = RunSettings(t_end=0.5, dt=0.001, k_points=11, k_halfwidth=0.0)
         assert s.resolved(cfg) == s
+        # a numpy float32 is a finite real, kept as given
+        s32 = RunSettings(dt=np.float32(0.1))
+        assert s32.resolved(cfg).dt == s32.dt
         with pytest.raises(InvalidGrid):
             wqsim.run_pipeline(cfg, s, tmp_path / "a")
         rc = main(["preset", "fig2", "--out", str(tmp_path / "b"),
