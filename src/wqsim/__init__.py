@@ -2,8 +2,9 @@
 waveguide, in the frequency (mode) and spatial (wave-packet) pictures."""
 import os as _os
 
-# Cap BLAS/OpenMP pools before numpy loads; WQSIM_THREADS limits the
-# data-parallel width of the mode-space linear algebra.
+# WQSIM_THREADS is the width of the cascade's mode-tile pool
+# (`frequency._tile_pool`, which holds BLAS to one thread inside it); here,
+# before numpy loads, it also caps the BLAS/OpenMP pools of everything else.
 _cap = _os.environ.get("WQSIM_THREADS")
 if _cap:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",

@@ -310,8 +310,8 @@ def integrate(system: DelaySystem, prehistory: np.ndarray | complex,
             nodes[n + 1, 0], nodes[n + 1, 1] = y, dy
         bad = ~np.isfinite(nodes[n0:n1 + 1, 0]).all(axis=1)
         if bad.any():
-            raise NonFiniteState(
-                f"non-finite state at t={(n0 + int(np.argmax(bad))) * dt!r}")
+            t = (n0 + int(np.argmax(bad))) * dt
+            raise NonFiniteState(f"non-finite state at t={t!r}", t)
         p0 = n0 % hist.period
         hist.ring[0, 0, p0 + 1:p0 + n1 - n0 + 1] = nodes[n0 + 1:n1 + 1, 0]
         hist.write(n0, nodes[None, n0:n1 + 1, 1])
@@ -464,7 +464,7 @@ def _blocks(y0, damping, table, taps, dt, n_steps, drive):
                 y = r[:, 0] * y + u[:, n - n0 - 1]
                 if not np.isfinite(y).all():
                     break
-            raise NonFiniteState(f"non-finite state at t={n * dt!r}")
+            raise NonFiniteState(f"non-finite state at t={n * dt!r}", n * dt)
         np.multiply(minus_d, new, out=dy[:, 1:k + 1])
         dy[:, 1:k + 1] += c
         hist.write(n0, dy[:, :k + 1])

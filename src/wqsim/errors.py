@@ -26,7 +26,12 @@ class StepTooLarge(WqsimError):
 
 
 class NonFiniteState(WqsimError):
-    """NaN/Inf detected in the integrator state (instability)."""
+    """NaN/Inf detected in the integrator state (instability); `t` is the
+    time of the first non-finite node found (inf where none is named)."""
+
+    def __init__(self, message: str = "", t: float = float("inf")) -> None:
+        super().__init__(message)
+        self.t = t
 
 
 class OutOfRange(WqsimError):

@@ -2,14 +2,17 @@
 
 The cascade solves, in order: the closed delay equation for the doubly
 excited amplitude, the per-mode pair equations for the single-photon
-amplitudes (vectorized over the whole mode grid and advanced a block of
-steps at a time by the closed-form RK4 of `dde.integrate_block`), and the
+amplitudes (vectorized over a mode tile and advanced a block of steps at
+a time by the closed-form RK4 of `dde.integrate_block`), and the
 two-photon amplitudes by Gauss quadrature of the pair amplitudes' cubic
 Hermite interpolant times a Chebyshev-interpolated phase kernel, a
 Filon-type rule (Iserles and Norsett, Proc. R. Soc. A 461, 1383 (2005)).
 `oracle_full_grid` integrates the raw discretized integro-differential
 system instead - no delay reduction - and serves as the brute-force
 cross-check for everything above.
+
+The pair solve and the quadrature run on mode tiles whose bounds depend on
+N alone (`_tile_pool`), so their bytes do not depend on WQSIM_THREADS.
 
 Two-photon amplitudes are stored in the normalized convention in which the
 plain quadrature  sum |c_kk|^2 dk^2  is the physical two-photon probability;
@@ -18,11 +21,16 @@ the conversion happens at the reporting boundary.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import functools
+import itertools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -44,6 +52,80 @@ _ROW_CHUNK = 128
 _QUAD_BLOCK = 512
 # steps per block of the oracle's two-photon update
 _ORACLE_BLOCK = 12
+# modes per tile, at most, of the pair solve and the two-photon quadrature
+_TILE_MODES = 512
+
+
+# ---------------------------------------------------------------------------
+# mode tiles on a thread pool
+# ---------------------------------------------------------------------------
+
+def _tiles(n: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of the near-equal tiles of at most `_TILE_MODES`
+    modes of an n-mode grid: a function of n alone, never of the pool."""
+    count = -(-n // _TILE_MODES)
+    return [(n * i // count, n * (i + 1) // count) for i in range(count)]
+
+
+def _pool_width(tiles: int) -> int:
+    """WQSIM_THREADS as the width of the tile pool, capped at `tiles`: 1
+    when unset or empty; ValueError unless a positive integer."""
+    raw = os.environ.get("WQSIM_THREADS", "").strip() or "1"
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"WQSIM_THREADS must be a positive integer, got {raw!r}")
+    return min(int(raw), tiles)
+
+
+@functools.cache
+def _openblas() -> tuple[Callable, Callable] | None:
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    where numpy's BLAS exports neither (looked up on the first tiled call)."""
+    import ctypes
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def _attempt(task: Callable[[], None], context: contextvars.Context
+             ) -> Exception | None:
+    try:
+        context.run(task)
+    except Exception as err:   # raised once every tile has ended
+        return err
+
+
+@contextlib.contextmanager
+def _tile_pool(tiles: int) -> Iterator[Callable[[list], None]]:
+    """A runner of one task per mode tile, with numpy's OpenBLAS held to one
+    thread until the `with` ends: on a pool of `_pool_width` threads, or in
+    order on this thread where `_openblas` finds no thread control.  Each
+    task runs in a copy of the caller's context (`np.errstate` holds).
+    Every task of a call runs to its end; then the error of the earliest
+    non-finite node (`NonFiniteState.t`), else of the first failed tile, is
+    raised."""
+    width, blas = _pool_width(tiles), _openblas()
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if blas is not None:
+            stack.callback(blas[1], blas[0]())
+            blas[1](1)
+            if width > 1:
+                from concurrent.futures import ThreadPoolExecutor
+                mapper = stack.enter_context(ThreadPoolExecutor(width)).map
+
+        def run(tasks: list[Callable[[], None]]) -> None:
+            failed = [err for err in mapper(_attempt, tasks, [
+                contextvars.copy_context() for _ in tasks]) if err is not None]
+            if failed:
+                raise min(failed, key=lambda err: getattr(err, "t", math.inf))
+        yield run
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +246,16 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
     Both amplitudes start at zero and are driven by the precomputed c_ee;
     the four delays are the two mirror round trips and the mirror-path and
     direct inter-atom delays.  The per-mode systems share their delays,
-    damping and exchange table, differ only in the drive, and are advanced
-    together as one (2, N) state by `integrate_block`, 16 steps at a time
-    at N = 1001, with RK4's stages eliminated in closed form.  Each block
-    adds the populations, values and derivatives of its nodes on one grid:
-    at most `_MAX_PHASE_PER_INTERVAL` of phase and half the shortest delay
-    per interval.  The grid ends at the final node, so its last interval is
-    shorter when the stride does not divide the step count.
+    damping and exchange table, and differ only in the drive.  Each mode
+    tile (`_tiles`) is advanced as one (2, tile) state by its own
+    `integrate_block`, with RK4's stages eliminated in closed form: 32 steps
+    at a time on each of the two tiles at N = 1001.  The tiles run on the
+    `_tile_pool`, and each block writes the values and derivatives of its
+    tile's modes at its nodes on one grid: at most
+    `_MAX_PHASE_PER_INTERVAL` of phase and half the shortest delay per
+    interval.  The grid ends at the final node, so its last interval is
+    shorter when the stride does not divide the step count.  The
+    populations are the record's mode sums, whatever the tiling.
     """
     if len(config.atoms) != 2:
         raise InvalidGeometry("the two-excitation cascade needs two atoms")
@@ -190,25 +275,42 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
     coarse = np.exp(1j * np.outer(half_grid[::_PHASE_BLOCK], detuning))
     fine = np.exp(1j * np.outer(half_grid[:_PHASE_BLOCK], detuning))
 
-    def drive(h: np.ndarray) -> np.ndarray:
-        ph = coarse[h // _PHASE_BLOCK] * fine[h % _PHASE_BLOCK]
+    def drive(h: np.ndarray, cols: slice) -> np.ndarray:
+        ph = coarse[h // _PHASE_BLOCK, cols] * fine[h % _PHASE_BLOCK, cols]
         ph *= cee_half[h, None]
-        return drive_row[:, None] * ph
+        return drive_row[:, None, cols] * ph
 
     stride = max(1, min(int(min(delays) / (2 * dt)), int(
         _MAX_PHASE_PER_INTERVAL / (_phase_width(kgrid, config.omega_a) * dt))))
     steps = np.append(np.arange(0, n_steps, stride), n_steps)
     cee_out = cee_half[2 * steps]
-    pops = np.empty((2, len(steps)))
     record = np.empty((len(steps), 2, 2, n), dtype=complex)
-    for first, y, dy in integrate_block(np.zeros((2, n)), damping, table,
-                                        delays, dt, n_steps, drive):
-        lo, hi = np.searchsorted(steps, (first, first + y.shape[1]))
-        at = steps[lo:hi] - first
-        pops[:, lo:hi] = _excited_populations(cee_out[lo:hi], *y[:, at],
-                                              kgrid.dk)
-        for i, v in enumerate((y, dy)):
-            record[lo:hi, i] = np.moveaxis(v[:, at], 1, 0)
+
+    def fill(cols: slice, blocks) -> None:
+        for first, y, dy in blocks:
+            lo, hi = np.searchsorted(steps, (first, first + y.shape[1]))
+            at = steps[lo:hi] - first
+            for i, v in enumerate((y, dy)):
+                record[lo:hi, i, :, cols] = np.moveaxis(v[:, at], 1, 0)
+
+    tasks = []
+    for lo, hi in _tiles(n):
+        cols = slice(lo, hi)
+        blocks = integrate_block(np.zeros((2, hi - lo)), damping, table, delays,
+                                 dt, n_steps, functools.partial(drive, cols=cols))
+        # node 0 on this thread: the tile's history ring then comes from the
+        # main malloc arena, where a worker's arena would keep it
+        tasks.append(functools.partial(
+            fill, cols, itertools.chain([next(blocks)], blocks)))
+    with _tile_pool(len(tasks)) as run:
+        run(tasks)
+    pops = np.empty((2, len(steps)))
+    # the record's mode sums, a chunk of nodes at a time: whole-record
+    # temporaries (12 MB each on fig2) would stay in the heap after the solve
+    for i in range(0, len(steps), _ROW_CHUNK):
+        rows = record[i:i + _ROW_CHUNK, 0]
+        pops[:, i:i + _ROW_CHUNK] = _excited_populations(
+            cee_out[i:i + _ROW_CHUNK], rows[:, 0], rows[:, 1], kgrid.dk)
     return SpectralPairResult(times=dt * steps, cee=cee_out, populations=pops,
                               record=record, kgrid=kgrid, config=config,
                               stride=stride)
@@ -295,9 +397,10 @@ def stream_two_photon(pair: SpectralPairResult, at_times: list[float]
     points, so a block is one real (p x 2 nodes) product of the folded
     value and derivative weights with the record, and one rank-2p update of
     S by the 2p sums against their phase-weighted couplings
-    (`_accumulate`).  Besides the matrix it builds it holds S, the block's
-    2p sums and couplings, and one `_ROW_CHUNK`-row product; no matrix it
-    has yielded.
+    (`_accumulate`), whose rows of S the mode tiles share out on the
+    `_tile_pool`.  Besides the matrix it builds it holds S and the block's
+    2p sums and couplings, and each worker one `_ROW_CHUNK`-row product; no
+    matrix it has yielded.
 
     Each time is taken at its nearest record node (`pair.times`); a time
     outside the record by more than half its longest interval, or not
@@ -334,6 +437,7 @@ def _two_photon_stream(pair: SpectralPairResult, stops: list[int]
     n = len(pair.kgrid)
     flat = pair.record.reshape(2 * len(nodes), 2 * n).view(float)
     acc = np.zeros((n, n), dtype=complex)
+    tiles = _tiles(n)
     start = 0   # acc holds the integral up to node `start`
     for stop in stops:
         for j0 in range(start, stop, _QUAD_BLOCK):
@@ -350,15 +454,18 @@ def _two_photon_stream(pair: SpectralPairResult, stops: list[int]
             weights[:, :-1] = part[..., :2]
             weights[:, 1:] += part[..., 2:]
             p = len(points)
-            # real weights times the record's real and imaginary parts:
-            # row 2q is c_egk at point q, row 2q + 1 c_gek
-            rows = weights.reshape(p, -1) @ flat[2 * j0:2 * (j0 + len(t_j))]
             coup = np.empty((p, 2, n), dtype=complex)
             _phases(points, det, coup[:, 1])
             np.multiply(coup[:, 1], g1, out=coup[:, 0])
             coup[:, 1] *= g2
-            _accumulate(acc, rows.view(complex).reshape(2 * p, n),
-                        coup.reshape(2 * p, n))
+            v = coup.reshape(2 * p, n)
+            with _tile_pool(len(tiles)) as run:
+                # real weights times the record's real and imaginary parts:
+                # row 2q is c_egk at point q, row 2q + 1 c_gek
+                rows = weights.reshape(p, -1) @ flat[2 * j0:2 * (j0 + len(t_j))]
+                u = rows.view(complex).reshape(2 * p, n)
+                run([functools.partial(_accumulate, acc[lo:hi], u[:, lo:hi], v)
+                     for lo, hi in tiles])
         start = stop
         yield float(nodes[stop]), _symmetric(acc, -1j * TWO_PHOTON_SCALE)
 

@@ -1,5 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +29,10 @@ from wqsim.model import MODE_MEASURE, coupling_g, coupling_row
 from wqsim.verify import _DARK_STATE_TOL
 
 WA = 50.0
+# two mode tiles against one at N = 1001, relative to each array's peak:
+# rounding only, from the engine's 32-step blocks on a tile against its
+# 16-step blocks on the whole grid
+TILE_TOL = 1e-15
 
 FIG2 = NetworkConfig(atoms=(AtomParams(0.1, 0.25, 0.5),
                             AtomParams(0.2, 0.25, 0.5)), omega_a=WA)
@@ -202,15 +211,17 @@ class TestSpectralPair:
         assert ratio < 0.05
 
     def test_output_stride_longer_than_a_block(self):
-        # half-width 0.5 at dt = min delay / 64: the stride (1019 steps by
-        # the phase) is cut to half the shortest delay, 32 steps, which
-        # exceeds the pair engine's 16-step blocks at N = 1001, so every
-        # other block holds no node
-        pair, cee = small_pair(FIG3, 1.0, n=1001, half=0.5, dt_div=64)
+        # half-width 0.5 at dt = min delay / 128: the stride (2037 steps by
+        # the phase) is cut to half the shortest delay, 64 steps, which
+        # exceeds the pair engine's 32-step blocks on each of the two mode
+        # tiles at N = 1001, so every other block holds no node
+        pair, cee = small_pair(FIG3, 1.0, n=1001, half=0.5, dt_div=128)
         taps = resolve_taps(exchange_table(FIG3)[1], cee.dt)
-        assert pair.stride == 32 > _block_size(taps, 2 * 1001) == 16
+        widths = {hi - lo for lo, hi in frequency._tiles(1001)}
+        assert {_block_size(taps, 2 * m) for m in widths} == {32}
+        assert pair.stride == 64
         _, p1, p2 = pair.populations_series()
-        assert len(p1) == len(pair.times) == -(-1019 // 32) + 1
+        assert len(p1) == len(pair.times) == -(-2038 // 64) + 1
         state = TwoExcitationState(
             c_ee=complex(pair.cee[-1]), c_egk=pair.cegk[-1],
             c_gek=pair.cgek[-1], c_kk=np.zeros((1001, 1001)),
@@ -679,6 +690,162 @@ class TestTwoPhotonQuadrature:
         assert len(norms) == len(held) == count
         assert max(held) <= 1.5 * matrix
         assert max(peaks) <= 2.5 * matrix
+
+
+def fake_blas(counts):
+    """A stand-in for `frequency._openblas` over a thread count held in
+    counts[-1]: every set appends, so a test sees the pin and the restore
+    without touching the real library."""
+    return lambda: (lambda: counts[-1], counts.append)
+
+
+class TestModeTiles:
+    @pytest.mark.parametrize("n, bounds", [
+        (2, [(0, 2)]), (512, [(0, 512)]), (513, [(0, 256), (256, 513)]),
+        (1001, [(0, 500), (500, 1001)]),
+        (1536, [(0, 512), (512, 1024), (1024, 1536)])])
+    def test_tile_bounds_depend_on_n_alone(self, monkeypatch, n, bounds):
+        for width in ("1", "2", "7"):
+            monkeypatch.setenv("WQSIM_THREADS", width)
+            assert frequency._tiles(n) == bounds
+
+    @pytest.mark.parametrize("raw, tiles, width", [
+        (None, 2, 1), ("", 2, 1), ("1", 2, 1), ("2", 2, 2), ("2", 1, 1),
+        (" 3 ", 5, 3), ("8", 3, 3), ("100000", 2, 2)])
+    def test_pool_width_is_capped_at_the_tiles(self, monkeypatch, raw, tiles,
+                                               width):
+        # the width is parsed and capped here; no thread is started
+        if raw is None:
+            monkeypatch.delenv("WQSIM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("WQSIM_THREADS", raw)
+        assert frequency._pool_width(tiles) == width
+
+    @pytest.mark.parametrize("raw", ["0", "-2", "abc", "1.5"])
+    def test_invalid_pool_width_refused(self, monkeypatch, raw):
+        monkeypatch.setenv("WQSIM_THREADS", raw)
+        with pytest.raises(ValueError, match=f"WQSIM_THREADS.*{re.escape(raw)}"):
+            frequency._pool_width(2)
+
+    @pytest.mark.parametrize("width", ["1", "3"])
+    def test_runner_pins_blas_and_names_the_earliest_node(self, monkeypatch,
+                                                          width):
+        monkeypatch.setenv("WQSIM_THREADS", width)
+        counts = [4]
+        monkeypatch.setattr(frequency, "_openblas", fake_blas(counts))
+        seen = []
+
+        def fails_at(t):
+            def task():
+                seen.append(counts[-1])
+                raise NonFiniteState(f"non-finite state at t={t!r}", t)
+            return task
+
+        with frequency._tile_pool(3) as run:
+            with pytest.raises(NonFiniteState, match="t=1.0") as err:
+                run([fails_at(2.0), lambda: None, fails_at(1.0)])
+            with pytest.raises(KeyError):   # the first tile that failed
+                run([lambda: None, lambda: {}[0], fails_at(math.inf)])
+        assert err.value.t == 1.0
+        assert seen == [1, 1, 1] and counts == [4, 1, 4]
+
+    def test_tiles_run_in_the_callers_context(self, monkeypatch):
+        # the suite turns a RuntimeWarning into an error on every thread, so
+        # an overflow in a worker raises unless np.errstate reaches it
+        monkeypatch.setenv("WQSIM_THREADS", "2")
+        monkeypatch.setattr(frequency, "_openblas", fake_blas([1]))
+        threads = set()
+
+        def overflow():
+            threads.add(threading.get_ident())
+            np.full(4, 1e300) * 1e300
+
+        with np.errstate(over="ignore"), frequency._tile_pool(2) as run:
+            run([overflow, overflow])
+        assert threading.get_ident() not in threads
+
+    def test_tiled_pair_solve_names_the_untiled_node(self, monkeypatch):
+        # atom 1 at gamma 30: D dt = -11.25 at dt = min delay / 8, where RK4
+        # grows ~660-fold a step; c_ee from the stable fig2 network
+        bad = NetworkConfig(atoms=(AtomParams(0.1, 30.0, 30.0),
+                                   AtomParams(0.2, 0.25, 0.5)), omega_a=WA)
+        cee = solve_cee(FIG2, 3.0, min(bad.delays) / 8)
+        kgrid = KGrid.centered(WA, 45.0, 1001)
+        monkeypatch.setenv("WQSIM_THREADS", "2")
+        times = []
+        for tile in (frequency._TILE_MODES, 1001):   # two tiles, then one
+            monkeypatch.setattr(frequency, "_TILE_MODES", tile)
+            with np.errstate(all="ignore"), pytest.raises(NonFiniteState) as err:
+                solve_spectral_pair(bad, cee, kgrid)
+            times.append(err.value.t)
+        assert times[0] == times[1] < 3.0
+
+    def test_two_tiles_match_one_tile(self, monkeypatch):
+        # fig2's plan at N = 1001 on a short run: two tiles against one (the
+        # untiled solve and quadrature, bit for bit); the populations are
+        # the record's sums on every tiling
+        monkeypatch.setenv("WQSIM_THREADS", "2")
+        dt = min(FIG2.delays) / 64
+        cee = solve_cee(FIG2, 1.0, dt)
+        kgrid = KGrid.centered(WA, 45.0, 1001)
+        runs = []
+        for tile in (frequency._TILE_MODES, 1001):
+            monkeypatch.setattr(frequency, "_TILE_MODES", tile)
+            pair = solve_spectral_pair(FIG2, cee, kgrid)
+            runs.append((pair, [c for _, c in stream_two_photon(pair, [0.5, 1.0])]))
+            for i in range(len(pair.times)):
+                want = _excited_populations(pair.cee[i], *pair.record[i, 0],
+                                            kgrid.dk)
+                assert tuple(pair.populations[:, i]) == want
+        (tiled, ckk), (whole, ckk_whole) = runs
+        assert np.array_equal(tiled.times, whole.times)
+        for got, want in ((tiled.record, whole.record), *zip(ckk, ckk_whole)):
+            peak = np.abs(want).max()
+            assert np.abs(got - want).max() <= TILE_TOL * peak
+
+    def test_many_tiles_on_more_threads_than_cores(self, monkeypatch):
+        # 16 tiles of 7 or 8 modes on 6 threads, switching every microsecond:
+        # every tile's columns of the record and rows of S arrive
+        monkeypatch.setenv("WQSIM_THREADS", "6")
+        pair, cee = small_pair(FIG2, 1.0, n=121, half=10.0)
+        ckk = solve_two_photon(pair, [0.5, 1.0])
+        monkeypatch.setattr(frequency, "_TILE_MODES", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            tiled = solve_spectral_pair(FIG2, cee, pair.kgrid)
+            tiled_ckk = solve_two_photon(tiled, [0.5, 1.0])
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(frequency._tiles(121)) == 16
+        for got, want in ((tiled.record, pair.record),
+                          *((a[1], b[1]) for a, b in zip(tiled_ckk, ckk))):
+            assert np.abs(got - want).max() <= TILE_TOL * np.abs(want).max()
+
+    def test_csv_bytes_do_not_depend_on_the_pool_width(self, tmp_path):
+        # fig2 (N = 1001, two tiles) on a short run, in child processes, so
+        # that WQSIM_THREADS is read before numpy loads.  The last run finds
+        # no BLAS thread control: its tiles run in order, on BLAS's one thread
+        script = ("import sys\n"
+                  "from wqsim import cli, frequency\n"
+                  "if sys.argv[2] == 'fallback':\n"
+                  "    frequency._openblas = lambda: None\n"
+                  "sys.exit(cli.main(['preset', 'fig2', '--t-end', '0.5',\n"
+                  "                   '--out', sys.argv[1]]))\n")
+        outputs = []
+        for width, mode in (("1", "pool"), ("2", "pool"), ("1", "fallback")):
+            out = tmp_path / f"{mode}{width}"
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(out), mode],
+                capture_output=True, text=True,
+                env={"PATH": "/usr/bin:/bin", "HOME": str(Path.home()),
+                     "WQSIM_THREADS": width,
+                     "PYTHONPATH": os.environ["PYTHONPATH"]})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({p.name: p.read_bytes()
+                            for p in sorted(out.glob("*.csv"))})
+        assert len(outputs[0]) == 5
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestStateAndNorms:
