@@ -2,14 +2,24 @@
 waveguide, in the frequency (mode) and spatial (wave-packet) pictures."""
 import os as _os
 
+
+def _thread_count(raw: str | None) -> int | None:
+    """WQSIM_THREADS as a positive integer, None when unset or empty;
+    ValueError for anything else, so every run refuses it at import."""
+    raw = (raw or "").strip()
+    if raw and not (raw.isdecimal() and int(raw) > 0):
+        raise ValueError(f"WQSIM_THREADS must be a positive integer, got {raw!r}")
+    return int(raw) if raw else None
+
+
 # WQSIM_THREADS is the width of the cascade's mode-tile pool
 # (`frequency._tile_pool`, which holds BLAS to one thread inside it); here,
 # before numpy loads, it also caps the BLAS/OpenMP pools of everything else.
-_cap = _os.environ.get("WQSIM_THREADS")
-if _cap:
+_THREADS = _thread_count(_os.environ.get("WQSIM_THREADS"))
+if _THREADS:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _cap)
+        _os.environ.setdefault(_var, str(_THREADS))
 
 __version__ = "0.1.0"
 

@@ -34,6 +34,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from . import _THREADS
 from .dde import (Trajectory, _hermite_weights, integrate, integrate_block,
                   linear_system, step_count)
 from .errors import InvalidGeometry, NonFiniteState, OutsideMarkovRegimeWarning
@@ -46,7 +47,7 @@ _MAX_PHASE_PER_INTERVAL = 0.5
 # half-steps per coarse row of the pair solve's two-level phase table
 _PHASE_BLOCK = 128
 # accumulator rows per chunk of a two-photon rank update (`_accumulate`):
-# its product temporary is that many rows, not a second accumulator
+# its product buffer is that many rows, not a second accumulator
 _ROW_CHUNK = 128
 # record intervals per block of the two-photon quadrature's phase interpolant
 _QUAD_BLOCK = 512
@@ -68,12 +69,11 @@ def _tiles(n: int) -> list[tuple[int, int]]:
 
 
 def _pool_width(tiles: int) -> int:
-    """WQSIM_THREADS as the width of the tile pool, capped at `tiles`: 1
-    when unset or empty; ValueError unless a positive integer."""
-    raw = os.environ.get("WQSIM_THREADS", "").strip() or "1"
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ValueError(f"WQSIM_THREADS must be a positive integer, got {raw!r}")
-    return min(int(raw), tiles)
+    """The tile pool's width: WQSIM_THREADS (parsed at import), else the
+    usable cores; at most `tiles`."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return min(_THREADS or cores, tiles)
 
 
 @functools.cache
@@ -366,10 +366,13 @@ def _phases(s: np.ndarray, det: np.ndarray, out: np.ndarray) -> None:
     out *= 1.0 + 1j * low
 
 
-def _accumulate(acc: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-    """acc += u^T v, `_ROW_CHUNK` rows of acc at a time."""
+def _accumulate(acc: np.ndarray, u: np.ndarray, v: np.ndarray,
+                prod: np.ndarray) -> None:
+    """acc += u^T v, `_ROW_CHUNK` rows of acc at a time through `prod`, a
+    buffer of (up to) that many rows of acc."""
     for r in range(0, len(acc), _ROW_CHUNK):
-        acc[r:r + _ROW_CHUNK] += u[:, r:r + _ROW_CHUNK].T @ v
+        rows = acc[r:r + _ROW_CHUNK]
+        rows += np.matmul(u[:, r:r + _ROW_CHUNK].T, v, out=prod[:len(rows)])
 
 
 def _symmetric(a: np.ndarray, scale: complex) -> np.ndarray:
@@ -399,7 +402,7 @@ def stream_two_photon(pair: SpectralPairResult, at_times: list[float]
     S by the 2p sums against their phase-weighted couplings
     (`_accumulate`), whose rows of S the mode tiles share out on the
     `_tile_pool`.  Besides the matrix it builds it holds S and the block's
-    2p sums and couplings, and each worker one `_ROW_CHUNK`-row product; no
+    2p sums and couplings, and each tile one `_ROW_CHUNK`-row product; no
     matrix it has yielded.
 
     Each time is taken at its nearest record node (`pair.times`); a time
@@ -464,8 +467,12 @@ def _two_photon_stream(pair: SpectralPairResult, stops: list[int]
                 # row 2q is c_egk at point q, row 2q + 1 c_gek
                 rows = weights.reshape(p, -1) @ flat[2 * j0:2 * (j0 + len(t_j))]
                 u = rows.view(complex).reshape(2 * p, n)
-                run([functools.partial(_accumulate, acc[lo:hi], u[:, lo:hi], v)
-                     for lo, hi in tiles])
+                # each tile's product rows come from this thread's malloc
+                # arena: a worker's arena would keep them after the pool ends
+                run([functools.partial(
+                    _accumulate, acc[lo:hi], u[:, lo:hi], v,
+                    np.empty((min(hi - lo, _ROW_CHUNK), n), dtype=complex))
+                    for lo, hi in tiles])
         start = stop
         yield float(nodes[stop]), _symmetric(acc, -1j * TWO_PHOTON_SCALE)
 
@@ -627,6 +634,7 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
     # the same rows folded onto the points: the s rows, then the g rows
     uc = np.empty((2, p, 2, n), dtype=complex)
     vc = np.empty((2, p, 2, m), dtype=complex)
+    prod = np.empty((min(n, _ROW_CHUNK), m), dtype=complex)
     scale = -1j * dt / 6.0
     ks = [np.empty_like(y) for _ in range(4)]
     stages = [y] + [np.empty_like(y) for _ in range(3)]
@@ -700,7 +708,7 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
         # which are used up: C += Uc^T Vc
         np.matmul(lead, ut[:nh, :2].reshape(nh, -1), out=proj)
         np.matmul(lead, v[:nh, 2:].reshape(nh, -1), out=vc[1].reshape(p, -1))
-        _accumulate(ckk, uc.reshape(4 * p, n), vc.reshape(4 * p, m))
+        _accumulate(ckk, uc.reshape(4 * p, n), vc.reshape(4 * p, m), prod)
         if not np.isfinite(y).all():
             raise NonFiniteState(f"oracle state non-finite at t={b1 * dt}")
         if b1 in chk_steps:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, frequency
 from .dde import Trajectory
 from .errors import UnknownPreset
 from .frequency import (analytic_cee_markov, classify_steady_state,
@@ -162,6 +162,8 @@ def run_pipeline(config: NetworkConfig, settings: RunSettings,
     manifest["kind"] = kind
     manifest["wqsim_version"] = __version__
     manifest["numpy_version"] = np.__version__
+    if kind == "cascade":   # tiles off the pin follow BLAS's thread count
+        manifest["tiles_blas_pinned"] = frequency._openblas() is not None
     write_manifest(out / "manifest.txt", manifest)
     return summary
 

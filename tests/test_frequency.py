@@ -18,6 +18,7 @@ from wqsim import (PRESETS, AtomParams, DelaySystem, InvalidGrid, KGrid,
                    populations, solve_cee, solve_spectral_pair,
                    solve_two_photon, stream_two_photon, total_norm,
                    two_photon_norm)
+import wqsim
 from wqsim import frequency
 from wqsim.dde import _block_size, resolve_taps
 from wqsim.frequency import (_MAX_PHASE_PER_INTERVAL, _ORACLE_BLOCK,
@@ -705,32 +706,45 @@ class TestModeTiles:
         (1001, [(0, 500), (500, 1001)]),
         (1536, [(0, 512), (512, 1024), (1024, 1536)])])
     def test_tile_bounds_depend_on_n_alone(self, monkeypatch, n, bounds):
-        for width in ("1", "2", "7"):
-            monkeypatch.setenv("WQSIM_THREADS", width)
+        for width in (1, 2, 7):
+            monkeypatch.setattr(frequency, "_THREADS", width)
             assert frequency._tiles(n) == bounds
 
-    @pytest.mark.parametrize("raw, tiles, width", [
-        (None, 2, 1), ("", 2, 1), ("1", 2, 1), ("2", 2, 2), ("2", 1, 1),
-        (" 3 ", 5, 3), ("8", 3, 3), ("100000", 2, 2)])
-    def test_pool_width_is_capped_at_the_tiles(self, monkeypatch, raw, tiles,
-                                               width):
-        # the width is parsed and capped here; no thread is started
-        if raw is None:
-            monkeypatch.delenv("WQSIM_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("WQSIM_THREADS", raw)
+    @pytest.mark.parametrize("threads, cores, tiles, width", [
+        (None, 2, 2, 2), (None, 8, 2, 2), (None, 1, 2, 1), (None, 8, 1, 1),
+        (1, 8, 2, 1), (2, 1, 2, 2), (2, 2, 1, 1), (3, 2, 5, 3), (8, 2, 3, 3),
+        (100000, 2, 2, 2)])
+    def test_pool_width_is_capped_at_the_tiles(self, monkeypatch, threads,
+                                               cores, tiles, width):
+        # WQSIM_THREADS, else the usable cores, capped at the tiles; the
+        # width is only computed here, no thread is started
+        monkeypatch.setattr(frequency, "_THREADS", threads)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cores)), raising=False)
         assert frequency._pool_width(tiles) == width
 
-    @pytest.mark.parametrize("raw", ["0", "-2", "abc", "1.5"])
-    def test_invalid_pool_width_refused(self, monkeypatch, raw):
-        monkeypatch.setenv("WQSIM_THREADS", raw)
-        with pytest.raises(ValueError, match=f"WQSIM_THREADS.*{re.escape(raw)}"):
-            frequency._pool_width(2)
+    @pytest.mark.parametrize("raw, threads", [
+        (None, None), ("", None), (" ", None), ("1", 1), (" 3 ", 3),
+        ("100000", 100000)])
+    def test_thread_count_parsed_at_import(self, raw, threads):
+        assert wqsim._thread_count(raw) == threads
 
-    @pytest.mark.parametrize("width", ["1", "3"])
+    @pytest.mark.parametrize("raw", ["0", "-2", "abc", "1.5"])
+    def test_invalid_thread_count_refused(self, raw):
+        with pytest.raises(ValueError, match=f"WQSIM_THREADS.*{re.escape(raw)}"):
+            wqsim._thread_count(raw)
+
+    def test_invalid_thread_count_stops_every_run_at_import(self):
+        proc = subprocess.run([sys.executable, "-c", "import wqsim"],
+                              capture_output=True, text=True,
+                              env={**os.environ, "WQSIM_THREADS": "abc"})
+        assert proc.returncode != 0
+        assert "WQSIM_THREADS must be a positive integer" in proc.stderr
+
+    @pytest.mark.parametrize("width", [1, 3])
     def test_runner_pins_blas_and_names_the_earliest_node(self, monkeypatch,
                                                           width):
-        monkeypatch.setenv("WQSIM_THREADS", width)
+        monkeypatch.setattr(frequency, "_THREADS", width)
         counts = [4]
         monkeypatch.setattr(frequency, "_openblas", fake_blas(counts))
         seen = []
@@ -752,7 +766,7 @@ class TestModeTiles:
     def test_tiles_run_in_the_callers_context(self, monkeypatch):
         # the suite turns a RuntimeWarning into an error on every thread, so
         # an overflow in a worker raises unless np.errstate reaches it
-        monkeypatch.setenv("WQSIM_THREADS", "2")
+        monkeypatch.setattr(frequency, "_THREADS", 2)
         monkeypatch.setattr(frequency, "_openblas", fake_blas([1]))
         threads = set()
 
@@ -771,7 +785,7 @@ class TestModeTiles:
                                    AtomParams(0.2, 0.25, 0.5)), omega_a=WA)
         cee = solve_cee(FIG2, 3.0, min(bad.delays) / 8)
         kgrid = KGrid.centered(WA, 45.0, 1001)
-        monkeypatch.setenv("WQSIM_THREADS", "2")
+        monkeypatch.setattr(frequency, "_THREADS", 2)
         times = []
         for tile in (frequency._TILE_MODES, 1001):   # two tiles, then one
             monkeypatch.setattr(frequency, "_TILE_MODES", tile)
@@ -784,7 +798,7 @@ class TestModeTiles:
         # fig2's plan at N = 1001 on a short run: two tiles against one (the
         # untiled solve and quadrature, bit for bit); the populations are
         # the record's sums on every tiling
-        monkeypatch.setenv("WQSIM_THREADS", "2")
+        monkeypatch.setattr(frequency, "_THREADS", 2)
         dt = min(FIG2.delays) / 64
         cee = solve_cee(FIG2, 1.0, dt)
         kgrid = KGrid.centered(WA, 45.0, 1001)
@@ -806,7 +820,7 @@ class TestModeTiles:
     def test_many_tiles_on_more_threads_than_cores(self, monkeypatch):
         # 16 tiles of 7 or 8 modes on 6 threads, switching every microsecond:
         # every tile's columns of the record and rows of S arrive
-        monkeypatch.setenv("WQSIM_THREADS", "6")
+        monkeypatch.setattr(frequency, "_THREADS", 6)
         pair, cee = small_pair(FIG2, 1.0, n=121, half=10.0)
         ckk = solve_two_photon(pair, [0.5, 1.0])
         monkeypatch.setattr(frequency, "_TILE_MODES", 8)
@@ -825,7 +839,11 @@ class TestModeTiles:
     def test_csv_bytes_do_not_depend_on_the_pool_width(self, tmp_path):
         # fig2 (N = 1001, two tiles) on a short run, in child processes, so
         # that WQSIM_THREADS is read before numpy loads.  The last run finds
-        # no BLAS thread control: its tiles run in order, on BLAS's one thread
+        # no BLAS thread control: its tiles run in order, on BLAS's one
+        # thread, and its manifest says that they were not pinned
+        if frequency._openblas() is None:
+            pytest.skip("numpy's BLAS has no thread control that wqsim finds:"
+                        " the bytes follow the BLAS thread count")
         script = ("import sys\n"
                   "from wqsim import cli, frequency\n"
                   "if sys.argv[2] == 'fallback':\n"
@@ -844,6 +862,8 @@ class TestModeTiles:
             assert proc.returncode == 0, proc.stderr
             outputs.append({p.name: p.read_bytes()
                             for p in sorted(out.glob("*.csv"))})
+            pinned = f"tiles_blas_pinned = {mode == 'pool'}"
+            assert pinned in (out / "manifest.txt").read_text().splitlines()
         assert len(outputs[0]) == 5
         assert outputs[0] == outputs[1] == outputs[2]
 
