@@ -367,12 +367,13 @@ def _phases(s: np.ndarray, det: np.ndarray, out: np.ndarray) -> None:
 
 
 def _accumulate(acc: np.ndarray, u: np.ndarray, v: np.ndarray,
-                prod: np.ndarray) -> None:
-    """acc += u^T v, `_ROW_CHUNK` rows of acc at a time through `prod`, a
-    buffer of (up to) that many rows of acc."""
+                prod: np.ndarray | None = None) -> None:
+    """acc += u^T v, `_ROW_CHUNK` rows of acc at a time, through `prod` (a
+    buffer of that many rows of acc) when given, else a temporary."""
     for r in range(0, len(acc), _ROW_CHUNK):
         rows = acc[r:r + _ROW_CHUNK]
-        rows += np.matmul(u[:, r:r + _ROW_CHUNK].T, v, out=prod[:len(rows)])
+        rows += np.matmul(u[:, r:r + _ROW_CHUNK].T, v,
+                          out=None if prod is None else prod[:len(rows)])
 
 
 def _symmetric(a: np.ndarray, scale: complex) -> np.ndarray:
@@ -634,7 +635,6 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
     # the same rows folded onto the points: the s rows, then the g rows
     uc = np.empty((2, p, 2, n), dtype=complex)
     vc = np.empty((2, p, 2, m), dtype=complex)
-    prod = np.empty((min(n, _ROW_CHUNK), m), dtype=complex)
     scale = -1j * dt / 6.0
     ks = [np.empty_like(y) for _ in range(4)]
     stages = [y] + [np.empty_like(y) for _ in range(3)]
@@ -708,7 +708,7 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
         # which are used up: C += Uc^T Vc
         np.matmul(lead, ut[:nh, :2].reshape(nh, -1), out=proj)
         np.matmul(lead, v[:nh, 2:].reshape(nh, -1), out=vc[1].reshape(p, -1))
-        _accumulate(ckk, uc.reshape(4 * p, n), vc.reshape(4 * p, m), prod)
+        _accumulate(ckk, uc.reshape(4 * p, n), vc.reshape(4 * p, m))
         if not np.isfinite(y).all():
             raise NonFiniteState(f"oracle state non-finite at t={b1 * dt}")
         if b1 in chk_steps:
