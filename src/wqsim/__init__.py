@@ -13,7 +13,7 @@ def _thread_count(raw: str | None) -> int | None:
 
 
 # WQSIM_THREADS is the width of the cascade's mode-tile pool
-# (`frequency._tile_pool`, which holds BLAS to one thread inside it); here,
+# (`frequency._run_tiles`, which holds BLAS to one thread inside it); here,
 # before numpy loads, it also caps the BLAS/OpenMP pools of everything else.
 _THREADS = _thread_count(_os.environ.get("WQSIM_THREADS"))
 if _THREADS:
@@ -23,10 +23,10 @@ if _THREADS:
 
 __version__ = "0.1.0"
 
-from .errors import (InvalidCoupling, InvalidFrequency, InvalidGeometry,
-                     InvalidGrid, MissingOrigin, NonFiniteState,
-                     OutOfRange, OutsideMarkovRegimeWarning, ParseError,
-                     StepTooLarge, UnknownPreset, WqsimError)
+from .errors import (GridRevivalWarning, InvalidCoupling, InvalidFrequency,
+                     InvalidGeometry, InvalidGrid, MissingOrigin,
+                     NonFiniteState, OutOfRange, OutsideMarkovRegimeWarning,
+                     ParseError, StepTooLarge, UnknownPreset, WqsimError)
 from .model import (AtomParams, KGrid, NetworkConfig, coupling_g,
                     validate_config)
 from .dde import DelaySystem, Trajectory, integrate

@@ -369,11 +369,12 @@ def integrate_block(y0: np.ndarray, damping: np.ndarray, table: np.ndarray,
     nonzero coupling, and its nodes are one product with a triangular
     table of powers of R.  The values are `integrate`'s up to rounding.
 
-    Returns an iterator over blocks (first, y, dy): the states and
-    derivatives of nodes first, ..., first + k - 1 as (rows, k, cols)
-    views, valid until the next block; node 0 comes alone.  Raises
-    ValueError and StepTooLarge at the call, NonFiniteState naming the
-    first non-finite node while iterating.
+    Sets up at the call: the ring, the block buffers and node 0 (the one
+    drive(h = [0]) call).  Returns an iterator over blocks (first, y, dy):
+    the states and derivatives of nodes first, ..., first + k - 1 as
+    (rows, k, cols) views, valid until the next block; node 0 comes alone.
+    Raises ValueError and StepTooLarge at the call, NonFiniteState naming
+    the first non-finite node while iterating.
     """
     if not all(math.isfinite(tau) and tau > 0.0 for tau in delays):
         raise ValueError(f"delays must be finite and > 0, got {tuple(delays)}")
@@ -385,12 +386,8 @@ def integrate_block(y0: np.ndarray, damping: np.ndarray, table: np.ndarray,
     if y0.ndim != 2 or damping.shape != y0.shape[:1]:
         raise ValueError(f"need y0 (rows, cols) and damping (rows,), got "
                          f"{y0.shape} and {damping.shape}")
-    return _blocks(y0, damping, table, resolve_taps(delays, dt), dt, n_steps,
-                   drive)
-
-
-def _blocks(y0, damping, table, taps, dt, n_steps, drive):
     rows, cols = y0.shape
+    taps = resolve_taps(delays, dt)
     size = _block_size(taps, y0.size)
     hist = HistoryBuffer(taps, dt, np.zeros((rows, cols)), size)
     ring, period = hist.ring, hist.period
@@ -434,40 +431,42 @@ def _blocks(y0, damping, table, taps, dt, n_steps, drive):
     stack = np.zeros((rows, 2 + 2 * size, cols), dtype=complex)
     dy = np.empty((rows, size + 1, cols), dtype=complex)
     # every read of the step before node 0 lies before t = 0
-    c_last = stack[:, 1 + 2 * size]
-    c_last += 0.0 if drive is None else drive(np.zeros(1, dtype=int))[:, 0]
+    stack[:, 1] += 0.0 if drive is None else drive(np.zeros(1, dtype=int))[:, 0]
     nodes[:, 0] = nodes[:, period] = y0
-    dy[:, 0] = c_last + minus_d[:, 0] * y0
-    yield 0, nodes[:, :1], dy[:, :1]
-    for n0 in range(0, n_steps, size):
-        k = min(size, n_steps - n0)
-        p0 = n0 % period
-        stack[:, 0], stack[:, 1] = nodes[:, p0], c_last
-        b, c = stack[:, 2:2 + k], stack[:, 2 + k:2 + 2 * k]
-        for out, tap_set, h in ((b, reads[0], 1), (c, reads[1], 2)):
-            out[:] = 0.0 if drive is None else drive(2 * (n0 + np.arange(k)) + h)
-            for row, kind, lag, q, gain in tap_set:
-                start = (n0 + lag) % period
-                out[row] += gain * ring[kind, q, start:start + k]
-        # the real table times the stack's real and imaginary parts at once
-        gains = full if k == size else node_table(k)
-        new = nodes[:, p0 + 1:p0 + k + 1]
-        np.matmul(gains, stack[:, :2 + 2 * k].view(float),
-                  out=ring.view(float)[0, :, p0 + 1:p0 + k + 1])
-        new[:, -1] += pows[:, k, None] * stack[:, 0]
-        if not np.isfinite(new).all():
-            # the table spreads an overflow over the block: step through it
-            a = np.concatenate([stack[:, 1:2], c[:, :-1]], axis=1)
-            u = p_a * a + p_b * b + p_c * c
-            y = stack[:, 0]
-            for n in range(n0 + 1, n0 + k + 1):
-                y = r[:, 0] * y + u[:, n - n0 - 1]
-                if not np.isfinite(y).all():
-                    break
-            raise NonFiniteState(f"non-finite state at t={n * dt!r}", n * dt)
-        np.multiply(minus_d, new, out=dy[:, 1:k + 1])
-        dy[:, 1:k + 1] += c
-        hist.write(n0, dy[:, :k + 1])
-        yield n0 + 1, new, dy[:, 1:k + 1]
-        dy[:, 0] = dy[:, k]
-        c_last = c[:, -1]
+    dy[:, 0] = stack[:, 1] + minus_d[:, 0] * y0
+
+    def blocks():
+        yield 0, nodes[:, :1], dy[:, :1]
+        for n0 in range(0, n_steps, size):
+            k = min(size, n_steps - n0)
+            p0 = n0 % period
+            stack[:, 0] = nodes[:, p0]
+            b, c = stack[:, 2:2 + k], stack[:, 2 + k:2 + 2 * k]
+            for out, tap_set, h in ((b, reads[0], 1), (c, reads[1], 2)):
+                out[:] = 0.0 if drive is None else drive(2 * (n0 + np.arange(k)) + h)
+                for row, kind, lag, q, gain in tap_set:
+                    start = (n0 + lag) % period
+                    out[row] += gain * ring[kind, q, start:start + k]
+            # the real table times the stack's real and imaginary parts at once
+            gains = full if k == size else node_table(k)
+            new = nodes[:, p0 + 1:p0 + k + 1]
+            np.matmul(gains, stack[:, :2 + 2 * k].view(float),
+                      out=ring.view(float)[0, :, p0 + 1:p0 + k + 1])
+            new[:, -1] += pows[:, k, None] * stack[:, 0]
+            if not np.isfinite(new).all():
+                # the table spreads an overflow over the block: step through it
+                a = np.concatenate([stack[:, 1:2], c[:, :-1]], axis=1)
+                u = p_a * a + p_b * b + p_c * c
+                y = stack[:, 0]
+                for n in range(n0 + 1, n0 + k + 1):
+                    y = r[:, 0] * y + u[:, n - n0 - 1]
+                    if not np.isfinite(y).all():
+                        break
+                raise NonFiniteState(f"non-finite state at t={n * dt!r}", n * dt)
+            np.multiply(minus_d, new, out=dy[:, 1:k + 1])
+            dy[:, 1:k + 1] += c
+            hist.write(n0, dy[:, :k + 1])
+            yield n0 + 1, new, dy[:, 1:k + 1]
+            dy[:, 0] = dy[:, k]
+            stack[:, 1] = c[:, -1]
+    return blocks()

@@ -52,3 +52,7 @@ class ParseError(WqsimError):
 
 class OutsideMarkovRegimeWarning(UserWarning):
     """Classification requested outside the short-delay/high-frequency regime."""
+
+
+class GridRevivalWarning(UserWarning):
+    """A mode grid's revival time 2 pi / dk falls before the run ends."""

@@ -12,7 +12,7 @@ system instead - no delay reduction - and serves as the brute-force
 cross-check for everything above.
 
 The pair solve and the quadrature run on mode tiles whose bounds depend on
-N alone (`_tile_pool`), so their bytes do not depend on WQSIM_THREADS.
+N alone (`_run_tiles`), so their bytes do not depend on WQSIM_THREADS.
 
 Two-photon amplitudes are stored in the normalized convention in which the
 plain quadrature  sum |c_kk|^2 dk^2  is the physical two-photon probability;
@@ -21,10 +21,8 @@ the conversion happens at the reporting boundary.
 """
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import functools
-import itertools
 import math
 import os
 import warnings
@@ -37,7 +35,8 @@ import numpy as np
 from . import _THREADS
 from .dde import (Trajectory, _hermite_weights, integrate, integrate_block,
                   linear_system, step_count)
-from .errors import InvalidGeometry, NonFiniteState, OutsideMarkovRegimeWarning
+from .errors import (GridRevivalWarning, InvalidGeometry, NonFiniteState,
+                     OutsideMarkovRegimeWarning)
 from .model import KGrid, NetworkConfig, coupling_row
 
 TWO_PHOTON_SCALE = 1.0 / math.sqrt(2.0)
@@ -93,39 +92,33 @@ def _openblas() -> tuple[Callable, Callable] | None:
     return get, put
 
 
-def _attempt(task: Callable[[], None], context: contextvars.Context
-             ) -> Exception | None:
+def _run_tiles(tasks: list[Callable[[], None]]) -> None:
+    """Run one task per mode tile with numpy's OpenBLAS held to one thread,
+    on `_pool_width` threads, or in order here at width 1 or where `_openblas`
+    finds no thread control.  Each task runs to its end in a copy of the
+    caller's context (`np.errstate` holds); then the error of the earliest
+    non-finite node (`NonFiniteState.t`), else the first error, is raised."""
+    def attempt(task, context):
+        try:
+            context.run(task)
+        except Exception as err:   # raised once every task has ended
+            return err
+
+    width, blas = _pool_width(len(tasks)), _openblas()
+    get, put = blas or (lambda: None, lambda threads: None)
+    contexts, threads = [contextvars.copy_context() for _ in tasks], get()
+    put(1)
     try:
-        context.run(task)
-    except Exception as err:   # raised once every tile has ended
-        return err
-
-
-@contextlib.contextmanager
-def _tile_pool(tiles: int) -> Iterator[Callable[[list], None]]:
-    """A runner of one task per mode tile, with numpy's OpenBLAS held to one
-    thread until the `with` ends: on a pool of `_pool_width` threads, or in
-    order on this thread where `_openblas` finds no thread control.  Each
-    task runs in a copy of the caller's context (`np.errstate` holds).
-    Every task of a call runs to its end; then the error of the earliest
-    non-finite node (`NonFiniteState.t`), else of the first failed tile, is
-    raised."""
-    width, blas = _pool_width(tiles), _openblas()
-    with contextlib.ExitStack() as stack:
-        mapper = map
-        if blas is not None:
-            stack.callback(blas[1], blas[0]())
-            blas[1](1)
-            if width > 1:
-                from concurrent.futures import ThreadPoolExecutor
-                mapper = stack.enter_context(ThreadPoolExecutor(width)).map
-
-        def run(tasks: list[Callable[[], None]]) -> None:
-            failed = [err for err in mapper(_attempt, tasks, [
-                contextvars.copy_context() for _ in tasks]) if err is not None]
-            if failed:
-                raise min(failed, key=lambda err: getattr(err, "t", math.inf))
-        yield run
+        if blas is None or width == 1:
+            ends = list(map(attempt, tasks, contexts))
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(width) as pool:
+                ends = list(pool.map(attempt, tasks, contexts))
+    finally:
+        put(threads)
+    if failed := [err for err in ends if err is not None]:
+        raise min(failed, key=lambda err: getattr(err, "t", math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +242,8 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
     damping and exchange table, and differ only in the drive.  Each mode
     tile (`_tiles`) is advanced as one (2, tile) state by its own
     `integrate_block`, with RK4's stages eliminated in closed form: 32 steps
-    at a time on each of the two tiles at N = 1001.  The tiles run on the
-    `_tile_pool`, and each block writes the values and derivatives of its
+    at a time on each of the two tiles at N = 1001.  The tiles run on
+    `_run_tiles`, and each block writes the values and derivatives of its
     tile's modes at its nodes on one grid: at most
     `_MAX_PHASE_PER_INTERVAL` of phase and half the shortest delay per
     interval.  The grid ends at the final node, so its last interval is
@@ -261,11 +254,11 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
         raise InvalidGeometry("the two-excitation cascade needs two atoms")
     dt = cee_traj.dt
     n_steps = len(cee_traj.states) - 1
-    a1, a2 = config.atoms
     n = len(kgrid)
     damping, delays, table = exchange_table(config)
     # drive of (c_egk, c_gek): atom 2 resp. atom 1 emits from |ee>
-    drive_row = -1j * np.stack([coupling_row(kgrid, a2), coupling_row(kgrid, a1)])
+    drive_row = -1j * np.stack([coupling_row(kgrid, a)
+                                for a in config.atoms[::-1]])
 
     # c_ee and e^{i(k - omega_a) t} at every half-step: the phase as a
     # coarse row (every _PHASE_BLOCK half-steps) times a fine row
@@ -293,17 +286,10 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
             for i, v in enumerate((y, dy)):
                 record[lo:hi, i, :, cols] = np.moveaxis(v[:, at], 1, 0)
 
-    tasks = []
-    for lo, hi in _tiles(n):
-        cols = slice(lo, hi)
-        blocks = integrate_block(np.zeros((2, hi - lo)), damping, table, delays,
-                                 dt, n_steps, functools.partial(drive, cols=cols))
-        # node 0 on this thread: the tile's history ring then comes from the
-        # main malloc arena, where a worker's arena would keep it
-        tasks.append(functools.partial(
-            fill, cols, itertools.chain([next(blocks)], blocks)))
-    with _tile_pool(len(tasks)) as run:
-        run(tasks)
+    # each tile's engine sets up here, in this thread's malloc arena
+    _run_tiles([functools.partial(fill, slice(lo, hi), integrate_block(
+        np.zeros((2, hi - lo)), damping, table, delays, dt, n_steps,
+        functools.partial(drive, cols=slice(lo, hi)))) for lo, hi in _tiles(n)])
     pops = np.empty((2, len(steps)))
     # the record's mode sums, a chunk of nodes at a time: whole-record
     # temporaries (12 MB each on fig2) would stay in the heap after the solve
@@ -398,13 +384,12 @@ def stream_two_photon(pair: SpectralPairResult, at_times: list[float]
     theta = W h_max for W = max|k - omega_a| and the longest record
     interval (G = 9 on `fig2`); the Hermite basis at them is one (G, 4)
     table.  Over a block the phase is `_phase_interpolant`'s sum over p
-    points, so a block is one real (p x 2 nodes) product of the folded
-    value and derivative weights with the record, and one rank-2p update of
-    S by the 2p sums against their phase-weighted couplings
-    (`_accumulate`), whose rows of S the mode tiles share out on the
-    `_tile_pool`.  Besides the matrix it builds it holds S and the block's
-    2p sums and couplings, and each tile one `_ROW_CHUNK`-row product; no
-    matrix it has yielded.
+    points, so a block is one rank-2p update of S (`_accumulate`) by the 2p
+    sums, the folded value and derivative weights times the record, against
+    their phase-weighted couplings.  Each mode tile (`_run_tiles`) forms its
+    columns of the sums and updates its rows of S.  Besides the matrix it
+    builds it holds S and the block's 2p sums and couplings, and each tile
+    one `_ROW_CHUNK`-row product; no matrix it has yielded.
 
     Each time is taken at its nearest record node (`pair.times`); a time
     outside the record by more than half its longest interval, or not
@@ -426,8 +411,7 @@ def _two_photon_stream(pair: SpectralPairResult, stops: list[int]
     from numpy.polynomial.legendre import leggauss   # 5 ms: not at import
 
     cfg = pair.config
-    g1 = coupling_row(pair.kgrid, cfg.atoms[0])
-    g2 = coupling_row(pair.kgrid, cfg.atoms[1])
+    g1, g2 = (coupling_row(pair.kgrid, a) for a in cfg.atoms)
     det = pair.kgrid.k_values - cfg.omega_a
     width = _phase_width(pair.kgrid, cfg.omega_a)
     nodes = pair.times
@@ -439,9 +423,16 @@ def _two_photon_stream(pair: SpectralPairResult, stops: list[int]
     x, w = leggauss((m + 3) // 2)
     herm = np.stack(_hermite_weights(0.5 * (x + 1.0)), axis=-1)   # (G, 4)
     n = len(pair.kgrid)
-    flat = pair.record.reshape(2 * len(nodes), 2 * n).view(float)
     acc = np.zeros((n, n), dtype=complex)
-    tiles = _tiles(n)
+
+    def tile(acc, record, weights, u, v, prod):
+        # acc += u^T v, u's rows 2q, 2q + 1 (c_egk, c_gek at point q) the
+        # real weights times the real and imaginary parts of the tile's record
+        for c in range(2):
+            np.matmul(weights, record[:, :, c].view(float).reshape(
+                weights.shape[1], -1), out=u[:, c].view(float))
+        _accumulate(acc, u.reshape(-1, u.shape[-1]), v, prod)
+
     start = 0   # acc holds the integral up to node `start`
     for stop in stops:
         for j0 in range(start, stop, _QUAD_BLOCK):
@@ -462,18 +453,14 @@ def _two_photon_stream(pair: SpectralPairResult, stops: list[int]
             _phases(points, det, coup[:, 1])
             np.multiply(coup[:, 1], g1, out=coup[:, 0])
             coup[:, 1] *= g2
-            v = coup.reshape(2 * p, n)
-            with _tile_pool(len(tiles)) as run:
-                # real weights times the record's real and imaginary parts:
-                # row 2q is c_egk at point q, row 2q + 1 c_gek
-                rows = weights.reshape(p, -1) @ flat[2 * j0:2 * (j0 + len(t_j))]
-                u = rows.view(complex).reshape(2 * p, n)
-                # each tile's product rows come from this thread's malloc
-                # arena: a worker's arena would keep them after the pool ends
-                run([functools.partial(
-                    _accumulate, acc[lo:hi], u[:, lo:hi], v,
-                    np.empty((min(hi - lo, _ROW_CHUNK), n), dtype=complex))
-                    for lo, hi in tiles])
+            # the tiles' buffers come from this thread's malloc arena: a
+            # worker's arena would keep them after the call
+            u = np.empty((p, 2, n), dtype=complex)
+            _run_tiles([functools.partial(
+                tile, acc[lo:hi], pair.record[j0:j0 + len(t_j), ..., lo:hi],
+                weights.reshape(p, -1), u[..., lo:hi], coup.reshape(2 * p, n),
+                np.empty((min(hi - lo, _ROW_CHUNK), n), dtype=complex))
+                for lo, hi in _tiles(n)])
         start = stop
         yield float(nodes[stop]), _symmetric(acc, -1j * TWO_PHOTON_SCALE)
 
@@ -579,7 +566,8 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
     per distinct step, in time order, nearest each of `checkpoint_times`
     (default: the last step), which must lie within half a step of the
     run [0, n_steps dt]; n_steps = `dde.step_count(t_end, dt)`, so the run
-    ends past t_end when dt does not divide it.
+    ends past t_end when dt does not divide it.  Warns GridRevivalWarning
+    when 2 pi / (ckk_stride dk), the subgrid's revival time, is below that.
 
     The stages are low rank.  d c_kk/dt = -i sum_a (s_a g_as^T + g_a s_as^T),
     (s_1, s_2) = (c_egk, c_gek) and s on the c_kk modes, is rank 4 and free
@@ -609,6 +597,9 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
 
     n_steps = step_count(t_end, dt)
     t_last = n_steps * dt
+    if (revival := 2.0 * math.pi / (ckk_stride * dk)) < t_last:
+        warnings.warn(f"c_kk subgrid revives at t = {revival:.3g} before the "
+                      f"run ends at {t_last:.3g}", GridRevivalWarning, 2)
     if checkpoint_times is None:
         checkpoint_times = [t_last]
     for t in checkpoint_times:

@@ -208,7 +208,8 @@ def verify_theorem4() -> VerificationReport:
 
 
 def verify_markov() -> VerificationReport:
-    """Delay solution against the short-delay closed form."""
+    """Delay solution against the short-delay closed form: each line
+    measures the finite-delay effect, which grows with gamma_RL max tau_j."""
     rep = VerificationReport("markov")
     fig2 = PRESETS["fig2"].config
     deep = NetworkConfig(
@@ -220,8 +221,10 @@ def verify_markov() -> VerificationReport:
         traj = solve_cee(cfg, horizons * plan.t_end, plan.dt)
         diff = np.abs(traj.states[:, 0]
                       - analytic_cee_markov(traj.times, cfg)).max()
+        scale = cfg.gamma_rl * max(cfg.round_trip_delays)
         rep.checks.append(_check(
-            f"max |c_ee - closed form| ({cfg.label})", float(diff), "<", 0.02))
+            f"finite-delay effect: max |c_ee - closed form| ({cfg.label}, "
+            f"gamma_RL max tau_j {scale:.4g})", float(diff), "<", 0.02))
     return rep
 
 

@@ -3,12 +3,17 @@ example database, no per-example deadline.  Hypothesis also caches the
 constants it reads from the source, whatever the profile says; that cache
 goes to the temporary directory, so a test run writes no `.hypothesis/`
 into the checkout.  Child processes get the source tree on PYTHONPATH, so
-the suite runs from a checkout without an install."""
+the suite runs from a checkout without an install.  No process of the suite
+writes bytecode: a `__pycache__` left in the source tree would change what
+later runs of the checkout import (and their memory)."""
 import os
+import sys
 import tempfile
 
 from hypothesis import settings
 
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+sys.dont_write_bytecode = True
 os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
                       os.path.join(tempfile.gettempdir(), "wqsim-hypothesis"))
 # pytest's `pythonpath` setting finds the source tree for this process only;

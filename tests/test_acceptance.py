@@ -38,7 +38,8 @@ import pytest
 from wqsim import (AtomParams, KGrid, NetworkConfig, oracle_full_grid,
                    run_preset, solve_cee, solve_single_atom,
                    solve_two_atom_single_excitation, integrate, DelaySystem,
-                   field_snapshot, check_mirror_boundary, PRESETS)
+                   field_snapshot, check_mirror_boundary, PRESETS,
+                   GridRevivalWarning)
 
 WA = 50.0
 
@@ -198,9 +199,13 @@ def test_criterion_6_oracle_equivalence():
         return float(np.abs(np.abs(cee.states[:m, 0])
                             - np.abs(orc.cee[:m])).max())
 
-    d_coarse = diff_at(81, 4)     # dk = 1.125: grid recurrence inside horizon
-    d_half = diff_at(161, 4)      # dk halved
-    d_quarter = diff_at(321, 4)   # dk halved again
+    # the coarse rungs revive their c_kk subgrid at 2 pi / (4 dk) = 1.40,
+    # 2.79 and 5.59, inside the horizon 6, by design: each run warns
+    with pytest.warns(GridRevivalWarning) as revivals:
+        d_coarse = diff_at(81, 4)     # dk = 1.125
+        d_half = diff_at(161, 4)      # dk halved
+        d_quarter = diff_at(321, 4)   # dk halved again
+    assert len(revivals) == 3
     d_full = diff_at(2001, 4)     # headline grid
     elapsed = time.time() - t0
     checks = [

@@ -424,6 +424,23 @@ class TestLinearStepper:
         with pytest.raises(ValueError, match="rows"):
             integrate_block(y0, np.zeros((1, 1)), table, (0.1,), 0.01, 10)
 
+    def test_sets_up_at_the_call(self):
+        # the ring, the block buffers and node 0 are made on the calling
+        # thread, so a consumer that iterates on another thread allocates
+        # no history in that thread's malloc arena
+        calls = []
+
+        def drive(h):
+            calls.append(h.tolist())
+            return np.ones((1, len(h), 2), dtype=complex)
+
+        blocks = integrate_block(np.zeros((1, 2)), np.ones(1), np.zeros((1, 1)),
+                                 (0.1,), 0.01, 20, drive)
+        assert calls == [[0]]
+        first, y, dy = next(blocks)
+        assert first == 0 and calls == [[0]]
+        assert np.array_equal(dy, np.ones((1, 1, 2)))   # c = f(0), D y0 = 0
+
     def test_window_wraps_with_reads_across_it(self):
         # a 30.33-step delay reads 30 steps back at fractions 1/6 and 2/3,
         # and a state of 2 x 1024 values caps the block at 16 steps: the

@@ -4,14 +4,16 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wqsim import (PRESETS, AtomParams, DelaySystem, InvalidGrid, KGrid,
-                   NetworkConfig, NonFiniteState, OutsideMarkovRegimeWarning,
+from wqsim import (PRESETS, AtomParams, DelaySystem, GridRevivalWarning,
+                   InvalidGrid, KGrid, NetworkConfig, NonFiniteState,
+                   OutsideMarkovRegimeWarning,
                    RunSettings, StepTooLarge, SteadyStateLabel,
                    TwoExcitationState, analytic_cee_markov,
                    classify_steady_state, integrate, oracle_full_grid,
@@ -755,13 +757,14 @@ class TestModeTiles:
                 raise NonFiniteState(f"non-finite state at t={t!r}", t)
             return task
 
-        with frequency._tile_pool(3) as run:
-            with pytest.raises(NonFiniteState, match="t=1.0") as err:
-                run([fails_at(2.0), lambda: None, fails_at(1.0)])
-            with pytest.raises(KeyError):   # the first tile that failed
-                run([lambda: None, lambda: {}[0], fails_at(math.inf)])
+        with pytest.raises(NonFiniteState, match="t=1.0") as err:
+            frequency._run_tiles([fails_at(2.0), lambda: None, fails_at(1.0)])
+        with pytest.raises(KeyError):   # the first tile that failed
+            frequency._run_tiles([lambda: None, lambda: {}[0],
+                                  fails_at(math.inf)])
         assert err.value.t == 1.0
-        assert seen == [1, 1, 1] and counts == [4, 1, 4]
+        # each call pins BLAS to one thread and restores it at its end
+        assert seen == [1, 1, 1] and counts == [4, 1, 4, 1, 4]
 
     def test_tiles_run_in_the_callers_context(self, monkeypatch):
         # the suite turns a RuntimeWarning into an error on every thread, so
@@ -774,9 +777,18 @@ class TestModeTiles:
             threads.add(threading.get_ident())
             np.full(4, 1e300) * 1e300
 
-        with np.errstate(over="ignore"), frequency._tile_pool(2) as run:
-            run([overflow, overflow])
+        with np.errstate(over="ignore"):
+            frequency._run_tiles([overflow, overflow])
         assert threading.get_ident() not in threads
+
+    def test_width_one_runs_on_the_calling_thread(self, monkeypatch):
+        # a worker's malloc arena would keep what the tasks allocate
+        monkeypatch.setattr(frequency, "_THREADS", 1)
+        monkeypatch.setattr(frequency, "_openblas", fake_blas([2]))
+        threads = []
+        frequency._run_tiles([lambda: threads.append(threading.get_ident())
+                              for _ in range(3)])
+        assert threads == [threading.get_ident()] * 3
 
     def test_tiled_pair_solve_names_the_untiled_node(self, monkeypatch):
         # atom 1 at gamma 30: D dt = -11.25 at dt = min delay / 8, where RK4
@@ -858,7 +870,8 @@ class TestModeTiles:
                 capture_output=True, text=True,
                 env={"PATH": "/usr/bin:/bin", "HOME": str(Path.home()),
                      "WQSIM_THREADS": width,
-                     "PYTHONPATH": os.environ["PYTHONPATH"]})
+                     "PYTHONPATH": os.environ["PYTHONPATH"],
+                     "PYTHONDONTWRITEBYTECODE": "1"})
             assert proc.returncode == 0, proc.stderr
             outputs.append({p.name: p.read_bytes()
                             for p in sorted(out.glob("*.csv"))})
@@ -958,11 +971,22 @@ class TestOracle:
         cfg = NetworkConfig(atoms=(AtomParams(0.1, 3.0, 5.0),
                                    AtomParams(0.2, 3.0, 5.0)), omega_a=500.0)
         kg = KGrid.centered(500.0, 200.0, 41)
-        with np.errstate(all="ignore"), pytest.raises(
-                NonFiniteState, match=r"at t=\d") as err:
+        # dk = 10: the subgrid revives at t = 0.157, long before t = 60
+        with np.errstate(all="ignore"), pytest.warns(GridRevivalWarning), \
+                pytest.raises(NonFiniteState, match=r"at t=\d") as err:
             oracle_full_grid(cfg, kg, 60.0, 0.5, ckk_stride=4,
                              checkpoint_times=[50.0, 60.0])
         assert float(str(err.value).rsplit("=", 1)[1]) <= 50.0
+
+    @pytest.mark.parametrize("t_end, revives", [(5.0, False), (5.5, True)])
+    def test_subgrid_revival_inside_the_run_warns(self, t_end, revives):
+        # N = 49 over half-width 2.4: dk = 0.1, and ckk_stride 12 revives the
+        # subgrid at 2 pi / 1.2 = 5.236, between the two run ends
+        kg = KGrid.centered(WA, 2.4, 49)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            oracle_full_grid(FIG2, kg, t_end, 0.05, ckk_stride=12)
+        assert [w.category for w in seen] == [GridRevivalWarning] * revives
 
     def test_default_checkpoint_is_the_last_step(self):
         # dt does not divide t_end: 4 steps, so the run ends at 0.12

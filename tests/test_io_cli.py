@@ -377,8 +377,8 @@ class TestCli:
         assert (tmp_path / "p" / "cee.svg").exists()
 
     def test_scopes_pin_their_verdicts(self):
-        # markov's one failure is the known fig2 line: the short-delay
-        # closed form misses c_ee at fig2's delays (0.0287 against 0.02)
+        # markov's one failure is the known fig2 line: the finite-delay
+        # effect at fig2's delays (0.0287 against 0.02)
         verify_module = importlib.import_module("wqsim.verify")
         reports = {scope: verify_module.verify(scope) for scope in
                    ("theorem1", "theorem2", "theorem3", "markov")}
@@ -387,7 +387,8 @@ class TestCli:
         assert verdicts == {"theorem1": (4, 4), "theorem2": (7, 7),
                             "theorem3": (4, 4), "markov": (1, 2)}
         assert [c.name for c in reports["markov"].checks if not c.passed] \
-            == ["max |c_ee - closed form| (fig2)"]
+            == ["finite-delay effect: max |c_ee - closed form| "
+                "(fig2, gamma_RL max tau_j 0.125)"]
 
     def test_parser_names_come_from_their_owners(self, capsys):
         # --mode takes exactly the pipeline kinds, the preset and scope
@@ -428,8 +429,8 @@ class TestCli:
              str(cfg), "--out", str(tmp_path / "o")],
             capture_output=True, text=True,
             env={"PATH": "/usr/bin:/bin", "HOME": str(Path.home()),
-                 "WQSIM_THREADS": "1",
-                 "PYTHONPATH": str(src_root)})
+                 "WQSIM_THREADS": "1", "PYTHONPATH": str(src_root),
+                 "PYTHONDONTWRITEBYTECODE": "1"})
         assert proc.returncode == 0, proc.stderr
 
 
