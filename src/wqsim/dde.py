@@ -369,12 +369,11 @@ def integrate_block(y0: np.ndarray, damping: np.ndarray, table: np.ndarray,
     nonzero coupling, and its nodes are one product with a triangular
     table of powers of R.  The values are `integrate`'s up to rounding.
 
-    Sets up at the call: the ring, the block buffers and node 0 (the one
-    drive(h = [0]) call).  Returns an iterator over blocks (first, y, dy):
-    the states and derivatives of nodes first, ..., first + k - 1 as
-    (rows, k, cols) views, valid until the next block; node 0 comes alone.
-    Raises ValueError and StepTooLarge at the call, NonFiniteState naming
-    the first non-finite node while iterating.
+    Builds the ring, the block buffers and node 0 (drive(h = [0])) at the
+    call, where it raises ValueError and StepTooLarge.  Returns an iterator
+    over blocks (first, y, dy): the states and derivatives of nodes first,
+    ..., first + k - 1 as (rows, k, cols) views, valid until the next block;
+    node 0 comes alone; NonFiniteState names the first non-finite node.
     """
     if not all(math.isfinite(tau) and tau > 0.0 for tau in delays):
         raise ValueError(f"delays must be finite and > 0, got {tuple(delays)}")

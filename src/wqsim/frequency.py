@@ -254,11 +254,11 @@ def solve_spectral_pair(config: NetworkConfig, cee_traj: Trajectory,
         raise InvalidGeometry("the two-excitation cascade needs two atoms")
     dt = cee_traj.dt
     n_steps = len(cee_traj.states) - 1
+    a1, a2 = config.atoms
     n = len(kgrid)
     damping, delays, table = exchange_table(config)
     # drive of (c_egk, c_gek): atom 2 resp. atom 1 emits from |ee>
-    drive_row = -1j * np.stack([coupling_row(kgrid, a)
-                                for a in config.atoms[::-1]])
+    drive_row = -1j * np.stack([coupling_row(kgrid, a2), coupling_row(kgrid, a1)])
 
     # c_ee and e^{i(k - omega_a) t} at every half-step: the phase as a
     # coarse row (every _PHASE_BLOCK half-steps) times a fine row
