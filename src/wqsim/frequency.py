@@ -106,7 +106,8 @@ def _run_tiles(tasks: list[Callable[[], None]]) -> None:
 
     width, blas = _pool_width(len(tasks)), _openblas()
     get, put = blas or (lambda: None, lambda threads: None)
-    contexts, threads = [contextvars.copy_context() for _ in tasks], get()
+    contexts = [contextvars.copy_context() for _ in tasks]
+    threads = get()
     put(1)
     try:
         if blas is None or width == 1:

@@ -13,9 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from wqsim import (PRESETS, AtomParams, DelaySystem, GridRevivalWarning,
                    InvalidGrid, KGrid, NetworkConfig, NonFiniteState,
-                   OutsideMarkovRegimeWarning,
-                   RunSettings, StepTooLarge, SteadyStateLabel,
-                   TwoExcitationState, analytic_cee_markov,
+                   OutsideMarkovRegimeWarning, RunSettings, StepTooLarge,
+                   SteadyStateLabel, TwoExcitationState, analytic_cee_markov,
                    classify_steady_state, integrate, oracle_full_grid,
                    populations, solve_cee, solve_spectral_pair,
                    solve_two_photon, stream_two_photon, total_norm,
