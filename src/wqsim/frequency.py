@@ -599,8 +599,8 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
     n_steps = step_count(t_end, dt)
     t_last = n_steps * dt
     if (revival := 2.0 * math.pi / (ckk_stride * dk)) < t_last:
-        warnings.warn(f"c_kk subgrid revives at t = {revival:.3g} before the "
-                      f"run ends at {t_last:.3g}", GridRevivalWarning, 2)
+        warnings.warn(f"c_kk subgrid revives at t = {revival:.3g} < run end "
+                      f"{t_last:.3g}", GridRevivalWarning, stacklevel=2)
     if checkpoint_times is None:
         checkpoint_times = [t_last]
     for t in checkpoint_times:
