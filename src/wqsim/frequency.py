@@ -32,7 +32,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from . import _THREADS
 from .dde import (Trajectory, _hermite_weights, integrate, integrate_block,
                   linear_system, step_count)
 from .errors import (GridRevivalWarning, InvalidGeometry, NonFiniteState,
@@ -65,6 +64,19 @@ def _tiles(n: int) -> list[tuple[int, int]]:
     modes of an n-mode grid: a function of n alone, never of the pool."""
     count = -(-n // _TILE_MODES)
     return [(n * i // count, n * (i + 1) // count) for i in range(count)]
+
+
+def _thread_count(raw: str | None) -> int | None:
+    """WQSIM_THREADS as a positive integer, None when unset or empty;
+    ValueError for anything else, so every run refuses it at import."""
+    raw = (raw or "").strip()
+    if raw and not (raw.isdecimal() and int(raw) > 0):
+        raise ValueError(f"WQSIM_THREADS must be a positive integer, got {raw!r}")
+    return int(raw) if raw else None
+
+
+# the tile pool's width, and WQSIM_THREADS' one effect: BLAS keeps its own
+_THREADS = _thread_count(os.environ.get("WQSIM_THREADS"))
 
 
 def _pool_width(tiles: int) -> int:
@@ -702,12 +714,13 @@ def oracle_full_grid(config: NetworkConfig, kgrid: KGrid, t_end: float,
         np.matmul(lead, v[:nh, 2:].reshape(nh, -1), out=vc[1].reshape(p, -1))
         _accumulate(ckk, uc.reshape(4 * p, n), vc.reshape(4 * p, m))
         if not np.isfinite(y).all():
-            raise NonFiniteState(f"oracle state non-finite at t={b1 * dt}")
+            raise NonFiniteState(f"oracle state non-finite at t={b1 * dt}",
+                                 b1 * dt)
         if b1 in chk_steps:
             snapshot(b1)
 
     if not (np.isfinite(y).all() and np.isfinite(ckk).all()):
-        raise NonFiniteState("oracle state non-finite at end")
+        raise NonFiniteState(f"oracle state non-finite at t={t_last}", t_last)
     return OracleResult(times=times, cee=cee_rec, checkpoints=checkpoints,
                         kgrid=kgrid, ckk_grid=sub)
 
