@@ -12,7 +12,7 @@ system instead - no delay reduction - and serves as the brute-force
 cross-check for everything above.
 
 The pair solve and the quadrature run on mode tiles whose bounds depend on
-N alone (`_run_tiles`), so their bytes do not depend on WQSIM_THREADS.
+N alone (`_run_tiles`), so their bytes do not depend on the pool's width.
 
 Two-photon amplitudes are stored in the normalized convention in which the
 plain quadrature  sum |c_kk|^2 dk^2  is the physical two-photon probability;
@@ -66,25 +66,12 @@ def _tiles(n: int) -> list[tuple[int, int]]:
     return [(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
-def _thread_count(raw: str | None) -> int | None:
-    """WQSIM_THREADS as a positive integer, None when unset or empty;
-    ValueError for anything else, so every run refuses it at import."""
-    raw = (raw or "").strip()
-    if raw and not (raw.isdecimal() and int(raw) > 0):
-        raise ValueError(f"WQSIM_THREADS must be a positive integer, got {raw!r}")
-    return int(raw) if raw else None
-
-
-# the tile pool's width, and WQSIM_THREADS' one effect: BLAS keeps its own
-_THREADS = _thread_count(os.environ.get("WQSIM_THREADS"))
-
-
 def _pool_width(tiles: int) -> int:
-    """The tile pool's width: WQSIM_THREADS (parsed at import), else the
-    usable cores; at most `tiles`."""
+    """The tile pool's width: the usable cores (the CPU affinity, where the
+    OS has one), at most `tiles`."""
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    return min(_THREADS or cores, tiles)
+    return min(cores, tiles)
 
 
 @functools.cache

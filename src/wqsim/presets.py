@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, frequency
 from .dde import Trajectory
-from .errors import UnknownPreset
+from .errors import InvalidGeometry, UnknownPreset
 from .frequency import (analytic_cee_markov, classify_steady_state,
                         solve_cee, solve_spectral_pair, stream_two_photon,
                         two_photon_norm)
@@ -150,6 +150,8 @@ def run_pipeline(config: NetworkConfig, settings: RunSettings,
         kind = "cascade" if len(config.atoms) == 2 else "spatial"
     if kind not in PIPELINES:
         raise UnknownPreset(f"unknown pipeline kind {kind!r}")
+    if kind == "cascade" and len(config.atoms) != 2:
+        raise InvalidGeometry("the two-excitation cascade needs two atoms")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     settings = settings.resolved(config)

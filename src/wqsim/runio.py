@@ -192,8 +192,8 @@ def write_csv(path: str | Path, header: list[str],
               columns: list[np.ndarray]) -> Path:
     """Deterministic CSV: given identical arrays, the bytes are identical.
     A complex column `name` is written as `name_re`, `name_im`."""
-    if len(header) != len(columns):
-        raise ValueError("header/column count mismatch")
+    if not columns or len(header) != len(columns):
+        raise ValueError("header/column count mismatch or no column")
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("columns must share a length")

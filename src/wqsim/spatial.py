@@ -137,8 +137,8 @@ def field_snapshot(config: NetworkConfig, traj: Trajectory, t: float,
     Default grid: spacing ~ the trajectory step over [0, z_outer + t], so
     retarded arguments land near trajectory nodes.  Raises InvalidGeometry
     unless `traj` has one component per atom of `config`, and OutOfRange
-    where the field needs the trajectory past its end or t is negative or
-    not finite.
+    where the field needs the trajectory past its end, t is negative or
+    not finite, or a position is not finite.
     """
     if traj.dim != len(config.atoms):
         raise InvalidGeometry(f"trajectory has {traj.dim} components for "
@@ -149,6 +149,8 @@ def field_snapshot(config: NetworkConfig, traj: Trajectory, t: float,
         z_end = config.atoms[-1].position + t
         z_values = np.linspace(0.0, z_end, int(np.ceil(z_end / traj.dt)) + 1)
     z = np.atleast_1d(np.asarray(z_values, dtype=float))
+    if not (finite := np.isfinite(z)).all():
+        raise OutOfRange(f"position z={float(z[~finite][0])!r} is not finite")
     phi_r, phi_l = _image_sum(config, traj, t, z)
     return FieldSnapshot(t=float(t), z_values=z, phi_r=phi_r, phi_l=phi_l)
 

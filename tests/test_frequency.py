@@ -702,6 +702,13 @@ def without_blas_vars():
     return {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
 
 
+def usable_cores(monkeypatch, count):
+    """Stand `count` cores in for the CPU affinity that
+    `frequency._pool_width` reads; no thread is started."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
 def fake_blas(counts):
     """A stand-in for `frequency._openblas` over a thread count held in
     counts[-1]: every set appends, so a test sees the pin and the restore
@@ -716,51 +723,47 @@ class TestModeTiles:
         (1536, [(0, 512), (512, 1024), (1024, 1536)])])
     def test_tile_bounds_depend_on_n_alone(self, monkeypatch, n, bounds):
         for width in (1, 2, 7):
-            monkeypatch.setattr(frequency, "_THREADS", width)
+            usable_cores(monkeypatch, width)
             assert frequency._tiles(n) == bounds
 
-    @pytest.mark.parametrize("threads, cores, tiles, width", [
+    @pytest.mark.parametrize("affinity, cpus, tiles, width", [
         (None, 2, 2, 2), (None, 8, 2, 2), (None, 1, 2, 1), (None, 8, 1, 1),
-        (1, 8, 2, 1), (2, 1, 2, 2), (2, 2, 1, 1), (3, 2, 5, 3), (8, 2, 3, 3),
-        (100000, 2, 2, 2)])
-    def test_pool_width_is_capped_at_the_tiles(self, monkeypatch, threads,
-                                               cores, tiles, width):
-        # WQSIM_THREADS, else the usable cores, capped at the tiles; the
-        # width is only computed here, no thread is started
-        monkeypatch.setattr(frequency, "_THREADS", threads)
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cores)), raising=False)
+        (None, None, 2, 1), (1, 8, 2, 1), (2, 1, 2, 2), (2, 2, 1, 1),
+        (3, 2, 5, 3), (8, 2, 3, 3), (100000, 2, 2, 2)])
+    def test_pool_width_is_capped_at_the_tiles(self, monkeypatch, affinity,
+                                               cpus, tiles, width):
+        # the cores in the CPU affinity, else (None: an OS without one)
+        # os.cpu_count, else 1; capped at the tiles
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            usable_cores(monkeypatch, affinity)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert frequency._pool_width(tiles) == width
 
-    @pytest.mark.parametrize("raw, threads", [
-        (None, None), ("", None), (" ", None), ("1", 1), (" 3 ", 3),
-        ("100000", 100000)])
-    def test_thread_count_parsed_at_import(self, raw, threads):
-        assert frequency._thread_count(raw) == threads
-
-    @pytest.mark.parametrize("raw", ["0", "-2", "abc", "1.5"])
-    def test_invalid_thread_count_refused(self, raw):
-        with pytest.raises(ValueError, match=f"WQSIM_THREADS.*{re.escape(raw)}"):
-            frequency._thread_count(raw)
-
-    def test_invalid_thread_count_stops_every_run_at_import(self):
-        proc = subprocess.run([sys.executable, "-c", "import wqsim"],
+    def test_no_environment_variable_stops_a_run(self, tmp_path):
+        # the pool's width comes from the CPU affinity alone, so no value
+        # of a thread variable can stop an import or a run
+        script = ("import sys, wqsim.cli\n"
+                  "sys.exit(wqsim.cli.main(['preset', 'fig2', '--t-end', "
+                  "'0.25', '--out', sys.argv[1]]))\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                               capture_output=True, text=True,
                               env={**os.environ, "WQSIM_THREADS": "abc"})
-        assert proc.returncode != 0
-        assert "WQSIM_THREADS must be a positive integer" in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "two_photon.csv").is_file()
 
     def test_import_writes_no_thread_variable(self):
         script = ("import os, wqsim\n"
                   f"print(sorted(set({BLAS_VARS!r}) & set(os.environ)))\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True,
-                              env={**without_blas_vars(), "WQSIM_THREADS": "3"})
+                              env=without_blas_vars())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[]"]
 
     def test_blas_threads_do_not_depend_on_the_import_order(self):
-        # WQSIM_THREADS sizes the tile pool only: BLAS outside the tiles
+        # the tile pool pins BLAS inside the tiles only: outside them BLAS
         # runs at its own default whether numpy or wqsim loads first
         if frequency._openblas() is None or len(os.sched_getaffinity(0)) < 2:
             pytest.skip("needs numpy's OpenBLAS thread control and two cores")
@@ -771,8 +774,7 @@ class TestModeTiles:
                       "print(frequency._openblas()[0]())\n")
             proc = subprocess.run([sys.executable, "-c", script],
                                   capture_output=True, text=True,
-                                  env={**without_blas_vars(),
-                                       "WQSIM_THREADS": "1"})
+                                  env=without_blas_vars())
             assert proc.returncode == 0, proc.stderr
             counts.append(int(proc.stdout))
         assert counts[0] == counts[1]
@@ -780,7 +782,7 @@ class TestModeTiles:
     @pytest.mark.parametrize("width", [1, 3])
     def test_runner_pins_blas_and_names_the_earliest_node(self, monkeypatch,
                                                           width):
-        monkeypatch.setattr(frequency, "_THREADS", width)
+        usable_cores(monkeypatch, width)
         counts = [4]
         monkeypatch.setattr(frequency, "_openblas", fake_blas(counts))
         seen = []
@@ -803,7 +805,7 @@ class TestModeTiles:
     def test_tiles_run_in_the_callers_context(self, monkeypatch):
         # the suite turns a RuntimeWarning into an error on every thread, so
         # an overflow in a worker raises unless np.errstate reaches it
-        monkeypatch.setattr(frequency, "_THREADS", 2)
+        usable_cores(monkeypatch, 2)
         monkeypatch.setattr(frequency, "_openblas", fake_blas([1]))
         threads = set()
 
@@ -817,7 +819,7 @@ class TestModeTiles:
 
     def test_width_one_runs_on_the_calling_thread(self, monkeypatch):
         # a worker's malloc arena would keep what the tasks allocate
-        monkeypatch.setattr(frequency, "_THREADS", 1)
+        usable_cores(monkeypatch, 1)
         monkeypatch.setattr(frequency, "_openblas", fake_blas([2]))
         threads = []
         frequency._run_tiles([lambda: threads.append(threading.get_ident())
@@ -831,7 +833,7 @@ class TestModeTiles:
                                    AtomParams(0.2, 0.25, 0.5)), omega_a=WA)
         cee = solve_cee(FIG2, 3.0, min(bad.delays) / 8)
         kgrid = KGrid.centered(WA, 45.0, 1001)
-        monkeypatch.setattr(frequency, "_THREADS", 2)
+        usable_cores(monkeypatch, 2)
         times = []
         for tile in (frequency._TILE_MODES, 1001):   # two tiles, then one
             monkeypatch.setattr(frequency, "_TILE_MODES", tile)
@@ -844,7 +846,7 @@ class TestModeTiles:
         # fig2's plan at N = 1001 on a short run: two tiles against one (the
         # untiled solve and quadrature, bit for bit); the populations are
         # the record's sums on every tiling
-        monkeypatch.setattr(frequency, "_THREADS", 2)
+        usable_cores(monkeypatch, 2)
         dt = min(FIG2.delays) / 64
         cee = solve_cee(FIG2, 1.0, dt)
         kgrid = KGrid.centered(WA, 45.0, 1001)
@@ -866,7 +868,7 @@ class TestModeTiles:
     def test_many_tiles_on_more_threads_than_cores(self, monkeypatch):
         # 16 tiles of 7 or 8 modes on 6 threads, switching every microsecond:
         # every tile's columns of the record and rows of S arrive
-        monkeypatch.setattr(frequency, "_THREADS", 6)
+        usable_cores(monkeypatch, 6)
         pair, cee = small_pair(FIG2, 1.0, n=121, half=10.0)
         ckk = solve_two_photon(pair, [0.5, 1.0])
         monkeypatch.setattr(frequency, "_TILE_MODES", 8)
@@ -884,14 +886,21 @@ class TestModeTiles:
 
     def test_csv_bytes_do_not_depend_on_the_pool_width(self, tmp_path):
         # fig2 (N = 1001, two tiles) on a short run, in child processes
-        # with BLAS at one thread.  The last run finds no BLAS thread
-        # control: its tiles run in order, on that one thread, and its
-        # manifest says that they were not pinned
+        # pinned to 1 and to 2 cores before they import wqsim, with BLAS at
+        # one thread.  The last run finds no BLAS thread control: its tiles
+        # run in order, on that one thread, and its manifest says that they
+        # were not pinned
         if frequency._openblas() is None:
             pytest.skip("numpy's BLAS has no thread control that wqsim finds:"
                         " the bytes follow the BLAS thread count")
-        script = ("import sys\n"
+        if (not hasattr(os, "sched_setaffinity")
+                or len(os.sched_getaffinity(0)) < 2):
+            pytest.skip("needs two usable cores and a settable CPU affinity")
+        script = ("import os, sys\n"
+                  "cores = sorted(os.sched_getaffinity(0))[:int(sys.argv[3])]\n"
+                  "os.sched_setaffinity(0, cores)\n"
                   "from wqsim import cli, frequency\n"
+                  "print(frequency._pool_width(2), flush=True)\n"
                   "if sys.argv[2] == 'fallback':\n"
                   "    frequency._openblas = lambda: None\n"
                   "sys.exit(cli.main(['preset', 'fig2', '--t-end', '0.5',\n"
@@ -900,13 +909,14 @@ class TestModeTiles:
         for width, mode in (("1", "pool"), ("2", "pool"), ("1", "fallback")):
             out = tmp_path / f"{mode}{width}"
             proc = subprocess.run(
-                [sys.executable, "-c", script, str(out), mode],
+                [sys.executable, "-c", script, str(out), mode, width],
                 capture_output=True, text=True,
                 env={"PATH": "/usr/bin:/bin", "HOME": str(Path.home()),
-                     "WQSIM_THREADS": width, "OPENBLAS_NUM_THREADS": "1",
+                     "OPENBLAS_NUM_THREADS": "1",
                      "PYTHONPATH": os.environ["PYTHONPATH"],
                      "PYTHONDONTWRITEBYTECODE": "1"})
             assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split()[0] == width
             outputs.append({p.name: p.read_bytes()
                             for p in sorted(out.glob("*.csv"))})
             pinned = f"tiles_blas_pinned = {mode == 'pool'}"

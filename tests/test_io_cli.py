@@ -191,6 +191,11 @@ class TestCsv:
             "nan,0.10000000000000001", "-0,-1.7976931348623157e+308",
             "0,4.9406564584124654e-324", "4.9406564584124654e-324,0"]
 
+    def test_no_column_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="no column"):
+            write_csv(tmp_path / "e.csv", [], [])
+        assert not (tmp_path / "e.csv").exists()
+
     def test_fmt_17_digits(self):
         assert float(fmt(np.pi)) == np.pi
 
@@ -429,7 +434,7 @@ class TestCli:
              str(cfg), "--out", str(tmp_path / "o")],
             capture_output=True, text=True,
             env={"PATH": "/usr/bin:/bin", "HOME": str(Path.home()),
-                 "WQSIM_THREADS": "1", "PYTHONPATH": str(src_root),
+                 "PYTHONPATH": str(src_root),
                  "PYTHONDONTWRITEBYTECODE": "1"})
         assert proc.returncode == 0, proc.stderr
 
@@ -555,6 +560,20 @@ class TestRunPlan:
         with pytest.raises(UnknownPreset, match="'bogus'"):
             wqsim.run_pipeline(PRESETS["fig5"].config, RunSettings(), out,
                                kind="bogus")
+        assert not out.exists()
+
+    def test_one_atom_cascade_refused_before_any_output(self, tmp_path,
+                                                        capsys):
+        out = tmp_path / "never"
+        with pytest.raises(wqsim.InvalidGeometry, match="two atoms"):
+            wqsim.run_pipeline(PRESETS["fig5"].config, RunSettings(), out,
+                               kind="cascade")
+        assert not out.exists()
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(ONE_ATOM)
+        rc = main(["simulate", "--config", str(cfg), "--mode", "cascade",
+                   "--out", str(out)])
+        assert rc == 2 and "two atoms" in capsys.readouterr().err
         assert not out.exists()
 
     def test_preset_plans_are_frozen(self):

@@ -340,3 +340,11 @@ class TestNonFiniteTimes:
         for z in (None, np.array([0.0, 0.1])):
             with pytest.raises(OutOfRange, match=re.escape(repr(t))):
                 field_snapshot(ONE_ATOM, traj, t, z_values=z)
+
+    @pytest.mark.parametrize("z, first", [
+        ([0.0, math.nan, 0.2], "nan"), ([0.1, -math.inf, math.nan], "-inf")])
+    def test_snapshot_refuses_a_non_finite_position(self, z, first):
+        # NaN fails every light-cone test, so it would read exact zeros
+        traj = solve_atom(t_end=1.0)
+        with pytest.raises(OutOfRange, match=f"z={first} "):
+            field_snapshot(ONE_ATOM, traj, 0.5, z_values=z)
